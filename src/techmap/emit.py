@@ -18,7 +18,6 @@ from .errors import (
     SignatureMismatch,
     SolverProtocolError,
     SolverUnknown,
-    TooManyInputBits,
     ValidationError,
 )
 
@@ -268,8 +267,9 @@ def _import_netlist(netlist_source, library, filename=None):
 def check_equivalence(design, netlist_source, library, mode="exhaustive", solver=None):
     """Re-import a printed netlist and compare it against the design.
 
-    Exhaustive mode walks every input row (requires <= 16 total input
-    bits); solver mode issues a single refutation query. Either way an
+    Exhaustive mode walks every input row (at most
+    `semantics.EXHAUSTIVE_INPUT_BITS` input bits, else TooManyInputBits);
+    solver mode issues a single refutation query. Either way an
     inequivalence comes back with a concrete distinguishing input.
     """
     imported = _import_netlist(netlist_source, library)
@@ -285,17 +285,14 @@ def check_equivalence(design, netlist_source, library, mode="exhaustive", solver
     imported_by_name = dict(imported.outputs)
 
     if mode == "exhaustive":
-        total = design.total_input_bits
-        if total > 16:
-            raise TooManyInputBits(total, 16)
-        for row in range(1 << total):
-            env = semantics.row_env(design.inputs, row)
-            for name, dexpr in design.outputs:
-                if semantics.eval_concrete(dexpr, env) != semantics.eval_concrete(
-                    imported_by_name[name], env
-                ):
-                    return EquivReport(False, env)
-        return EquivReport(True)
+        want = semantics.compile_exprs([e for _, e in design.outputs], design.inputs)
+        got = semantics.compile_exprs(
+            [imported_by_name[name] for name, _ in design.outputs], design.inputs
+        )
+        row = semantics.first_mismatch(got, semantics.input_rows(design.inputs), want)
+        if row is None:
+            return EquivReport(True)
+        return EquivReport(False, semantics.row_env(design.inputs, row))
     if mode == "solver":
         if solver is None:
             raise ValidationError("solver mode needs a SolverConfig")

@@ -3,12 +3,201 @@
 The three views of an expression's meaning. Concrete evaluation is the
 simulation/oracle path, the SMT lowering feeds the solver-backed search,
 and truth tables are the exhaustive cross-check between them.
+
+Concrete evaluation compiles an expression DAG once, with `compile_exprs`,
+into a Python function with one statement per operator node; no tree is
+walked per row. `eval_concrete`, `eval_many` and `eval_design` call such
+functions through a small cache keyed by node identity. Unlike a tree walk,
+the compiled code computes every node, both branches of a Mux included. So
+a Var missing from the environment raises UnknownVar, and an out-of-range
+value ValidationError, even when it only feeds the branch a Mux does not
+take.
+
+`first_mismatch` is the one exhaustive row loop. Brute-force enumeration,
+the exhaustive counterexample search and exhaustive equivalence checking
+walk rows through it, up to `EXHAUSTIVE_INPUT_BITS` input bits, and so does
+`truth_table`, with its own limit.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from . import ir
 from .errors import HolePresent, TooManyInputBits, UnknownVar, UnmappedSymbol, ValidationError
+
+EXHAUSTIVE_INPUT_BITS = 16  # rows are walked one at a time, so 2^16 is the ceiling
+
+
+def compile_exprs(exprs, inputs, holes=()):
+    """Compile an expression DAG, once, into one Python function.
+
+    `inputs` and `holes` are ordered (name, width) sequences. The function
+    takes one value per input and then one per hole as positional
+    arguments, and returns a tuple with one unsigned integer per
+    expression. Each call raises ValidationError when a value does not fit
+    the width of a Var or Hole node that reads it. Compiling raises
+    UnknownVar for a Var that is not an input and HolePresent for a Hole
+    not among `holes`.
+
+    The code has one statement per operator node, so shared nodes are
+    computed once per call, and every node is computed, both Mux branches
+    included. It holds only generated identifiers and integer literals:
+    symbol names and error messages reach it through the function's
+    namespace, so any name the IR accepts is safe.
+    """
+    exprs = tuple(exprs)
+    signature = []
+    params = {}  # (is hole, name) -> parameter identifier
+    for prefix, symbols in (("a", inputs), ("h", holes)):
+        for k, (name, _) in enumerate(symbols):
+            signature.append(f"{prefix}{k}")
+            params.setdefault((prefix == "h", name), signature[-1])
+    namespace = {}
+    checks = {}  # (parameter, width) -> range check line
+    body = []
+    ref = {}  # id(node) -> identifier or literal holding its value
+    for node in _postorder(exprs):
+        t = type(node)
+        if t is ir.Var or t is ir.Hole:
+            is_hole = t is ir.Hole
+            arg = params.get((is_hole, node.name))
+            if arg is None:
+                raise HolePresent(node.name) if is_hole else UnknownVar(node.name)
+            if (arg, node.width) not in checks:
+                fail = f"_e{len(checks)}"
+                namespace[fail] = _range_error("hole " if is_hole else "", node.name, node.width)
+                checks[arg, node.width] = (
+                    f"    if not 0 <= {arg} <= {(1 << node.width) - 1}: {fail}({arg})"
+                )
+            ref[id(node)] = arg
+        elif t is ir.Const:
+            ref[id(node)] = str(node.value)
+        else:
+            operands = [ref[id(k)] for k in ir._children(node)]
+            text = _operation(node, operands)
+            if text == operands[0]:
+                ref[id(node)] = text  # an extension or extract that keeps the value
+            else:
+                ref[id(node)] = f"v{len(body)}"
+                body.append(f"    v{len(body)} = {text}")
+    lines = [f"def evaluate({', '.join(signature)}):"]
+    lines += checks.values()
+    lines += body
+    lines.append(f"    return ({''.join(ref[id(e)] + ', ' for e in exprs)})")
+    exec(compile("\n".join(lines) + "\n", "<compiled expression>", "exec"), namespace)
+    return namespace["evaluate"]
+
+
+def _range_error(kind, name, width):
+    def fail(value):
+        raise ValidationError(f"value {value} for {kind}'{name}' does not fit width {width}")
+
+    return fail
+
+
+def _postorder(exprs):
+    """The distinct nodes under `exprs`, each after its operands."""
+    order = []
+    seen = set()
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(ir._children(node)))
+    return order
+
+
+def _operation(node, operands):
+    """Python expression text for an operator node over its operands' text."""
+    t = type(node)
+    a = operands[0]
+    mask = (1 << node.width) - 1
+    if t is ir.Not:
+        return f"{a} ^ {mask}"
+    if t is ir.Neg:
+        return f"-{a} & {mask}"
+    if t is ir.ReduceAnd:
+        return f"1 if {a} == {(1 << node.a.width) - 1} else 0"
+    if t is ir.ReduceOr:
+        return f"1 if {a} else 0"
+    if t is ir.ReduceXor:
+        return f"({a}).bit_count() & 1"
+    if t is ir.Mux:
+        return f"{operands[1]} if {a} else {operands[2]}"
+    if t is ir.Extract:
+        if node.lo == 0:
+            return a if node.width == node.a.width else f"{a} & {mask}"
+        return f"{a} >> {node.lo} & {mask}"
+    if t is ir.ZeroExt:
+        return a
+    if t is ir.SignExt:
+        if node.width == node.a.width:
+            return a
+        extension = mask ^ ((1 << node.a.width) - 1)
+        return f"{a} | {extension} if {a} >> {node.a.width - 1} else {a}"
+    b = operands[1]
+    if t is ir.And:
+        return f"{a} & {b}"
+    if t is ir.Or:
+        return f"{a} | {b}"
+    if t is ir.Xor:
+        return f"{a} ^ {b}"
+    if t is ir.Add:
+        return f"({a} + {b}) & {mask}"
+    if t is ir.Sub:
+        return f"({a} - {b}) & {mask}"
+    if t is ir.Mul:
+        return f"{a} * {b} & {mask}"
+    if t is ir.Shl:
+        return f"{a} << {b} & {mask} if {b} < {node.width} else 0"
+    if t is ir.LShr:
+        return f"{a} >> {b}"  # operands are in range, so big shifts give 0
+    if t is ir.Eq:
+        return f"1 if {a} == {b} else 0"
+    if t is ir.Ult:
+        return f"1 if {a} < {b} else 0"
+    if t is ir.Concat:
+        return f"{a} << {node.lo.width} | {b}"
+    raise TypeError(f"not a BitVecExpr: {node!r}")
+
+
+_CACHE_SIZE = 64
+_cache = {}  # tuple of node ids -> (nodes, function, var names, hole names)
+
+
+def _evaluate(exprs, env, holes):
+    """Evaluate `exprs` through a cached compiled function.
+
+    The cache is keyed by node identity. Each entry holds its nodes, so
+    no id in a live key can be reused by another object; the oldest entry
+    goes when the cache is full.
+    """
+    key = tuple(map(id, exprs))
+    entry = _cache.get(key)
+    if entry is None:
+        var_widths, hole_widths = {}, {}
+        for expr in exprs:
+            found_vars, found_holes = ir.free_symbols(expr)
+            var_widths.update(found_vars)
+            hole_widths.update(found_holes)
+        fn = compile_exprs(exprs, var_widths.items(), hole_widths.items())
+        if len(_cache) >= _CACHE_SIZE:
+            del _cache[next(iter(_cache))]
+        entry = _cache[key] = (exprs, fn, tuple(var_widths), tuple(hole_widths))
+    _, fn, var_names, hole_names = entry
+    return fn(*_lookup(env, var_names, UnknownVar), *_lookup(holes or {}, hole_names, HolePresent))
+
+
+def _lookup(bindings, names, missing):
+    try:
+        return [bindings[name] for name in names]
+    except KeyError as exc:
+        raise missing(exc.args[0]) from None
 
 
 def eval_concrete(expr, env, holes=None):
@@ -18,95 +207,18 @@ def eval_concrete(expr, env, holes=None):
     for hole names (used by the enumerating backend). Values must fit the
     symbol's width. Shared DAG nodes are evaluated once.
     """
-    return _eval(expr, env, holes, {})
+    return _evaluate((expr,), env, holes)[0]
 
 
 def eval_many(exprs, env, holes=None):
-    """Evaluate several expressions sharing one memo (and thus DAG work)."""
-    memo = {}
-    return [_eval(e, env, holes, memo) for e in exprs]
-
-
-def _eval(expr, env, holes, memo):
-    def ev(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        t = type(node)
-        if t is ir.Var:
-            try:
-                val = env[node.name]
-            except KeyError:
-                raise UnknownVar(node.name)
-            if not 0 <= val < (1 << node.width):
-                raise ValidationError(
-                    f"value {val} for '{node.name}' does not fit width {node.width}"
-                )
-        elif t is ir.Const:
-            val = node.value
-        elif t is ir.Hole:
-            if holes is None or node.name not in holes:
-                raise HolePresent(node.name)
-            val = holes[node.name]
-            if not 0 <= val < (1 << node.width):
-                raise ValidationError(
-                    f"value {val} for hole '{node.name}' does not fit width {node.width}"
-                )
-        elif t is ir.Not:
-            val = ~ev(node.a) & ((1 << node.width) - 1)
-        elif t is ir.Neg:
-            val = -ev(node.a) & ((1 << node.width) - 1)
-        elif t is ir.ReduceAnd:
-            val = 1 if ev(node.a) == (1 << node.a.width) - 1 else 0
-        elif t is ir.ReduceOr:
-            val = 1 if ev(node.a) != 0 else 0
-        elif t is ir.ReduceXor:
-            val = ev(node.a).bit_count() & 1
-        elif t is ir.And:
-            val = ev(node.a) & ev(node.b)
-        elif t is ir.Or:
-            val = ev(node.a) | ev(node.b)
-        elif t is ir.Xor:
-            val = ev(node.a) ^ ev(node.b)
-        elif t is ir.Add:
-            val = (ev(node.a) + ev(node.b)) & ((1 << node.width) - 1)
-        elif t is ir.Sub:
-            val = (ev(node.a) - ev(node.b)) & ((1 << node.width) - 1)
-        elif t is ir.Mul:
-            val = (ev(node.a) * ev(node.b)) & ((1 << node.width) - 1)
-        elif t is ir.Shl:
-            amount = ev(node.b)
-            val = (ev(node.a) << amount) & ((1 << node.width) - 1) if amount < node.width else 0
-        elif t is ir.LShr:
-            amount = ev(node.b)
-            val = ev(node.a) >> amount if amount < node.width else 0
-        elif t is ir.Eq:
-            val = 1 if ev(node.a) == ev(node.b) else 0
-        elif t is ir.Ult:
-            val = 1 if ev(node.a) < ev(node.b) else 0
-        elif t is ir.Mux:
-            val = ev(node.a) if ev(node.cond) else ev(node.b)
-        elif t is ir.Extract:
-            val = (ev(node.a) >> node.lo) & ((1 << node.width) - 1)
-        elif t is ir.Concat:
-            val = (ev(node.hi) << node.lo.width) | ev(node.lo)
-        elif t is ir.ZeroExt:
-            val = ev(node.a)
-        elif t is ir.SignExt:
-            val = ev(node.a)
-            if val >> (node.a.width - 1):
-                val |= ((1 << node.width) - 1) ^ ((1 << node.a.width) - 1)
-        else:
-            raise TypeError(f"not a BitVecExpr: {node!r}")
-        memo[id(node)] = val
-        return val
-
-    return ev(expr)
+    """Evaluate several expressions in one call, sharing their DAG work."""
+    return list(_evaluate(tuple(exprs), env, holes))
 
 
 def eval_design(design, env):
     """Evaluate every design output; returns {output name: value}."""
-    return {name: eval_concrete(expr, env) for name, expr in design.outputs}
+    values = _evaluate(tuple(e for _, e in design.outputs), env, None)
+    return {name: value for (name, _), value in zip(design.outputs, values)}
 
 
 def _bin_const(value, width):
@@ -198,6 +310,48 @@ def row_env(inputs, row):
     return env
 
 
+def ascending(symbols):
+    """Every value tuple over ordered (name, width) symbols, by index.
+
+    Index k gives the first symbol the least-significant bits of k, as in
+    `row_env`; each tuple holds one value per symbol, in order.
+    """
+    ranges = [range(1 << width) for _, width in reversed(symbols)]
+    return (values[::-1] for values in itertools.product(*ranges))
+
+
+def input_rows(inputs, limit=EXHAUSTIVE_INPUT_BITS):
+    """The rows of the ordered (name, width) `inputs`, as `ascending` gives them.
+
+    Raises TooManyInputBits when the inputs total more than `limit` bits.
+    """
+    total = sum(width for _, width in inputs)
+    if total > limit:
+        raise TooManyInputBits(total, limit)
+    return ascending(inputs)
+
+
+def first_mismatch(fn, rows, want=None, args=(), record=None):
+    """The index of the first row on which `fn` disagrees with `want`, else None.
+
+    This is the one exhaustive row loop. `rows` are input value tuples in
+    ascending row order, from `input_rows`; a caller that walks them many
+    times passes them as a list. Each row is evaluated as
+    fn(*row values, *args). `want` gives the expected output tuple of each
+    row: a function of the row values, a sequence indexed by row, or None
+    to compare nothing. When `record` is a list, fn's output on every
+    visited row is appended to it.
+    """
+    table = not callable(want)
+    for row, values in enumerate(rows):
+        got = fn(*values, *args)
+        if record is not None:
+            record.append(got)
+        if want is not None and got != (want[row] if table else want(*values)):
+            return row
+    return None
+
+
 def truth_table(obj, max_input_bits=20, param_binding=None):
     """Enumerate all input rows of a Design or PrimitiveSemantics.
 
@@ -205,29 +359,24 @@ def truth_table(obj, max_input_bits=20, param_binding=None):
     inputs and outputs in declaration order. Semantics objects need a
     `param_binding` only if their parameters should not take defaults.
     """
-    inputs = list(obj.inputs)
-    extra = {}
+    inputs = tuple(obj.inputs)
+    params = []
+    values = []
     if hasattr(obj, "params"):
         binding = dict(param_binding or {})
         for name, width, default in obj.params:
             value = binding.pop(name, default)
             if not 0 <= value < (1 << width):
                 raise ValidationError(f"parameter {name}={value} does not fit width {width}")
-            extra[name] = value
+            params.append((name, width))
+            values.append(value)
         if binding:
             raise UnknownVar(next(iter(binding)))
     elif param_binding:
         raise ValidationError("param_binding given for an object without parameters")
 
-    total = sum(w for _, w in inputs)
-    if total > max_input_bits:
-        raise TooManyInputBits(total, max_input_bits)
-
-    rows = []
-    for row in range(1 << total):
-        env = row_env(inputs, row)
-        env.update(extra)
-        values = tuple(env[name] for name, _ in inputs)
-        outs = tuple(eval_concrete(e, env) for _, e in obj.outputs)
-        rows.append((values, outs))
-    return rows
+    rows = list(input_rows(inputs, max_input_bits))
+    outputs = []
+    fn = compile_exprs([e for _, e in obj.outputs], inputs + tuple(params))
+    first_mismatch(fn, rows, args=values, record=outputs)
+    return list(zip(rows, outputs))

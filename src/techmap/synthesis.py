@@ -4,6 +4,11 @@ Both backends decide the same question: does some assignment to the
 sketch's holes make every output agree with the design on every input?
 Enumeration is the trustworthy oracle for small hole spaces; CEGIS asks an
 external SMT-LIB solver and scales to spaces enumeration cannot touch.
+Enumeration and the exhaustive re-check of a solution compile the design
+and the sketch once each and compare them row by row through
+`semantics.first_mismatch`; hole assignments and rows both go in
+ascending order, so the first match and the first counterexample are the
+lowest ones.
 Solver interaction is deliberately primitive: one fresh subprocess and one
 QF_BV script per query, no incremental mode, so any SMT-LIB v2 solver works.
 """
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 from . import ir, semantics, templates
 from .errors import (
     BudgetExceeded,
+    HolePresent,
     Infeasible,
     LimitExceeded,
     MissingSymbol,
@@ -25,6 +31,7 @@ from .errors import (
     SolverSpawnError,
     SolverUnknown,
     TemplateInfeasible,
+    TooManyInputBits,
     ValidationError,
 )
 
@@ -102,7 +109,9 @@ def decode_assignment(holes, index):
     return out
 
 
-def solve_brute_force(problem, max_hole_space=1 << 20, max_input_bits=16):
+def solve_brute_force(
+    problem, max_hole_space=1 << 20, max_input_bits=semantics.EXHAUSTIVE_INPUT_BITS
+):
     """Enumerate hole assignments in ascending order; first full match wins.
 
     Exhaustive and deterministic, hence the reference backend: when it
@@ -113,29 +122,36 @@ def solve_brute_force(problem, max_hole_space=1 << 20, max_input_bits=16):
     space = problem.hole_space
     if space > max_hole_space:
         raise LimitExceeded("hole space", space, max_hole_space)
-    total_bits = problem.total_input_bits
-    if total_bits > max_input_bits:
-        raise LimitExceeded("input bits", total_bits, max_input_bits)
-
-    rows = []
-    for row in range(1 << total_bits):
-        env = semantics.row_env(problem.inputs, row)
-        want = tuple(semantics.eval_concrete(e, env) for _, e in problem.design.outputs)
-        rows.append((env, want))
-    sketch_exprs = [e for _, e in problem.sketch_exprs]
-
-    for index in range(space):
-        assignment = decode_assignment(problem.holes, index)
-        ok = True
-        for env, want in rows:
-            got = semantics.eval_many(sketch_exprs, env, assignment)
-            if tuple(got) != want:
-                ok = False
-                break
-        if ok:
+    rows = list(_input_rows(problem, max_input_bits))
+    design, sketch = _compile(problem)
+    want = []
+    semantics.first_mismatch(design, rows, record=want)
+    for index, values in enumerate(semantics.ascending(problem.holes)):
+        if semantics.first_mismatch(sketch, rows, want, args=values) is None:
             wall_ms = (time.perf_counter() - started) * 1000.0
+            assignment = decode_assignment(problem.holes, index)
             return Solution(assignment, "brute", SolveStats(index + 1, 0, wall_ms))
     raise Infeasible(f"no assignment among {space} implements '{problem.design.name}'")
+
+
+def _input_rows(problem, limit):
+    try:
+        return semantics.input_rows(problem.inputs, limit)
+    except TooManyInputBits as exc:
+        raise LimitExceeded("input bits", exc.total, exc.limit) from None
+
+
+def _compile(problem):
+    """Design and sketch outputs as functions of the input values.
+
+    The sketch's function takes the hole values after the input values.
+    """
+    return (
+        semantics.compile_exprs([e for _, e in problem.design.outputs], problem.inputs),
+        semantics.compile_exprs(
+            [e for _, e in problem.sketch_exprs], problem.inputs, problem.holes
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +466,21 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
         for name, _ in problem.inputs:
             if name not in cex:
                 raise MissingSymbol(name)
-        assert cex not in examples, "solver returned a repeated counterexample"
+        if cex in examples:
+            raise SolverProtocolError(f"solver returned a repeated counterexample {cex}", out)
         examples.append(cex)
     raise BudgetExceeded(max_iters)
 
 
-def exhaustive_counterexample(problem, assignment, max_input_bits=16):
+def exhaustive_counterexample(
+    problem, assignment, max_input_bits=semantics.EXHAUSTIVE_INPUT_BITS
+):
     """Check a candidate assignment on every input row; None when sound."""
-    total_bits = problem.total_input_bits
-    if total_bits > max_input_bits:
-        raise LimitExceeded("input bits", total_bits, max_input_bits)
-    sketch_exprs = [e for _, e in problem.sketch_exprs]
-    for row in range(1 << total_bits):
-        env = semantics.row_env(problem.inputs, row)
-        want = [semantics.eval_concrete(e, env) for _, e in problem.design.outputs]
-        got = semantics.eval_many(sketch_exprs, env, assignment)
-        if got != want:
-            return env
-    return None
+    rows = _input_rows(problem, max_input_bits)
+    try:
+        values = [assignment[name] for name, _ in problem.holes]
+    except KeyError as exc:
+        raise HolePresent(exc.args[0]) from None
+    design, sketch = _compile(problem)
+    row = semantics.first_mismatch(sketch, rows, design, args=values)
+    return None if row is None else semantics.row_env(problem.inputs, row)

@@ -12,12 +12,18 @@ reductions & | ^), concatenation {a,b}, replication {n{x}}, bit/part
 selects, sized literals w'b/w'h/w'd, unsized decimals, // and /* */
 comments. Anything else raises UnsupportedConstruct.
 
-Expression sizing is deliberately simpler than Verilog-2005: operands of
-binary operators are zero-extended to the assignment's LHS width, while
-comparison operands extend to their mutual maximum and reduction/shift-
-amount/index operands keep their self-determined width. Operands wider
-than their context are an error rather than being truncated. The README
-documents each divergence.
+Expression sizing and values are deliberately simpler than Verilog-2005.
+The divergences:
+  - Values are 2-state and unsigned: there is no x or z and no signed
+    arithmetic.
+  - Operands of binary operators are zero-extended to the assignment's LHS
+    width. An operand wider than its context is an error, not truncated.
+  - An unsized literal has the width of its value, not 32 bits. A literal
+    is an error only when its value does not fit its context.
+  - A dynamic bit select past the top bit reads 0, not x.
+As in Verilog, comparison operands extend to their mutual maximum, and
+reduction, shift-amount and index operands keep their self-determined
+width.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 from . import ir
 from .errors import (
     CombinationalCycle,
+    ParseError,
     UndeclaredIdentifier,
     UnsupportedConstruct,
     ValidationError,
@@ -1071,20 +1078,45 @@ def semantics_to_dict(sem):
 
 
 def semantics_from_dict(obj, where="$"):
-    from .errors import ParseError
-
+    """Inverse of semantics_to_dict. Malformed input raises a located ParseError."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     for key in ("name", "inputs", "params", "outputs"):
         if key not in obj:
             raise ParseError(f"missing field '{key}'", where)
-    inputs = tuple((i["name"], i["width"]) for i in obj["inputs"])
-    params = tuple((p["name"], p["width"], int(p["default"], 10)) for p in obj["params"])
-    outputs = tuple(
-        (o["name"], ir.expr_from_dict(o["expr"], f"{where}.outputs[{i}].expr"))
-        for i, o in enumerate(obj["outputs"])
+    inputs = tuple(
+        (ir._field(i, "name", str, w), ir._field(i, "width", int, w))
+        for i, w in _entries(obj, "inputs", where)
     )
-    return PrimitiveSemantics(obj["name"], inputs, params, outputs)
+    params = tuple(
+        (ir._field(p, "name", str, w), ir._field(p, "width", int, w), _decimal(p, "default", w))
+        for p, w in _entries(obj, "params", where)
+    )
+    outputs = tuple(
+        (ir._field(o, "name", str, w), ir.expr_from_dict(o.get("expr"), f"{w}.expr"))
+        for o, w in _entries(obj, "outputs", where)
+    )
+    return PrimitiveSemantics(ir._field(obj, "name", str, where), inputs, params, outputs)
+
+
+def _entries(obj, key, where):
+    """(object, JSON path) for each item of the array obj[key]."""
+    items = obj[key]
+    if not isinstance(items, list):
+        raise ParseError(f"field '{key}' must be an array", where)
+    for i, item in enumerate(items):
+        path = f"{where}.{key}[{i}]"
+        if not isinstance(item, dict):
+            raise ParseError("expected an object", path)
+        yield item, path
+
+
+def _decimal(obj, key, where):
+    raw = ir._field(obj, key, str, where)
+    try:
+        return int(raw, 10)
+    except ValueError:
+        raise ParseError(f"{key} {raw!r} is not a decimal string", where) from None
 
 
 def semantics_to_json(sem):

@@ -206,3 +206,28 @@ def test_resolve_solver_precedence(monkeypatch, tmp_path):
     assert config.args == ("--lang", "smt2")
     config = cli.resolve_solver("/usr/bin/mysolver", ("-x",))
     assert config == SolverConfig("/usr/bin/mysolver", ("-x",))
+
+
+@pytest.mark.parametrize(
+    "breakage, where",
+    [
+        (lambda sem: sem["inputs"][0].pop("name"), "lut2.json.inputs[0]"),
+        (lambda sem: sem["params"][0].update(default="0x3"), "lut2.json.params[0]"),
+        (lambda sem: sem["outputs"][0].pop("expr"), "lut2.json.outputs[0].expr"),
+        (lambda sem: sem.update(outputs={}), "lut2.json"),
+    ],
+    ids=["input name", "param default", "output expr", "outputs array"],
+)
+def test_malformed_library_entry_is_located_user_error(tmp_path, capsys, breakage, where):
+    libdir = tmp_path / "lib"
+    library.save_library(library.default_library(), libdir)
+    sem = json.loads((libdir / "lut2.json").read_text())
+    breakage(sem)
+    (libdir / "lut2.json").write_text(json.dumps(sem))
+    code = run_cli(
+        "map", "--design", DESIGNS / "and2.v", "--library", libdir,
+        "--template", "lut_single", "-o", tmp_path / "x.v",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {where}: " in err and "internal error" not in err

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from techmap import ir, synthesis, templates
+from techmap.semantics import eval_design, eval_many
 from techmap.errors import (
     BudgetExceeded,
     Infeasible,
@@ -63,6 +64,27 @@ def test_brute_majority_on_lut2_is_infeasible(lib):
     assert problem.hole_space == 1 << 10
     with pytest.raises(Infeasible):
         solve_brute_force(problem)
+
+
+def test_brute_returns_lowest_satisfying_index(lib):
+    # With binding holes several assignments implement and2 (the pins may
+    # swap or tie); the first in ascending order wins, after index + 1 tries.
+    problem, _ = holes_problem(and2_design(), lib)
+    sketch_exprs = [e for _, e in problem.sketch_exprs]
+    envs = [{"a": a, "b": b} for b in (0, 1) for a in (0, 1)]
+
+    def works(assignment):
+        return all(
+            eval_many(sketch_exprs, env, assignment)
+            == list(eval_design(problem.design, env).values())
+            for env in envs
+        )
+
+    good = [i for i in range(problem.hole_space) if works(decode_assignment(problem.holes, i))]
+    assert len(good) > 1
+    solution = solve_brute_force(problem)
+    assert solution.assignment == decode_assignment(problem.holes, good[0])
+    assert solution.stats.iterations == good[0] + 1
 
 
 def test_brute_is_deterministic(lib):
@@ -269,27 +291,19 @@ def test_solver_empty_output_is_protocol_error(tmp_path, lib):
         solve_cegis(problem, config)
 
 
-def test_repeated_counterexample_trips_progress_assert(tmp_path, lib):
-    # A broken solver that alternates: hole model, then always the same
-    # counterexample. The second repeat must trip the progress assertion.
-    counter = tmp_path / "count"
-    counter.write_text("")
-    body = f"""
-count_file="{counter}"
-printf x >> "$count_file"
-n=$(wc -c < "$count_file")
-if [ $((n % 2)) -eq 1 ]; then
-  echo sat
-  echo '((inst_0_INIT #b0000))'
-else
-  echo sat
-  echo '((a #b1) (b #b1))'
-fi
-"""
-    config = _fake_solver(tmp_path, body)
+def test_repeated_counterexample_is_a_protocol_error(monkeypatch, lib):
+    # A broken solver answers every synth query with the same holes and
+    # every verify query with the same counterexample. The repeat must be
+    # refused by a check that survives `python -O`.
+    def broken_solver(config, script):
+        if "(get-value (inst_0_INIT))" in script:
+            return "sat\n((inst_0_INIT #b0000))\n"
+        return "sat\n((a #b1) (b #b1))\n"
+
+    monkeypatch.setattr(synthesis, "run_solver", broken_solver)
     problem, _ = pinned_problem(and2_design(), lib)
-    with pytest.raises(AssertionError):
-        solve_cegis(problem, config, init_examples=1)
+    with pytest.raises(SolverProtocolError, match="repeated counterexample"):
+        solve_cegis(problem, SolverConfig("unused"), init_examples=1)
 
 
 def test_solutions_are_reverified_exhaustively(lib, solver_config):
