@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ir, semantics, synthesis, templates, verilog
-from .errors import (
-    MissingHole,
-    SignatureMismatch,
-    SolverProtocolError,
-    SolverUnknown,
-    ValidationError,
-)
+from .errors import MissingHole, SignatureMismatch, ValidationError
 
 
 @dataclass(frozen=True)
@@ -298,16 +292,6 @@ def check_equivalence(design, netlist_source, library, mode="exhaustive", solver
             raise ValidationError("solver mode needs a SolverConfig")
         aligned = tuple((name, imported_by_name[name]) for name, _ in design.outputs)
         problem = synthesis.SynthesisProblem(design, aligned, (), tuple(design.inputs))
-        out = synthesis.run_solver(solver, synthesis.emit_verify_query(problem, {}))
-        status = synthesis._status(out)
-        if status == "unsat":
-            return EquivReport(True)
-        if status == "sat":
-            table = synthesis.symbol_table(problem)
-            input_syms = {table[n]: (n, w) for n, w in problem.inputs}
-            cex = synthesis.parse_model(out, input_syms)
-            return EquivReport(False, cex)
-        if status == "unknown":
-            raise SolverUnknown()
-        raise SolverProtocolError(f"unexpected solver reply {status!r}", out)
+        cex = synthesis.solver_counterexample(problem, {}, solver)
+        return EquivReport(cex is None, cex)
     raise ValidationError(f"mode must be 'exhaustive' or 'solver', not {mode!r}")

@@ -25,8 +25,10 @@ Width rules:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, fields
+from operator import is_not
 
 from .errors import (
     HoleNotAllowed,
@@ -262,20 +264,48 @@ class SignExt(BitVecExpr):
             raise WidthMismatch("SignExt", f">= {self.a.width}", self.width)
 
 
+# Node type -> its operands, in field order. Every DAG walk asks this once
+# per node, so it is a table lookup rather than a chain of isinstance tests.
+_OPERANDS = {
+    Mux: lambda e: (e.cond, e.a, e.b),
+    Concat: lambda e: (e.hi, e.lo),
+}
+for _cls in (Var, Const, Hole):
+    _OPERANDS[_cls] = lambda e: ()
+for _cls in (Not, Neg, ReduceAnd, ReduceOr, ReduceXor, Extract, ZeroExt, SignExt):
+    _OPERANDS[_cls] = lambda e: (e.a,)
+for _cls in (And, Or, Xor, Add, Sub, Mul, Shl, LShr, Eq, Ult):
+    _OPERANDS[_cls] = lambda e: (e.a, e.b)
+
+
 def _children(expr):
-    if isinstance(expr, (Var, Const, Hole)):
-        return ()
-    if isinstance(expr, (_Unary, _Reduce, ZeroExt, SignExt)):
-        return (expr.a,)
-    if isinstance(expr, (_Binary, _Shift, _Compare)):
-        return (expr.a, expr.b)
-    if isinstance(expr, Mux):
-        return (expr.cond, expr.a, expr.b)
-    if isinstance(expr, Extract):
-        return (expr.a,)
-    if isinstance(expr, Concat):
-        return (expr.hi, expr.lo)
-    raise TypeError(f"not a BitVecExpr: {expr!r}")
+    try:
+        return _OPERANDS[type(expr)](expr)
+    except KeyError:
+        raise TypeError(f"not a BitVecExpr: {expr!r}") from None
+
+
+def postorder(exprs):
+    """The distinct nodes under `exprs`, each after its operands.
+
+    This is the one DAG walk: nodes are told apart by identity, so a node
+    reached through several paths is listed once, and no recursion limit
+    applies however deep the expression is.
+    """
+    order = []
+    seen = set()
+    stack = [(e, False) for e in reversed(exprs)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            for kid in reversed(_children(node)):
+                if id(kid) not in seen:
+                    stack.append((kid, False))
+    return order
 
 
 def validate(expr, env, allow_holes=False):
@@ -287,13 +317,7 @@ def validate(expr, env, allow_holes=False):
     """
     vars_seen = {}
     holes_seen = {}
-    stack = [expr]
-    visited = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
+    for node in postorder((expr,)):
         if isinstance(node, Var):
             if node.name not in env:
                 raise UnknownVar(node.name)
@@ -307,8 +331,6 @@ def validate(expr, env, allow_holes=False):
             if prior is not None and prior != node.width:
                 raise WidthMismatch(f"Hole '{node.name}'", prior, node.width)
             holes_seen[node.name] = node.width
-        else:
-            stack.extend(_children(node))
     clash = vars_seen.keys() & holes_seen.keys()
     if clash:
         raise ValidationError(f"names used both as Var and Hole: {sorted(clash)}")
@@ -317,29 +339,19 @@ def validate(expr, env, allow_holes=False):
 
 def free_symbols(expr):
     """Return ({var name: width}, {hole name: width}) for every symbol in expr."""
-    vars_seen = {}
-    holes_seen = {}
-    stack = [expr]
-    visited = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        if isinstance(node, Var):
-            vars_seen[node.name] = node.width
-        elif isinstance(node, Hole):
-            holes_seen[node.name] = node.width
-        else:
-            stack.extend(_children(node))
-    return vars_seen, holes_seen
+    nodes = postorder((expr,))
+    return (
+        {n.name: n.width for n in nodes if isinstance(n, Var)},
+        {n.name: n.width for n in nodes if isinstance(n, Hole)},
+    )
 
 
 def substitute(expr, bindings, target="vars"):
     """Replace Vars (target='vars') or Holes (target='holes') by expressions.
 
     Symbols absent from `bindings` stay in place. DAG sharing is preserved:
-    a node reached through several paths is rewritten once.
+    a node reached through several paths is rewritten once, and a node is
+    rebuilt only when one of its operands changed.
     """
     if target not in ("vars", "holes"):
         raise ValueError(f"target must be 'vars' or 'holes', not {target!r}")
@@ -347,12 +359,8 @@ def substitute(expr, bindings, target="vars"):
     for name, replacement in bindings.items():
         if not isinstance(replacement, BitVecExpr):
             raise TypeError(f"binding for '{name}' is not a BitVecExpr")
-    memo = {}
-
-    def walk(node):
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    memo = {}  # id(node) -> its rewrite
+    for node in postorder((expr,)):
         if isinstance(node, leaf_type) and node.name in bindings:
             new = bindings[node.name]
             if new.width != node.width:
@@ -361,12 +369,10 @@ def substitute(expr, bindings, target="vars"):
             new = node
         else:
             kids = _children(node)
-            new_kids = tuple(walk(k) for k in kids)
-            new = node if all(a is b for a, b in zip(kids, new_kids)) else _rebuild(node, new_kids)
+            new_kids = [memo[id(k)] for k in kids]
+            new = _rebuild(node, new_kids) if any(map(is_not, kids, new_kids)) else node
         memo[id(node)] = new
-        return new
-
-    return walk(expr)
+    return memo[id(expr)]
 
 
 def _rebuild(node, kids):
@@ -375,6 +381,15 @@ def _rebuild(node, kids):
     if isinstance(node, (ZeroExt, SignExt)):
         return type(node)(kids[0], node.width)
     return type(node)(*kids)
+
+
+def concat(parts):
+    """Concatenate MSB-first `parts` into one left-nested Concat tree.
+
+    concat([a, b, c]) is Concat(Concat(a, b), c). The shape is fixed because
+    the SMT-LIB text of an expression, and so the solver's answers, follow it.
+    """
+    return functools.reduce(Concat, parts)
 
 
 @dataclass(frozen=True)
@@ -404,10 +419,6 @@ class Design:
     @property
     def output_widths(self):
         return {n: e.width for n, e in self.outputs}
-
-    @property
-    def total_input_bits(self):
-        return sum(w for _, w in self.inputs)
 
 
 _OP_NAMES = {

@@ -18,6 +18,10 @@ not/and/or/xor/=/ite, bvnot/bvneg/bvand/bvor/bvxor/bvadd/bvsub/bvmul/
 bvshl/bvlshr/bvult, concat, (_ extract i j), (_ zero_extend n),
 (_ sign_extend n), #b/#x literals and (_ bvN w).
 
+`tokenize` and `read_form` are the package's one s-expression reader: the
+interpreter reads scripts with them, and `synthesis.parse_model` reads the
+get-value answer of any solver with them.
+
 Only the standard library is used, and importing this module stays cheap
 because a fresh process is spawned per query.
 """
@@ -73,29 +77,37 @@ def tokenize(text):
     return tokens
 
 
+def read_form(tokens, pos):
+    """Read one s-expression starting at `tokens[pos]`; return (form, next pos).
+
+    A list comes back as a tuple of forms, an atom as its token string.
+    """
+    stack = []  # the lists still open, innermost last
+    while pos < len(tokens):
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            if not stack:
+                raise SmtInputError("unexpected ')'")
+            form = tuple(stack.pop())
+            if not stack:
+                return form, pos
+            stack[-1].append(form)
+        elif stack:
+            stack[-1].append(tok)
+        else:
+            return tok, pos
+    raise SmtInputError("missing ')'" if stack else "unexpected end of input")
+
+
 def parse_forms(tokens):
+    """Every top-level form in `tokens`, in order."""
     forms = []
     pos = 0
-
-    def read(pos):
-        if pos >= len(tokens):
-            raise SmtInputError("unexpected end of input")
-        tok = tokens[pos]
-        if tok == "(":
-            items = []
-            pos += 1
-            while pos < len(tokens) and tokens[pos] != ")":
-                item, pos = read(pos)
-                items.append(item)
-            if pos >= len(tokens):
-                raise SmtInputError("missing ')'")
-            return tuple(items), pos + 1
-        if tok == ")":
-            raise SmtInputError("unexpected ')'")
-        return tok, pos + 1
-
     while pos < len(tokens):
-        form, pos = read(pos)
+        form, pos = read_form(tokens, pos)
         forms.append(form)
     return forms
 
@@ -330,7 +342,7 @@ TRUE = 1  # literal of the reserved constant-true variable
 class Blaster:
     def __init__(self):
         self.sat = SatSolver()
-        assert self.sat.new_var() == 1
+        self.sat.new_var()  # the first variable is TRUE
         self.sat.add_clause([TRUE])
         self.and_cache = {}
         self.xor_cache = {}

@@ -57,7 +57,7 @@ def compile_exprs(exprs, inputs, holes=()):
     checks = {}  # (parameter, width) -> range check line
     body = []
     ref = {}  # id(node) -> identifier or literal holding its value
-    for node in _postorder(exprs):
+    for node in ir.postorder(exprs):
         t = type(node)
         if t is ir.Var or t is ir.Hole:
             is_hole = t is ir.Hole
@@ -94,22 +94,6 @@ def _range_error(kind, name, width):
         raise ValidationError(f"value {value} for {kind}'{name}' does not fit width {width}")
 
     return fail
-
-
-def _postorder(exprs):
-    """The distinct nodes under `exprs`, each after its operands."""
-    order = []
-    seen = set()
-    stack = [(e, False) for e in reversed(exprs)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(ir._children(node)))
-    return order
 
 
 def _operation(node, operands):

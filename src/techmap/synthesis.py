@@ -11,6 +11,11 @@ ascending order, so the first match and the first counterexample are the
 lowest ones.
 Solver interaction is deliberately primitive: one fresh subprocess and one
 QF_BV script per query, no incremental mode, so any SMT-LIB v2 solver works.
+Every question goes through `query`, the one place a solver's answer is
+read: unsat gives None, sat gives the model, read with `minismt`'s
+s-expression reader, and unknown or anything else raises. The three
+callers that look for a counterexample (CEGIS with and without holes, and
+solver-mode equivalence checking) share `solver_counterexample`.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import subprocess
 import time
 from dataclasses import dataclass, field
 
-from . import ir, semantics, templates
+from . import ir, minismt, semantics, templates
 from .errors import (
     BudgetExceeded,
     HolePresent,
@@ -69,10 +74,6 @@ class SynthesisProblem:
         """Exact number of hole assignments: the product of 2^width."""
         return 1 << sum(w for _, w in self.holes)
 
-    @property
-    def total_input_bits(self):
-        return sum(w for _, w in self.inputs)
-
 
 def problem_from_sketch(design, sketch, library):
     exprs = templates.sketch_to_exprs(sketch, library)
@@ -99,16 +100,6 @@ class Solution:
     stats: SolveStats
 
 
-def decode_assignment(holes, index):
-    """Assignment number `index`, first hole in the least-significant bits."""
-    out = {}
-    shift = 0
-    for name, width in holes:
-        out[name] = (index >> shift) & ((1 << width) - 1)
-        shift += width
-    return out
-
-
 def solve_brute_force(
     problem, max_hole_space=1 << 20, max_input_bits=semantics.EXHAUSTIVE_INPUT_BITS
 ):
@@ -129,7 +120,7 @@ def solve_brute_force(
     for index, values in enumerate(semantics.ascending(problem.holes)):
         if semantics.first_mismatch(sketch, rows, want, args=values) is None:
             wall_ms = (time.perf_counter() - started) * 1000.0
-            assignment = decode_assignment(problem.holes, index)
+            assignment = dict(zip((name for name, _ in problem.holes), values))
             return Solution(assignment, "brute", SolveStats(index + 1, 0, wall_ms))
     raise Infeasible(f"no assignment among {space} implements '{problem.design.name}'")
 
@@ -278,54 +269,52 @@ def run_solver(config, script):
     return out
 
 
-def _status(stdout):
-    for line in stdout.splitlines():
-        line = line.strip()
-        if line:
-            return line
-    return ""
+def query(solver, script, symbols):
+    """Send one script; the model on sat, None on unsat.
 
-
-_VALUE_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+    `symbols` maps SMT symbol -> (original name, width) for the get-value
+    answer, as in `parse_model`; a script without get-value has no symbols
+    and gets an empty model on sat. The first non-blank line of the reply
+    is the status: unknown raises SolverUnknown, anything other than
+    sat/unsat/unknown raises SolverProtocolError.
+    """
+    out = run_solver(solver, script)
+    status = next((line.strip() for line in out.splitlines() if line.strip()), "")
+    if status == "unsat":
+        return None
+    if status == "sat":
+        return parse_model(out, symbols) if symbols else {}
+    if status == "unknown":
+        raise SolverUnknown()
+    raise SolverProtocolError(f"unexpected solver reply {status!r}", out)
 
 
 def parse_model(stdout, expected):
     """Extract `((sym val) ...)` bindings following a `sat` line.
 
     `expected` maps SMT symbol -> (original name, width). Values may be
-    #b/#x literals or `(_ bvN w)`. Returns {original name: value}.
+    #b/#x literals or `(_ bvN w)`. Returns {original name: value}. Only the
+    first form after the `sat` line is read, with `minismt`'s reader, so
+    `|quoted|` symbols and `;` comments are understood.
     """
     lines = stdout.splitlines()
     try:
         at = next(i for i, line in enumerate(lines) if line.strip() == "sat")
     except StopIteration:
         raise SolverProtocolError("no 'sat' line before model", stdout)
-    rest = "\n".join(lines[at + 1:])
-    tokens = _VALUE_TOKEN.findall(rest)
-
-    def parse_sexpr(pos):
-        if pos >= len(tokens):
-            raise SolverProtocolError("unbalanced model s-expression", stdout)
-        if tokens[pos] == "(":
-            items = []
-            pos += 1
-            while pos < len(tokens) and tokens[pos] != ")":
-                item, pos = parse_sexpr(pos)
-                items.append(item)
-            if pos >= len(tokens):
-                raise SolverProtocolError("unbalanced model s-expression", stdout)
-            return items, pos + 1
-        return tokens[pos], pos + 1
-
-    if not tokens:
-        raise SolverProtocolError("missing model after 'sat'", stdout)
-    tree, end = parse_sexpr(0)
-    if not isinstance(tree, list):
+    try:
+        tokens = minismt.tokenize("\n".join(lines[at + 1:]))
+        if not tokens:
+            raise SolverProtocolError("missing model after 'sat'", stdout)
+        tree, _ = minismt.read_form(tokens, 0)
+    except minismt.SmtInputError as exc:
+        raise SolverProtocolError(f"malformed model s-expression: {exc}", stdout) from None
+    if not isinstance(tree, tuple):
         raise SolverProtocolError("model is not a parenthesized list", stdout)
 
     out = {}
     for entry in tree:
-        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+        if not (isinstance(entry, tuple) and len(entry) == 2 and isinstance(entry[0], str)):
             raise SolverProtocolError(f"malformed model entry {entry!r}", stdout)
         sym, val = entry
         if sym not in expected:
@@ -349,7 +338,10 @@ def _parse_value(val, width, transcript):
         if value >= 1 << width:
             raise SolverProtocolError(f"value {val!r} exceeds width {width}", transcript)
         return value
-    if isinstance(val, list) and len(val) == 3 and val[0] == "_" and val[1].startswith("bv"):
+    if (
+        isinstance(val, tuple) and len(val) == 3 and all(isinstance(v, str) for v in val)
+        and val[0] == "_" and val[1].startswith("bv")
+    ):
         if not val[1][2:].isdigit() or not val[2].isdigit() or int(val[2]) != width:
             raise SolverProtocolError(f"bad value {val!r} for width {width}", transcript)
         value = int(val[1][2:])
@@ -416,7 +408,6 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
     started = time.perf_counter()
     table = symbol_table(problem)
     hole_syms = {table[n]: (n, w) for n, w in problem.holes}
-    input_syms = {table[n]: (n, w) for n, w in problem.inputs}
     calls = 0
 
     def finish(assignment, iterations):
@@ -424,52 +415,47 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
         return Solution(dict(assignment), "cegis", SolveStats(iterations, calls, wall_ms))
 
     if not problem.holes:
-        out = run_solver(solver, emit_verify_query(problem, {}))
         calls += 1
-        status = _status(out)
-        if status == "unsat":
-            return finish({}, 0)
-        if status == "sat":
+        if solver_counterexample(problem, {}, solver) is not None:
             raise TemplateInfeasible("sketch (with no holes) differs from the design")
-        if status == "unknown":
-            raise SolverUnknown()
-        raise SolverProtocolError(f"unexpected solver reply {status!r}", out)
+        return finish({}, 0)
 
     examples = initial_examples(problem, seed, init_examples)
     for iteration in range(1, max_iters + 1):
-        out = run_solver(solver, emit_synth_query(problem, examples))
         calls += 1
-        status = _status(out)
-        if status == "unsat":
+        model = query(solver, emit_synth_query(problem, examples), hole_syms)
+        if model is None:
             raise TemplateInfeasible(
                 f"no hole assignment matches {len(examples)} example(s)"
             )
-        if status == "unknown":
-            raise SolverUnknown()
-        if status != "sat":
-            raise SolverProtocolError(f"unexpected solver reply {status!r}", out)
-        model = parse_model(out, hole_syms)
         # Unconstrained holes may be absent from the model; any value
         # verifies, zero is the canonical pick.
         assignment = {name: model.get(name, 0) for name, _ in problem.holes}
 
-        out = run_solver(solver, emit_verify_query(problem, assignment))
         calls += 1
-        status = _status(out)
-        if status == "unsat":
+        cex = solver_counterexample(problem, assignment, solver)
+        if cex is None:
             return finish(assignment, iteration)
-        if status == "unknown":
-            raise SolverUnknown()
-        if status != "sat":
-            raise SolverProtocolError(f"unexpected solver reply {status!r}", out)
-        cex = parse_model(out, input_syms)
+        if cex in examples:
+            raise SolverProtocolError(f"solver returned a repeated counterexample {cex}")
+        examples.append(cex)
+    raise BudgetExceeded(max_iters)
+
+
+def solver_counterexample(problem, assignment, solver):
+    """Ask the solver for an input where the filled sketch disagrees; None when sound.
+
+    The counterexample binds every input; a model that leaves one out
+    raises MissingSymbol.
+    """
+    table = symbol_table(problem)
+    input_syms = {table[n]: (n, w) for n, w in problem.inputs}
+    cex = query(solver, emit_verify_query(problem, assignment), input_syms)
+    if cex is not None:
         for name, _ in problem.inputs:
             if name not in cex:
                 raise MissingSymbol(name)
-        if cex in examples:
-            raise SolverProtocolError(f"solver returned a repeated counterexample {cex}", out)
-        examples.append(cex)
-    raise BudgetExceeded(max_iters)
+    return cex
 
 
 def exhaustive_counterexample(

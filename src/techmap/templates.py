@@ -502,18 +502,12 @@ def sketch_to_exprs(sketch, library):
                 binding[pname] = ir.Const(pwidth, value)
         for port, bindings in inst.pins:
             bits = [_binding_expr(b, input_widths, net_exprs) for b in bindings]
-            acc = bits[-1]
-            for bit_expr in reversed(bits[:-1]):
-                acc = ir.Concat(acc, bit_expr)
-            binding[port] = acc
+            binding[port] = ir.concat(reversed(bits))
         for port, expr in prim.outputs:
             net_exprs[(inst.name, port)] = ir.substitute(expr, binding, target="vars")
 
     results = []
     for name, sources in sketch.output_map:
         bits = [_source_expr(s, input_widths, net_exprs) for s in sources]
-        acc = bits[-1]
-        for bit_expr in reversed(bits[:-1]):
-            acc = ir.Concat(acc, bit_expr)
-        results.append((name, acc))
+        results.append((name, ir.concat(reversed(bits))))
     return results

@@ -951,15 +951,15 @@ class _Elaborator:
             if lo != next_bit:
                 raise ValidationError(f"bits [{lo - 1}:{next_bit}] of '{name}' are undriven")
             expr = build()
-            assert expr.width == hi - lo + 1
+            if expr.width != hi - lo + 1:
+                raise ValidationError(
+                    f"bits [{hi}:{lo}] of '{name}' are driven by a {expr.width}-bit value"
+                )
             exprs.append(expr)
             next_bit = hi + 1
         if next_bit != width:
             raise ValidationError(f"bits [{width - 1}:{next_bit}] of '{name}' are undriven")
-        acc = exprs[-1]
-        for piece in reversed(exprs[:-1]):
-            acc = ir.Concat(acc, piece)
-        return acc
+        return ir.concat(reversed(exprs))
 
     # -- expression lowering ------------------------------------------------
     def _lower(self, node, ctx, where):
@@ -1011,16 +1011,10 @@ class _Elaborator:
             parts = [
                 self._lower(p, _natural_width(p, self.widths, where), where) for p in node.parts
             ]
-            acc = parts[0]
-            for p in parts[1:]:
-                acc = ir.Concat(acc, p)
-            return _fit(acc, ctx, f"{where}: concatenation")
+            return _fit(ir.concat(parts), ctx, f"{where}: concatenation")
         if t is VRepl:
             part = self._lower(node.part, _natural_width(node.part, self.widths, where), where)
-            acc = part
-            for _ in range(node.count - 1):
-                acc = ir.Concat(acc, part)
-            return _fit(acc, ctx, f"{where}: replication")
+            return _fit(ir.concat([part] * node.count), ctx, f"{where}: replication")
         if t is VSelect:
             base = self._signal(node.base)
             if node.hi is not None:

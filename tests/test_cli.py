@@ -176,6 +176,24 @@ def test_verify_solver_mode(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_solver_mode_partial_model_is_solver_error(tmp_path, capsys):
+    out = tmp_path / "and2.v"
+    run_cli(
+        "map", "--design", DESIGNS / "and2.v", "--template", "lut_single",
+        "--backend", "brute", "-o", out,
+    )
+    fake = tmp_path / "fake.sh"
+    fake.write_text("#!/bin/sh\ncat > /dev/null\necho sat\necho '((a #b1))'\n")
+    fake.chmod(0o755)
+    capsys.readouterr()
+    code = run_cli(
+        "verify", "--design", DESIGNS / "and2.v", "--netlist", out,
+        "--mode", "solver", "--solver", fake,
+    )
+    assert code == 2
+    assert "solver error: solver model is missing a value for 'b'" in capsys.readouterr().err
+
+
 def test_design_json_input(tmp_path):
     code = run_cli(
         "map", "--design", DESIGNS / "xor2.json", "--template", "lut_single",

@@ -201,3 +201,23 @@ def test_design_rejects_unknown_inputs():
 def test_design_rejects_duplicate_ports():
     with pytest.raises(ValidationError):
         ir.Design("bad", (("a", 1), ("a", 2)), ())
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_concat_nests_to_the_left(count):
+    parts = [ir.Var(f"p{k}", k + 1) for k in range(count)]
+    folded = parts[0]  # the fold `concat` replaced, written out
+    for part in parts[1:]:
+        folded = ir.Concat(folded, part)
+    assert ir.concat(parts) == folded
+    assert ir.concat(iter(parts)) == folded
+    assert ir.concat(parts).width == sum(p.width for p in parts)
+
+
+def test_postorder_lists_shared_nodes_once_after_operands():
+    a, b = ir.Var("a", 2), ir.Var("b", 2)
+    shared = ir.And(a, b)
+    top = ir.Or(shared, ir.Not(shared))
+    order = ir.postorder((top, shared))
+    assert order == [a, b, shared, ir.Not(shared), top]
+    assert len({id(n) for n in order}) == len(order)

@@ -98,6 +98,18 @@ def test_subprocess_protocol():
     assert bad.stdout.decode().startswith('(error "')
 
 
+def test_subprocess_under_optimize_flag():
+    # `python -O` drops assert statements; the solver must not depend on one.
+    script = "(declare-const x (_ BitVec 2))\n(assert (= x #b10))\n(check-sat)\n(get-value (x))\n"
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "techmap.minismt"],
+        input=script.encode(),
+        capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode() == "sat\n((x #b10))\n"
+
+
 def test_deterministic_output():
     script = (
         "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"

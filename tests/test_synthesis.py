@@ -4,12 +4,13 @@ import sys
 
 import pytest
 
-from techmap import ir, synthesis, templates
-from techmap.semantics import eval_design, eval_many
+from techmap import emit, ir, synthesis, templates
+from techmap.semantics import eval_design, eval_many, row_env
 from techmap.errors import (
     BudgetExceeded,
     Infeasible,
     LimitExceeded,
+    MissingSymbol,
     SolverProtocolError,
     SolverSpawnError,
     SolverUnknown,
@@ -19,7 +20,6 @@ from techmap.errors import (
 from techmap.synthesis import (
     SolverConfig,
     SynthesisProblem,
-    decode_assignment,
     emit_synth_query,
     emit_verify_query,
     initial_examples,
@@ -80,10 +80,10 @@ def test_brute_returns_lowest_satisfying_index(lib):
             for env in envs
         )
 
-    good = [i for i in range(problem.hole_space) if works(decode_assignment(problem.holes, i))]
+    good = [i for i in range(problem.hole_space) if works(row_env(problem.holes, i))]
     assert len(good) > 1
     solution = solve_brute_force(problem)
-    assert solution.assignment == decode_assignment(problem.holes, good[0])
+    assert solution.assignment == row_env(problem.holes, good[0])
     assert solution.stats.iterations == good[0] + 1
 
 
@@ -116,8 +116,9 @@ def test_hole_space_is_exact(lib):
 
 
 def test_decode_assignment_orders_first_hole_least_significant():
+    # Hole assignment number k decodes like input row k.
     holes = (("h0", 2), ("h1", 3))
-    assert decode_assignment(holes, 0b10101) == {"h0": 0b01, "h1": 0b101}
+    assert row_env(holes, 0b10101) == {"h0": 0b01, "h1": 0b101}
 
 
 def test_problem_alignment_is_checked():
@@ -177,6 +178,11 @@ def test_parse_model_forms():
     assert parse_model("sat\n((h (_ bv8 4)))", expected) == {"h": 8}
     multi = "sat\n((h #b0001)\n (g #b1))"
     assert parse_model(multi, {"h": ("h", 4), "g": ("g", 1)}) == {"h": 1, "g": 1}
+    # |h| and h are the same SMT-LIB symbol.
+    assert parse_model("sat\n((|h| #b1000))", expected) == {"h": 8}
+    # Only the first form after `sat` is the model; comments are skipped.
+    trailing = 'sat\n; model follows\n((h #x8))\n(error "get-value (again")\n'
+    assert parse_model(trailing, expected) == {"h": 8}
 
 
 def test_parse_model_rejects_garbage():
@@ -188,6 +194,10 @@ def test_parse_model_rejects_garbage():
         parse_model("sat\n((h #b111))", {"h": ("h", 4)})  # wrong width
     with pytest.raises(SolverProtocolError):
         parse_model("sat\n((h", {"h": ("h", 4)})
+    with pytest.raises(SolverProtocolError):
+        parse_model("sat\n((h #b1000)\n", {"h": ("h", 4)})  # unbalanced
+    with pytest.raises(SolverProtocolError):
+        parse_model("sat\n((h (_ (bv8) 4)))", {"h": ("h", 4)})  # nested index
 
 
 def test_initial_examples_deterministic_and_deduped(lib):
@@ -270,25 +280,42 @@ def test_solver_spawn_error():
         synthesis.run_solver(SolverConfig("/no/such/solver"), "(check-sat)\n")
 
 
+def _solver_callers(lib):
+    """Both users of the solver query path, each sending and2 to a solver."""
+    problem, sketch = pinned_problem(and2_design(), lib)
+    netlist = emit.print_verilog(emit.resolve(sketch, solve_brute_force(problem)))
+    return (
+        lambda config: solve_cegis(problem, config),
+        lambda config: emit.check_equivalence(
+            and2_design(), netlist, lib, mode="solver", solver=config
+        ),
+    )
+
+
+def _assert_every_caller_raises(tmp_path, lib, body, error):
+    config = _fake_solver(tmp_path, body)
+    for call in _solver_callers(lib):
+        with pytest.raises(error):
+            call(config)
+
+
 def test_solver_unknown(tmp_path, lib):
-    config = _fake_solver(tmp_path, "echo unknown")
-    problem, _ = pinned_problem(and2_design(), lib)
-    with pytest.raises(SolverUnknown):
-        solve_cegis(problem, config)
+    _assert_every_caller_raises(tmp_path, lib, "echo unknown", SolverUnknown)
 
 
 def test_solver_garbage_is_protocol_error(tmp_path, lib):
-    config = _fake_solver(tmp_path, "echo whatever")
-    problem, _ = pinned_problem(and2_design(), lib)
-    with pytest.raises(SolverProtocolError):
-        solve_cegis(problem, config)
+    _assert_every_caller_raises(tmp_path, lib, "echo whatever", SolverProtocolError)
 
 
 def test_solver_empty_output_is_protocol_error(tmp_path, lib):
-    config = _fake_solver(tmp_path, "true")
-    problem, _ = pinned_problem(and2_design(), lib)
-    with pytest.raises(SolverProtocolError):
-        solve_cegis(problem, config)
+    _assert_every_caller_raises(tmp_path, lib, "true", SolverProtocolError)
+
+
+def test_partial_counterexample_is_missing_symbol(tmp_path, lib):
+    config = _fake_solver(tmp_path, "echo sat; echo '((a #b1))'")
+    for call in _solver_callers(lib):
+        with pytest.raises(MissingSymbol, match="'b'"):
+            call(config)
 
 
 def test_repeated_counterexample_is_a_protocol_error(monkeypatch, lib):
