@@ -59,7 +59,7 @@ def resolve_solver(path=None, args=None):
                 path = found
                 break
     if path is None:
-        return synthesis.SolverConfig(sys.executable, ("-m", "techmap.minismt"))
+        return synthesis.BUNDLED_SOLVER
     if args is None:
         args = KNOWN_SOLVER_ARGS.get(Path(path).name, ())
     return synthesis.SolverConfig(path, tuple(args))

@@ -1,10 +1,17 @@
 """Self-contained SMT-LIB v2 solver for the QF_BV fragment this package emits.
 
 A fallback so the CEGIS backend works out of the box: `techmap-smt` (or
-`python -m techmap.minismt`) reads one script on stdin, answers check-sat
+`python -m techmap.minismt`) reads commands on stdin, answers check-sat
 with sat/unsat, and prints `((sym #b...) ...)` for get-value, exactly the
 subprocess contract the synthesis module speaks. Mainstream solvers (z3,
 cvc5) are drop-in replacements and preferred when installed.
+
+Stdin is a stream (`serve`): each top-level form runs as soon as its last
+line has been read, and every response is flushed at once, so one process
+can answer many scripts. `(reset)` starts a fresh solver state between
+them; `synthesis` keeps one process per CEGIS run this way. An input error
+prints `(error "...")` and exits 1, after the commands read before it have
+run. Given a file argument, the whole file is read and parsed first.
 
 Internals: terms are bit-blasted to CNF through an AND/XOR gate layer with
 structural hashing and constant folding, then decided by a small CDCL SAT
@@ -13,20 +20,22 @@ decisions, geometric restarts). Everything is deterministic: identical
 input scripts produce identical output bytes.
 
 Supported commands: set-option, set-logic, declare-const, declare-fun
-(zero arity), assert, check-sat, get-value, echo, exit. Terms: true/false,
-not/and/or/xor/=/ite, bvnot/bvneg/bvand/bvor/bvxor/bvadd/bvsub/bvmul/
-bvshl/bvlshr/bvult, concat, (_ extract i j), (_ zero_extend n),
+(zero arity), assert, check-sat, get-value, echo, reset, exit. Terms:
+true/false, not/and/or/xor/=/ite, bvnot/bvneg/bvand/bvor/bvxor/bvadd/
+bvsub/bvmul/bvshl/bvlshr/bvult, concat, (_ extract i j), (_ zero_extend n),
 (_ sign_extend n), #b/#x literals and (_ bvN w).
 
 `tokenize` and `read_form` are the package's one s-expression reader: the
 interpreter reads scripts with them, and `synthesis.parse_model` reads the
 get-value answer of any solver with them.
 
-Only the standard library is used, and importing this module stays cheap
-because a fresh process is spawned per query.
+Only the standard library is used, and importing this module stays cheap,
+because a solver process may still be started per query: once per script
+for one-shot callers, and again after every `(error ...)`.
 """
 
 import heapq
+import re
 import sys
 
 
@@ -38,49 +47,27 @@ class SmtInputError(Exception):
 # S-expression reading
 
 
+_SIMPLE_SYMBOL = re.compile(r'[^ \t\r\n();"|]+')
+# A string literal or a quoted symbol keeps its delimiters, so `|(|` stays
+# an atom; a lone `"` or `|` is one whose closing delimiter is missing.
+_TOKEN = re.compile(
+    r'[ \t\r\n]+|;[^\n]*|([()]|"[^"]*"|\|[^|]*\||' + _SIMPLE_SYMBOL.pattern + r'|["|])'
+)
+_UNTERMINATED = {'"': "unterminated string literal", "|": "unterminated quoted symbol"}
+
+
 def tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise SmtInputError("unterminated string literal")
-            tokens.append(text[i:j + 1])
-            i = j + 1
-        elif c == "|":
-            j = i + 1
-            while j < n and text[j] != "|":
-                j += 1
-            if j >= n:
-                raise SmtInputError("unterminated quoted symbol")
-            tokens.append(text[i + 1:j])
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in " \t\r\n();\"|":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    if '"' in tokens or "|" in tokens:
+        raise SmtInputError(_UNTERMINATED[next(t for t in tokens if t in _UNTERMINATED)])
     return tokens
 
 
 def read_form(tokens, pos):
     """Read one s-expression starting at `tokens[pos]`; return (form, next pos).
 
-    A list comes back as a tuple of forms, an atom as its token string.
+    A list comes back as a tuple of forms, an atom as its token string, a
+    quoted symbol `|x|` as `x`.
     """
     stack = []  # the lists still open, innermost last
     while pos < len(tokens):
@@ -95,10 +82,11 @@ def read_form(tokens, pos):
             if not stack:
                 return form, pos
             stack[-1].append(form)
-        elif stack:
-            stack[-1].append(tok)
         else:
-            return tok, pos
+            atom = tok[1:-1] if tok[0] == "|" else tok
+            if not stack:
+                return atom, pos
+            stack[-1].append(atom)
     raise SmtInputError("missing ')'" if stack else "unexpected end of input")
 
 
@@ -471,6 +459,9 @@ def _is_int(text):
 class Interpreter:
     def __init__(self, out):
         self.out = out
+        self.reset()
+
+    def reset(self):
         self.blaster = Blaster()
         self.symbols = {}  # name -> vector
         self.term_cache = {}
@@ -478,30 +469,38 @@ class Interpreter:
 
     def run(self, forms):
         for form in forms:
-            if not isinstance(form, tuple) or not form:
-                raise SmtInputError(f"bad command {form!r}")
-            head = form[0]
-            if head in ("set-option", "set-logic", "set-info"):
-                continue
-            if head == "echo":
-                print(form[1].strip('"') if len(form) > 1 else "", file=self.out)
-            elif head in ("declare-const", "declare-fun"):
-                self.declare(form)
-            elif head == "assert":
-                if len(form) != 2:
-                    raise SmtInputError("assert takes one term")
-                lit = self.bool_term(form[1])
-                self.blaster.sat.add_clause([lit])
-            elif head == "check-sat":
-                self.last_model = self.blaster.sat.solve()
-                print("sat" if self.last_model is not None else "unsat", file=self.out)
-            elif head == "get-value":
-                self.get_value(form)
-            elif head == "exit":
+            if not self.command(form):
                 break
-            else:
-                raise SmtInputError(f"unsupported command {head!r}")
         self.out.flush()
+
+    def command(self, form):
+        """Run one command; False once it is `exit`."""
+        if not isinstance(form, tuple) or not form:
+            raise SmtInputError(f"bad command {form!r}")
+        head = form[0]
+        if head in ("set-option", "set-logic", "set-info"):
+            pass
+        elif head == "echo":
+            print(form[1].strip('"') if len(form) > 1 else "", file=self.out)
+        elif head in ("declare-const", "declare-fun"):
+            self.declare(form)
+        elif head == "assert":
+            if len(form) != 2:
+                raise SmtInputError("assert takes one term")
+            lit = self.bool_term(form[1])
+            self.blaster.sat.add_clause([lit])
+        elif head == "check-sat":
+            self.last_model = self.blaster.sat.solve()
+            print("sat" if self.last_model is not None else "unsat", file=self.out)
+        elif head == "get-value":
+            self.get_value(form)
+        elif head == "reset":
+            self.reset()
+        elif head == "exit":
+            return False
+        else:
+            raise SmtInputError(f"unsupported command {head!r}")
+        return True
 
     def declare(self, form):
         if form[0] == "declare-fun":
@@ -539,7 +538,8 @@ class Interpreter:
                 if lit < 0:
                     val = -val
                 bits += "1" if val == 1 else "0"
-            parts.append(f"({sym} #b{bits})")
+            name = sym if _SIMPLE_SYMBOL.fullmatch(sym) else f"|{sym}|"
+            parts.append(f"({name} #b{bits})")
         print("(" + " ".join(parts) + ")", file=self.out)
 
     # -- terms ---------------------------------------------------------------
@@ -682,18 +682,59 @@ class Interpreter:
             raise SmtInputError(f"width mismatch ({len(a)} vs {len(b)}) in {term!r}")
 
 
+def serve(lines, out):
+    """Run a stream of commands, each top-level form as soon as it is complete.
+
+    `lines` is any iterable of text lines, such as a pipe; every response is
+    flushed at once, so a client may wait for it before writing on.
+    """
+    interp = Interpreter(out)
+    tokens = []  # of the form still open at the end of the last line
+    depth = 0  # its open brackets
+    pending = ""  # lines from one with an unterminated literal on
+    for line in lines:
+        try:
+            new = tokenize(pending + line)
+        except SmtInputError:
+            pending += line  # the literal may close on a later line
+            continue
+        pending = ""
+        end = 0  # tokens[:end] are complete forms
+        if depth + new.count("(") - new.count(")") > 0:
+            for i, tok in enumerate(new, len(tokens)):
+                depth += (tok == "(") - (tok == ")")
+                if depth <= 0:
+                    end = i + 1
+        else:
+            depth = 0
+            end = len(tokens) + len(new)
+        tokens += new
+        pos = 0
+        while pos < end:
+            form, pos = read_form(tokens, pos)
+            if not interp.command(form):
+                return
+            out.flush()
+        del tokens[:end]
+    if pending:
+        tokenize(pending)
+    if tokens:
+        read_form(tokens, 0)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv:
-        with open(argv[0], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
     try:
-        forms = parse_forms(tokenize(text))
-        Interpreter(sys.stdout).run(forms)
+        if argv:
+            with open(argv[0], "r", encoding="utf-8") as fh:
+                Interpreter(sys.stdout).run(parse_forms(tokenize(fh.read())))
+        else:
+            serve(sys.stdin, sys.stdout)
     except SmtInputError as exc:
         print(f'(error "{exc}")')
+        return 1
+    except RecursionError:
+        print('(error "term nested too deeply")')
         return 1
     return 0
 

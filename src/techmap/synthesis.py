@@ -9,8 +9,13 @@ and the sketch once each and compare them row by row through
 `semantics.first_mismatch`; hole assignments and rows both go in
 ascending order, so the first match and the first counterexample are the
 lowest ones.
-Solver interaction is deliberately primitive: one fresh subprocess and one
-QF_BV script per query, no incremental mode, so any SMT-LIB v2 solver works.
+Solver interaction is deliberately primitive: one QF_BV script per query,
+no incremental mode, so any SMT-LIB v2 solver works. A solver is started
+once per script with the script on stdin, except the bundled `minismt`
+(`BUNDLED_SOLVER`): `solve_cegis` keeps one of its processes alive for the
+whole run and sends it every query, separated by `(reset)`, so that the run
+pays for one interpreter start-up instead of one per query. The replies are
+the bytes a fresh process would print.
 Every question goes through `query`, the one place a solver's answer is
 read: unsat gives None, sat gives the model, read with `minismt`'s
 s-expression reader, and unknown or anything else raises. The three
@@ -20,8 +25,11 @@ solver-mode equivalence checking) share `solver_counterexample`.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
 import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -153,12 +161,15 @@ def _compile(problem):
 class SolverConfig:
     """How to reach an SMT-LIB v2 solver.
 
-    The executable gets one full script on stdin per query and must print
-    the check-sat status and get-value response on stdout. Known-good
-    configurations:
+    The executable gets one full script on stdin per query, with stdin then
+    closed, and must print the check-sat status and get-value response on
+    stdout. Known-good configurations:
         z3:    SolverConfig("z3", ("-in", "-smt2"))
         cvc5:  SolverConfig("cvc5", ("--lang", "smt2"))
-        bundled fallback: SolverConfig(sys.executable, ("-m", "techmap.minismt"))
+        bundled fallback: BUNDLED_SOLVER
+    A config equal to BUNDLED_SOLVER is run as one live process per CEGIS
+    run instead (see `solve_cegis`), and any process of it imports this
+    copy of `techmap`.
     """
 
     path: str
@@ -166,6 +177,10 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
+
+
+BUNDLED_SOLVER = SolverConfig(sys.executable, ("-m", "techmap.minismt"))
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 _SMT_RESERVED = {
@@ -249,24 +264,118 @@ def emit_verify_query(problem, assignment):
     return "\n".join(lines) + "\n"
 
 
-def run_solver(config, script):
-    """One fresh solver process; returns its stdout text."""
+def run_solver(solver, script):
+    """Send one script; returns the solver's stdout text.
+
+    `solver` is a SolverConfig, which gets one fresh process, or the live
+    child that `solve_cegis` opened.
+    """
+    if isinstance(solver, _LiveSolver):
+        return solver.ask(script)
+    proc = _spawn(subprocess.run, solver, input=script.encode())
+    return _reply(proc.stdout, proc.returncode, proc.stderr)
+
+
+def _spawn(start, config, **kwargs):
+    """Start the solver with `start` (subprocess.run or Popen)."""
+    env = None
+    if config == BUNDLED_SOLVER:
+        path = (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     try:
-        proc = subprocess.run(
+        return start(
             [config.path, *config.args],
-            input=script.encode(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs,
         )
     except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
         raise SolverSpawnError(f"cannot run solver '{config.path}': {exc}")
-    out = proc.stdout.decode(errors="replace")
+
+
+def _reply(stdout, returncode, stderr):
+    out = stdout.decode(errors="replace")
     if not out.strip():
         raise SolverProtocolError(
-            f"solver produced no output (exit {proc.returncode})",
-            proc.stderr.decode(errors="replace"),
+            f"solver produced no output (exit {returncode})", stderr.decode(errors="replace")
         )
     return out
+
+
+_ECHO_END = b'(echo "techmap-reply-end")\n'
+_REPLY_END = b"techmap-reply-end\n"
+
+
+class _LiveSolver:
+    """One bundled-solver process that answers a sequence of scripts.
+
+    Every script but the first sent to a process is preceded by `(reset)`
+    and every script is followed by `_ECHO_END`. The reply is every line
+    before the echoed line, or before end of file when the process exits,
+    as `minismt` does after printing `(error ...)`. A process that has
+    exited is started again on the next script.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.proc = None
+
+    def ask(self, script):
+        data = script.encode()
+        if self.proc is not None and self.proc.poll() is not None:
+            self.close()
+        reset = self.proc is not None
+        if not reset:
+            self.proc = _spawn(subprocess.Popen, self.config, stdin=subprocess.PIPE)
+        proc = self.proc
+        try:
+            if reset:
+                proc.stdin.write(b"(reset)\n")
+            proc.stdin.write(data)
+            proc.stdin.write(_ECHO_END)
+            proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the process has exited; its output is read as run_solver does
+        lines = []
+        for line in iter(proc.stdout.readline, b""):
+            if line == _REPLY_END:
+                # A fresh process would have read its script to the end and
+                # exited 0.
+                return _reply(b"".join(lines), 0, b"")
+            lines.append(line)
+        stderr = proc.stderr.read()
+        self.close()
+        return _reply(b"".join(lines), proc.returncode, stderr)
+
+    def close(self, kill=False):
+        """End the process, if one is running, and wait for it."""
+        proc, self.proc = self.proc, None
+        if proc is None:
+            return
+        if kill:
+            proc.kill()
+        with contextlib.suppress(BrokenPipeError):
+            proc.stdin.close()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@contextlib.contextmanager
+def _session(config):
+    """A live child for the bundled solver, else the config itself.
+
+    The child is closed on return and killed on any exception, so none
+    outlives the block.
+    """
+    if config != BUNDLED_SOLVER:
+        yield config
+        return
+    live = _LiveSolver(config)
+    try:
+        yield live
+    except BaseException:
+        live.close(kill=True)
+        raise
+    live.close()
 
 
 def query(solver, script, symbols):
@@ -403,7 +512,9 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
     Alternates a SYNTH query (find holes matching the collected example
     envs) with a VERIFY query (find an input refuting the candidate).
     An unsat SYNTH answer is definitive infeasibility, because examples
-    only ever constrain the hole space.
+    only ever constrain the hole space. With the bundled solver, every
+    query of the run goes to one process, closed on return and killed when
+    the run raises.
     """
     started = time.perf_counter()
     table = symbol_table(problem)
@@ -414,32 +525,33 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
         wall_ms = (time.perf_counter() - started) * 1000.0
         return Solution(dict(assignment), "cegis", SolveStats(iterations, calls, wall_ms))
 
-    if not problem.holes:
-        calls += 1
-        if solver_counterexample(problem, {}, solver) is not None:
-            raise TemplateInfeasible("sketch (with no holes) differs from the design")
-        return finish({}, 0)
+    with _session(solver) as solver:
+        if not problem.holes:
+            calls += 1
+            if solver_counterexample(problem, {}, solver) is not None:
+                raise TemplateInfeasible("sketch (with no holes) differs from the design")
+            return finish({}, 0)
 
-    examples = initial_examples(problem, seed, init_examples)
-    for iteration in range(1, max_iters + 1):
-        calls += 1
-        model = query(solver, emit_synth_query(problem, examples), hole_syms)
-        if model is None:
-            raise TemplateInfeasible(
-                f"no hole assignment matches {len(examples)} example(s)"
-            )
-        # Unconstrained holes may be absent from the model; any value
-        # verifies, zero is the canonical pick.
-        assignment = {name: model.get(name, 0) for name, _ in problem.holes}
+        examples = initial_examples(problem, seed, init_examples)
+        for iteration in range(1, max_iters + 1):
+            calls += 1
+            model = query(solver, emit_synth_query(problem, examples), hole_syms)
+            if model is None:
+                raise TemplateInfeasible(
+                    f"no hole assignment matches {len(examples)} example(s)"
+                )
+            # Unconstrained holes may be absent from the model; any value
+            # verifies, zero is the canonical pick.
+            assignment = {name: model.get(name, 0) for name, _ in problem.holes}
 
-        calls += 1
-        cex = solver_counterexample(problem, assignment, solver)
-        if cex is None:
-            return finish(assignment, iteration)
-        if cex in examples:
-            raise SolverProtocolError(f"solver returned a repeated counterexample {cex}")
-        examples.append(cex)
-    raise BudgetExceeded(max_iters)
+            calls += 1
+            cex = solver_counterexample(problem, assignment, solver)
+            if cex is None:
+                return finish(assignment, iteration)
+            if cex in examples:
+                raise SolverProtocolError(f"solver returned a repeated counterexample {cex}")
+            examples.append(cex)
+        raise BudgetExceeded(max_iters)
 
 
 def solver_counterexample(problem, assignment, solver):

@@ -1,10 +1,12 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
-from techmap import cli, ir, library
+import techmap
+from techmap import cli, ir, library, synthesis
 from techmap.library import data_path
 from techmap.synthesis import SolverConfig
 from techmap.templates import TemplateKind
@@ -212,8 +214,11 @@ def test_resolve_solver_precedence(monkeypatch, tmp_path):
     monkeypatch.delenv(cli.SOLVER_ENV_VAR, raising=False)
     monkeypatch.setattr("shutil.which", lambda name: None)
     config = cli.resolve_solver()
+    assert config == synthesis.BUNDLED_SOLVER
     assert config.path == sys.executable
     assert config.args == ("-m", "techmap.minismt")
+    # Named explicitly, as the benchmark does, it is the same solver.
+    assert cli.resolve_solver(MINISMT_ARGS[1], ("-m", "techmap.minismt")) == config
 
     monkeypatch.setenv(cli.SOLVER_ENV_VAR, "/opt/bin/z3")
     config = cli.resolve_solver()
@@ -249,3 +254,27 @@ def test_malformed_library_entry_is_located_user_error(tmp_path, capsys, breakag
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {where}: " in err and "internal error" not in err
+
+
+def test_bundled_solver_imports_this_techmap_without_pythonpath(tmp_path):
+    # techmap is importable here only through sys.path; the solver child
+    # must still find the same package.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(techmap.__file__)))
+    out = tmp_path / "and2.v"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {root!r})\n"
+        "from techmap import cli\n"
+        f"design, out, solver = {str(DESIGNS / 'and2.v')!r}, {str(out)!r}, {MINISMT_ARGS!r}\n"
+        "rc = cli.main(['map', '--design', design, '--template', 'lut_single',\n"
+        "               '--backend', 'cegis', *solver, '-o', out])\n"
+        "rc = rc or cli.main(['verify', '--design', design, '--netlist', out,\n"
+        "                     '--mode', 'solver', *solver])\n"
+        "sys.exit(rc)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", cli.SOLVER_ENV_VAR)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert "LUT2" in out.read_text()

@@ -1,12 +1,13 @@
 import io
 import random
+import select
 import subprocess
 import sys
 
 import pytest
 
 from techmap import ir, semantics
-from techmap.minismt import Interpreter, SmtInputError, parse_forms, tokenize
+from techmap.minismt import Interpreter, SmtInputError, main, parse_forms, serve, tokenize
 
 from util import VAR_POOL, rand_env, rand_expr
 
@@ -140,3 +141,85 @@ def test_agrees_with_eval_concrete_on_random_terms():
         assert out.splitlines()[0] == "sat"
         got = int(out.splitlines()[1].split("#b")[1].rstrip("))"), 2)
         assert got == want, f"solver disagrees on {expr}"
+
+
+@pytest.mark.parametrize("name", ["(", ")"])
+def test_quoted_bracket_symbol_is_an_atom(name):
+    script = f"(declare-const |{name}| (_ BitVec 1))\n(check-sat)\n(get-value (|{name}|))\n"
+    assert parse_forms(tokenize(script))[0] == ("declare-const", name, ("_", "BitVec", "1"))
+    assert run_script(script) == f"sat\n((|{name}| #b0))\n"
+
+
+def serve_script(script):
+    out = io.StringIO()
+    serve(io.StringIO(script), out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "(declare-const x\n  (_ BitVec 4)) (assert\n(= (bvadd x #x3) #x8)) (check-sat) (get-value\n (x))\n",
+        '(echo "a\nb") (check-sat)\n',
+        "(declare-const |a\nb| (_ BitVec 1))\n(check-sat)\n(get-value (|a\nb|))\n",
+    ],
+    ids=["forms", "string", "quoted symbol"],
+)
+def test_stream_matches_reading_the_whole_script(script):
+    # Forms, strings and quoted symbols may all go on over line breaks.
+    assert serve_script(script) == run_script(script)
+
+
+def test_stream_form_over_three_lines_matches_one_line():
+    one = "(declare-const x (_ BitVec 2))\n(assert (= x #b10))\n(check-sat)\n(get-value (x))\n"
+    three = "(declare-const x (_ BitVec 2))\n(assert\n  (= x\n     #b10))\n(check-sat)\n(get-value (x))\n"
+    assert serve_script(three) == serve_script(one) == "sat\n((x #b10))\n"
+
+
+def test_reset_allows_redeclaring():
+    script = (
+        "(declare-const x (_ BitVec 1))\n(assert (= x #b1))\n(check-sat)\n(get-value (x))\n"
+        "(reset)\n(declare-const x (_ BitVec 2))\n(check-sat)\n(get-value (x))\n"
+    )
+    assert serve_script(script) == "sat\n((x #b1))\nsat\n((x #b00))\n"
+    assert run_script(script) == serve_script(script)
+
+
+def test_stream_runs_commands_before_a_syntax_error(monkeypatch, capsys):
+    # Like z3, and unlike the file mode, which reads the whole script first.
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(check-sat)\n(check-sat"))
+    assert main([]) == 1
+    assert capsys.readouterr().out == 'sat\n(error "missing \')\'")\n'
+
+
+def test_stream_stops_at_exit():
+    assert serve_script("(check-sat)\n(exit)\n(frobnicate)\n") == "sat\n"
+
+
+def test_subprocess_answers_before_stdin_closes():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "techmap.minismt"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0,
+    )
+    try:
+        proc.stdin.write(b"(check-sat)\n")
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "no reply within 60 s while stdin is open"
+        assert proc.stdout.readline() == b"sat\n"
+    finally:
+        proc.stdin.close()
+        proc.wait(timeout=60)
+        proc.stdout.close()
+    assert proc.returncode == 0
+
+
+def test_subprocess_deep_nesting_is_an_input_error():
+    term = "(bvnot " * 5000 + "x" + ")" * 5000
+    script = f"(declare-const x (_ BitVec 1))\n(assert (= {term} #b1))\n(check-sat)\n"
+    result = subprocess.run(
+        [sys.executable, "-m", "techmap.minismt"],
+        input=script.encode(), capture_output=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout.decode().startswith('(error "')
+    assert b"Traceback" not in result.stderr

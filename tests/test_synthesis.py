@@ -1,5 +1,6 @@
 import os
 import stat
+import subprocess
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from techmap.errors import (
     ValidationError,
 )
 from techmap.synthesis import (
+    BUNDLED_SOLVER,
     SolverConfig,
     SynthesisProblem,
     emit_synth_query,
@@ -31,7 +33,15 @@ from techmap.synthesis import (
 )
 from techmap.templates import TemplateKind, TemplateOptions, instantiate
 
-from util import MINISMT, and2_design, func2_design, majority3_design, xor2_design
+from util import (
+    MINISMT,
+    adder4_design,
+    and2_design,
+    func2_design,
+    majority3_design,
+    table4_design,
+    xor2_design,
+)
 
 
 def pinned_problem(design, lib, primitive=None):
@@ -342,3 +352,135 @@ def test_solutions_are_reverified_exhaustively(lib, solver_config):
     bad = dict(solution.assignment)
     bad["inst_0.INIT"] ^= 1
     assert synthesis.exhaustive_counterexample(problem, bad) is not None
+
+
+# ---------------------------------------------------------------------------
+# The bundled solver as one live process per CEGIS run
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every process started from here on, in order."""
+    procs = []
+    popen = subprocess.Popen
+
+    def counting(*args, **kwargs):
+        procs.append(popen(*args, **kwargs))
+        return procs[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", counting)
+    return procs
+
+
+def _lut4_problem(lib):
+    return holes_problem(table4_design(0x6ac5), lib, primitive="LUT4")[0]
+
+
+def _adder4_problem(lib):
+    design = adder4_design()
+    return problem_from_sketch(design, instantiate(TemplateKind.CARRY_CHAIN, design, lib), lib)
+
+
+@pytest.mark.parametrize("build", [_adder4_problem, _lut4_problem], ids=["adder4", "lut4"])
+def test_live_solver_matches_one_shot_queries(monkeypatch, lib, started, build):
+    problem = build(lib)
+    one_shot = synthesis.run_solver
+    replies = []
+
+    def recording(solver, script):
+        replies.append((script, one_shot(solver, script)))
+        return replies[-1][1]
+
+    monkeypatch.setattr(synthesis, "run_solver", recording)
+    live = solve_cegis(problem, BUNDLED_SOLVER)
+    assert len(started) == 1
+    assert live.stats.solver_calls == len(replies) > 2
+
+    # The same run with a fresh process per query.
+    monkeypatch.setattr(
+        synthesis, "run_solver", lambda solver, script: one_shot(BUNDLED_SOLVER, script)
+    )
+    fresh = solve_cegis(problem, BUNDLED_SOLVER)
+    assert len(started) == 1 + len(replies)
+    assert fresh.assignment == live.assignment
+    assert fresh.stats.solver_calls == live.stats.solver_calls
+    assert [one_shot(BUNDLED_SOLVER, script) for script, _ in replies] == [
+        reply for _, reply in replies
+    ]
+
+
+def _assert_all_reaped(procs):
+    assert procs
+    for proc in procs:
+        assert proc.returncode is not None and proc.stdout.closed
+
+
+def test_live_solver_is_reaped_after_return(lib, started):
+    problem, _ = holes_problem(xor2_design(), lib)
+    solve_cegis(problem, BUNDLED_SOLVER)
+    _assert_all_reaped(started)
+
+
+def test_live_solver_is_reaped_after_infeasible(lib, started):
+    problem, _ = holes_problem(majority3_design(), lib, primitive="LUT2")
+    with pytest.raises(TemplateInfeasible):
+        solve_cegis(problem, BUNDLED_SOLVER)
+    _assert_all_reaped(started)
+
+
+def test_live_solver_is_killed_on_budget_exceeded(lib, started):
+    problem = _lut4_problem(lib)
+    with pytest.raises(BudgetExceeded):
+        solve_cegis(problem, BUNDLED_SOLVER, max_iters=1, init_examples=1)
+    _assert_all_reaped(started)
+
+
+def test_live_solver_is_killed_on_interrupt(monkeypatch, lib, started):
+    def interrupted(stdout, expected):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(synthesis, "parse_model", interrupted)
+    problem, _ = holes_problem(xor2_design(), lib)
+    with pytest.raises(KeyboardInterrupt):
+        solve_cegis(problem, BUNDLED_SOLVER)
+    assert len(started) == 1
+    _assert_all_reaped(started)
+
+
+def test_live_solver_killed_between_queries_is_replaced(monkeypatch, lib, started):
+    problem = _lut4_problem(lib)
+    want = solve_cegis(problem, BUNDLED_SOLVER)
+    del started[:]
+    one_shot = synthesis.run_solver
+
+    def kill_after_first(solver, script):
+        reply = one_shot(solver, script)
+        if len(started) == 1:
+            started[0].kill()
+            started[0].wait()
+        return reply
+
+    monkeypatch.setattr(synthesis, "run_solver", kill_after_first)
+    got = solve_cegis(problem, BUNDLED_SOLVER)
+    assert len(started) == 2
+    assert got.assignment == want.assignment
+    assert got.stats.solver_calls == want.stats.solver_calls
+    _assert_all_reaped(started)
+
+
+def test_other_solvers_get_one_process_per_query(tmp_path, lib, started):
+    # A solver outside the bundle may read all of stdin before answering,
+    # so it is never kept alive between queries.
+    config = _fake_solver(
+        tmp_path,
+        'script=$(cat)\n'
+        'case "$script" in\n'
+        '  *"(get-value (inst_0_INIT))"*) echo sat; echo "((inst_0_INIT #b0110))";;\n'
+        '  *) echo unsat;;\n'
+        'esac',
+    )
+    problem, _ = pinned_problem(xor2_design(), lib)
+    solution = solve_cegis(problem, config)
+    assert solution.assignment == {"inst_0.INIT": 6}
+    assert solution.stats.solver_calls == len(started) == 2
+    _assert_all_reaped(started)

@@ -1,10 +1,8 @@
 """Shared builders for the test suite: designs, random expressions, solver."""
 
-import sys
-
 from techmap import ir, synthesis
 
-MINISMT = synthesis.SolverConfig(sys.executable, ("-m", "techmap.minismt"))
+MINISMT = synthesis.BUNDLED_SOLVER
 
 
 def probe_solver(config):
