@@ -16,11 +16,24 @@ run. Given a file argument, the whole file is read and parsed first.
 Internals: terms are bit-blasted to CNF through an AND/XOR gate layer with
 structural hashing and constant folding, then decided by a small CDCL SAT
 solver (two watched literals, first-UIP learning, activity-ordered
-decisions, geometric restarts). Everything is deterministic: identical
-input scripts produce identical output bytes.
+decisions, geometric restarts). Everything is deterministic: the same
+script gives the same decisions, learnt clauses and model, and so the same
+output bytes. The benchmark's `perfbench/golden.json` holds digests of
+netlists built from these models, so a solver change that alters the
+search (a new heuristic, incremental solving, another lowering of a term)
+needs its own benchmark change that regenerates `golden.json`; a change
+that only makes each step cheaper must keep every decision.
+
+`main` pauses Python's cyclic garbage collector while it runs. Reading,
+blasting and search allocate millions of small tuples and lists, so the
+collector would keep starting full collections that walk the whole growing
+clause database, to find nothing: the solver builds no reference cycles,
+and reference counting alone frees every state that a `(reset)` drops.
 
 Supported commands: set-option, set-logic, declare-const, declare-fun
-(zero arity), assert, check-sat, get-value, echo, reset, exit. Terms:
+(zero arity), assert, check-sat, get-value, get-info :all-statistics
+(decisions, conflicts, propagations, variables and clauses, learnt ones
+included, since the last reset), echo, reset, exit. Terms:
 true/false, not/and/or/xor/=/ite, bvnot/bvneg/bvand/bvor/bvxor/bvadd/
 bvsub/bvmul/bvshl/bvlshr/bvult, concat, (_ extract i j), (_ zero_extend n),
 (_ sign_extend n), #b/#x literals and (_ bvN w).
@@ -34,6 +47,7 @@ because a solver process may still be started per query: once per script
 for one-shot callers, and again after every `(error ...)`.
 """
 
+import gc
 import heapq
 import re
 import sys
@@ -114,12 +128,16 @@ class SatSolver:
         self.reason = [None]
         self.activity = [0.0]
         self.phase = [False]
+        self.queued = [False]  # the variable has a live entry on `heap`
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
         self.act_inc = 1.0
         self.heap = []
         self.ok = True
+        self.decisions = 0
+        self.conflicts = 0
+        self.propagations = 0  # literals implied by unit propagation
 
     def new_var(self):
         self.nvars += 1
@@ -128,6 +146,7 @@ class SatSolver:
         self.reason.append(None)
         self.activity.append(0.0)
         self.phase.append(False)
+        self.queued.append(False)
         return self.nvars
 
     def value(self, lit):
@@ -155,6 +174,7 @@ class SatSolver:
         self._attach(out)
 
     def _attach(self, lits):
+        """Add a clause of distinct, non-complementary literals; watch the first two."""
         idx = len(self.clauses)
         self.clauses.append(lits)
         self.watches.setdefault(lits[0], []).append(idx)
@@ -175,37 +195,69 @@ class SatSolver:
         return True
 
     def propagate(self):
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            flit = -lit
-            idx_list = self.watches.get(flit)
-            if not idx_list:
+        """Unit-propagate the trail from `qhead`; the conflict clause's index or None.
+
+        A clause watches its first two literals. Each watch list is
+        compacted in place, keeping the order of the clauses that stay.
+        """
+        trail = self.trail
+        clauses = self.clauses
+        watches = self.watches
+        assign = self.assign
+        level = self.level
+        reason = self.reason
+        depth = len(self.trail_lim)
+        grown = len(trail)
+        qhead = self.qhead
+        while qhead < len(trail):
+            flit = -trail[qhead]  # the literal that just became false
+            qhead += 1
+            watching = watches.get(flit)
+            if not watching:
                 continue
-            keep = []
-            i = 0
-            while i < len(idx_list):
-                ci = idx_list[i]
+            end = len(watching)
+            i = j = 0  # watching[:j] are kept, watching[i:] not visited yet
+            while i < end:
+                ci = watching[i]
                 i += 1
-                clause = self.clauses[ci]
-                if clause[0] == flit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[ci]
                 first = clause[0]
-                if self.value(first) == 1:
-                    keep.append(ci)
+                if first == flit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = flit
+                val = assign[first] if first > 0 else -assign[-first]
+                if val == 1:
+                    watching[j] = ci
+                    j += 1
                     continue
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(ci)
+                    lit = clause[k]
+                    if (assign[lit] if lit > 0 else -assign[-lit]) != -1:
+                        clause[1] = lit
+                        clause[k] = flit
+                        watches.setdefault(lit, []).append(ci)
                         break
                 else:
-                    keep.append(ci)
-                    if not self.enqueue(first, ci):
-                        keep.extend(idx_list[i:])
-                        self.watches[flit] = keep
+                    watching[j] = ci
+                    j += 1
+                    if val == -1:
+                        del watching[j:i]
+                        self.qhead = qhead
+                        self.propagations += len(trail) - grown
                         return ci
-            self.watches[flit] = keep
+                    if first > 0:
+                        assign[first] = 1
+                        var = first
+                    else:
+                        assign[-first] = -1
+                        var = -first
+                    level[var] = depth
+                    reason[var] = ci
+                    trail.append(first)
+            del watching[j:]
+        self.qhead = qhead
+        self.propagations += len(trail) - grown
         return None
 
     def bump(self, var):
@@ -218,14 +270,21 @@ class SatSolver:
             self._rebuild_heap()
             return
         heapq.heappush(self.heap, (-act, var))
+        self.queued[var] = True
         if len(self.heap) > 4 * self.nvars + 16:
             self._rebuild_heap()
 
     def _rebuild_heap(self):
-        self.heap = [
-            (-self.activity[v], v) for v in range(1, self.nvars + 1) if self.assign[v] == 0
-        ]
-        heapq.heapify(self.heap)
+        """One live entry per unassigned variable, and no other entry."""
+        assign = self.assign
+        queued = self.queued
+        heap = []
+        for v in range(1, self.nvars + 1):
+            queued[v] = assign[v] == 0
+            if queued[v]:
+                heap.append((-self.activity[v], v))
+        heapq.heapify(heap)
+        self.heap = heap
 
     def analyze(self, confl):
         learnt = [0]
@@ -264,39 +323,65 @@ class SatSolver:
         return learnt, self.level[abs(learnt[1])]
 
     def backtrack(self, target):
-        while len(self.trail_lim) > target:
-            lim = self.trail_lim.pop()
-            for lit in self.trail[lim:]:
-                var = lit if lit > 0 else -lit
-                self.phase[var] = lit > 0
-                self.assign[var] = 0
-                self.reason[var] = None
-                heapq.heappush(self.heap, (-self.activity[var], var))
-            del self.trail[lim:]
+        """Undo every assignment above decision level `target`, saving its phase."""
+        if len(self.trail_lim) > target:
+            trail = self.trail
+            lim = self.trail_lim[target]
+            del self.trail_lim[target:]
+            assign = self.assign
+            phase = self.phase
+            queued = self.queued
+            activity = self.activity
+            heap = self.heap
+            for lit in trail[lim:]:
+                if lit > 0:
+                    var = lit
+                    phase[var] = True
+                else:
+                    var = -lit
+                    phase[var] = False
+                assign[var] = 0
+                if not queued[var]:
+                    queued[var] = True
+                    heapq.heappush(heap, (-activity[var], var))
+            del trail[lim:]
         self.qhead = len(self.trail)
 
     def pick_branch(self):
-        while self.heap:
-            negact, var = heapq.heappop(self.heap)
-            if self.assign[var] == 0 and -self.activity[var] == negact:
-                return var
-        for var in range(1, self.nvars + 1):
-            if self.assign[var] == 0:
-                return var
+        """The unassigned variable of highest activity, lowest index first; None if none.
+
+        Every unassigned variable has a live entry on the heap, one whose
+        activity is current; older entries of a variable are skipped.
+        """
+        heap = self.heap
+        activity = self.activity
+        queued = self.queued
+        while heap:
+            negact, var = heapq.heappop(heap)
+            if -activity[var] == negact:
+                queued[var] = False
+                if self.assign[var] == 0:
+                    return var
         return None
 
     def solve(self):
+        """A model (the value of every variable, by index), or None when unsat.
+
+        The solver is left at decision level 0, so that clauses added
+        afterwards meet the level-0 assignment, not the last model.
+        """
         if not self.ok:
             return None
-        self.heap = [(0.0, v) for v in range(1, self.nvars + 1)]
-        heapq.heapify(self.heap)
-        if self.propagate() is not None:
-            return None
+        # Clauses added since an earlier solve may watch literals that level 0
+        # already made false; propagating the level-0 trail again finds them.
+        self.qhead = 0
+        self._rebuild_heap()
         conflicts = 0
         restart_limit = 100
         while True:
             confl = self.propagate()
             if confl is not None:
+                self.conflicts += 1
                 if not self.trail_lim:
                     return None
                 conflicts += 1
@@ -316,7 +401,10 @@ class SatSolver:
             else:
                 var = self.pick_branch()
                 if var is None:
-                    return list(self.assign)
+                    model = list(self.assign)
+                    self.backtrack(0)
+                    return model
+                self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self.enqueue(var if self.phase[var] else -var, None)
 
@@ -353,10 +441,13 @@ class Blaster:
         out = self.and_cache.get(key)
         if out is None:
             out = self.fresh()
-            add = self.sat.add_clause
-            add([-out, a])
-            add([-out, b])
-            add([out, -a, -b])
+            # Gate clauses have distinct, non-complementary literals by
+            # construction, so they skip add_clause's checks.
+            if self.sat.ok:
+                attach = self.sat._attach
+                attach([-out, a])
+                attach([-out, b])
+                attach([out, -a, -b])
             self.and_cache[key] = out
         return out
 
@@ -381,11 +472,12 @@ class Blaster:
         out = self.xor_cache.get(key)
         if out is None:
             out = self.fresh()
-            add = self.sat.add_clause
-            add([-out, a, b])
-            add([-out, -a, -b])
-            add([out, -a, b])
-            add([out, a, -b])
+            if self.sat.ok:
+                attach = self.sat._attach
+                attach([-out, a, b])
+                attach([-out, -a, -b])
+                attach([out, -a, b])
+                attach([out, a, -b])
             self.xor_cache[key] = out
         return sign * out
 
@@ -494,6 +586,16 @@ class Interpreter:
             print("sat" if self.last_model is not None else "unsat", file=self.out)
         elif head == "get-value":
             self.get_value(form)
+        elif head == "get-info":
+            if form[1:] != (":all-statistics",):
+                raise SmtInputError("get-info supports only :all-statistics")
+            sat = self.blaster.sat
+            print(
+                f"(:decisions {sat.decisions} :conflicts {sat.conflicts}"
+                f" :propagations {sat.propagations} :vars {sat.nvars}"
+                f" :clauses {len(sat.clauses)})",
+                file=self.out,
+            )
         elif head == "reset":
             self.reset()
         elif head == "exit":
@@ -724,6 +826,8 @@ def serve(lines, out):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
         if argv:
             with open(argv[0], "r", encoding="utf-8") as fh:
@@ -736,6 +840,9 @@ def main(argv=None):
     except RecursionError:
         print('(error "term nested too deeply")')
         return 1
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

@@ -216,38 +216,42 @@ def lower_to_smt(expr, symbol_map):
     Reductions are expanded over extracted bits, Eq/Ult wrap their boolean
     in an ite producing a 1-bit vector, and shifts equalize operand widths
     by zero-extension before truncating back to the operand width.
-    """
 
-    def lower(node):
+    Each distinct node is lowered once, after its operands, in one pass over
+    `ir.postorder`, so no recursion limit applies however deep the
+    expression is. A node used in several places is still spelled out at
+    each use: the text has no `let`.
+    """
+    text = {}  # id(node) -> its term
+    for node in ir.postorder([expr]):
         t = type(node)
         if t is ir.Var or t is ir.Hole:
             try:
-                return symbol_map[node.name]
+                term = symbol_map[node.name]
             except KeyError:
                 raise UnmappedSymbol(node.name)
-        if t is ir.Const:
-            return _bin_const(node.value, node.width)
-        if t is ir.Not:
-            return f"(bvnot {lower(node.a)})"
-        if t is ir.Neg:
-            return f"(bvneg {lower(node.a)})"
-        if t in (ir.ReduceAnd, ir.ReduceOr, ir.ReduceXor):
+        elif t is ir.Const:
+            term = _bin_const(node.value, node.width)
+        elif t is ir.Not:
+            term = f"(bvnot {text[id(node.a)]})"
+        elif t is ir.Neg:
+            term = f"(bvneg {text[id(node.a)]})"
+        elif t in (ir.ReduceAnd, ir.ReduceOr, ir.ReduceXor):
             op = {ir.ReduceAnd: "bvand", ir.ReduceOr: "bvor", ir.ReduceXor: "bvxor"}[t]
-            inner = lower(node.a)
-            acc = f"((_ extract 0 0) {inner})"
+            inner = text[id(node.a)]
+            term = f"((_ extract 0 0) {inner})"
             for i in range(1, node.a.width):
-                acc = f"({op} {acc} ((_ extract {i} {i}) {inner}))"
-            return acc
-        if t in (ir.And, ir.Or, ir.Xor, ir.Add, ir.Sub, ir.Mul):
+                term = f"({op} {term} ((_ extract {i} {i}) {inner}))"
+        elif t in (ir.And, ir.Or, ir.Xor, ir.Add, ir.Sub, ir.Mul):
             op = {
                 ir.And: "bvand", ir.Or: "bvor", ir.Xor: "bvxor",
                 ir.Add: "bvadd", ir.Sub: "bvsub", ir.Mul: "bvmul",
             }[t]
-            return f"({op} {lower(node.a)} {lower(node.b)})"
-        if t in (ir.Shl, ir.LShr):
+            term = f"({op} {text[id(node.a)]} {text[id(node.b)]})"
+        elif t in (ir.Shl, ir.LShr):
             op = "bvshl" if t is ir.Shl else "bvlshr"
             wa, wb = node.a.width, node.b.width
-            a, b = lower(node.a), lower(node.b)
+            a, b = text[id(node.a)], text[id(node.b)]
             w = max(wa, wb)
             if wa < w:
                 a = f"((_ zero_extend {w - wa}) {a})"
@@ -256,28 +260,27 @@ def lower_to_smt(expr, symbol_map):
             term = f"({op} {a} {b})"
             if w > wa:
                 term = f"((_ extract {wa - 1} 0) {term})"
-            return term
-        if t is ir.Eq:
-            return f"(ite (= {lower(node.a)} {lower(node.b)}) #b1 #b0)"
-        if t is ir.Ult:
-            return f"(ite (bvult {lower(node.a)} {lower(node.b)}) #b1 #b0)"
-        if t is ir.Mux:
-            return f"(ite (= {lower(node.cond)} #b1) {lower(node.a)} {lower(node.b)})"
-        if t is ir.Extract:
-            return f"((_ extract {node.hi} {node.lo}) {lower(node.a)})"
-        if t is ir.Concat:
-            return f"(concat {lower(node.hi)} {lower(node.lo)})"
-        if t is ir.ZeroExt:
-            if node.width == node.a.width:
-                return lower(node.a)
-            return f"((_ zero_extend {node.width - node.a.width}) {lower(node.a)})"
-        if t is ir.SignExt:
-            if node.width == node.a.width:
-                return lower(node.a)
-            return f"((_ sign_extend {node.width - node.a.width}) {lower(node.a)})"
-        raise TypeError(f"not a BitVecExpr: {node!r}")
-
-    return lower(expr)
+        elif t is ir.Eq:
+            term = f"(ite (= {text[id(node.a)]} {text[id(node.b)]}) #b1 #b0)"
+        elif t is ir.Ult:
+            term = f"(ite (bvult {text[id(node.a)]} {text[id(node.b)]}) #b1 #b0)"
+        elif t is ir.Mux:
+            term = (
+                f"(ite (= {text[id(node.cond)]} #b1) {text[id(node.a)]} {text[id(node.b)]})"
+            )
+        elif t is ir.Extract:
+            term = f"((_ extract {node.hi} {node.lo}) {text[id(node.a)]})"
+        elif t is ir.Concat:
+            term = f"(concat {text[id(node.hi)]} {text[id(node.lo)]})"
+        elif t is ir.ZeroExt or t is ir.SignExt:
+            term = text[id(node.a)]
+            if node.width != node.a.width:
+                op = "zero_extend" if t is ir.ZeroExt else "sign_extend"
+                term = f"((_ {op} {node.width - node.a.width}) {term})"
+        else:
+            raise TypeError(f"not a BitVecExpr: {node!r}")
+        text[id(node)] = term
+    return text[id(expr)]
 
 
 def row_env(inputs, row):

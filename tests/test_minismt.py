@@ -1,15 +1,19 @@
+import gc
+import hashlib
 import io
 import random
 import select
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from techmap import ir, semantics
+from techmap import ir, semantics, synthesis
 from techmap.minismt import Interpreter, SmtInputError, main, parse_forms, serve, tokenize
+from techmap.templates import TemplateKind, instantiate
 
-from util import VAR_POOL, rand_env, rand_expr
+from util import VAR_POOL, adder4_design, rand_env, rand_expr, table4_design
 
 
 def run_script(script):
@@ -223,3 +227,137 @@ def test_subprocess_deep_nesting_is_an_input_error():
     assert result.returncode == 1
     assert result.stdout.decode().startswith('(error "')
     assert b"Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "script, reply",
+    [
+        (
+            "(declare-const x (_ BitVec 2))\n(check-sat)\n"
+            "(assert (= x #b11))\n(check-sat)\n(get-value (x))\n",
+            "sat\nsat\n((x #b11))\n",
+        ),
+        (
+            "(declare-const x (_ BitVec 4))\n(declare-const y (_ BitVec 4))\n"
+            "(assert (bvult x y))\n(check-sat)\n"
+            "(assert (= y #b0011))\n(assert (= x #b0010))\n(check-sat)\n(get-value (x y))\n",
+            "sat\nsat\n((x #b0010) (y #b0011))\n",
+        ),
+    ],
+    ids=["unit", "after search"],
+)
+def test_assert_after_sat_meets_level_zero_not_the_last_model(script, reply):
+    assert run_script(script) == reply
+
+
+def test_get_info_all_statistics_counts_since_reset():
+    script = (
+        "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"
+        "(assert (= (bvmul a b) #b011100))\n(assert (bvult a b))\n"
+        "(check-sat)\n(get-info :all-statistics)\n(reset)\n(get-info :all-statistics)\n"
+    )
+    lines = run_script(script).splitlines()
+    assert lines[0] == "sat"
+    fields = lines[1].strip("()").split()
+    stats = dict(zip(fields[::2], map(int, fields[1::2])))
+    assert list(stats) == [":decisions", ":conflicts", ":propagations", ":vars", ":clauses"]
+    assert stats[":decisions"] > 0 and stats[":propagations"] > 0
+    assert stats[":vars"] > 12 and stats[":clauses"] > 0
+    assert lines[2] == "(:decisions 0 :conflicts 0 :propagations 0 :vars 1 :clauses 0)"
+    with pytest.raises(SmtInputError):
+        run_script("(get-info :version)\n")
+
+
+def _lut4_synth_script(lib):
+    design = table4_design(0x8EA1)
+    problem = synthesis.problem_from_sketch(
+        design, instantiate(TemplateKind.LUT_SINGLE, design, lib), lib
+    )
+    return synthesis.emit_synth_query(problem, synthesis.initial_examples(problem, 1, 3))
+
+
+def _adder4_synth_script(lib):
+    design = adder4_design()
+    problem = synthesis.problem_from_sketch(
+        design, instantiate(TemplateKind.CARRY_CHAIN, design, lib), lib
+    )
+    return synthesis.emit_synth_query(problem, synthesis.initial_examples(problem, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "build, reply, clauses, digest",
+    [
+        (
+            _lut4_synth_script,
+            "sat\n((inst_0_INIT #b1001000000000000) (inst_0_A_sel #b010) (inst_0_B_sel #b000)"
+            " (inst_0_C_sel #b110) (inst_0_D_sel #b110))\n",
+            1688,
+            "0242e68e0d3994b54853291805cae6c72949d539d755e1cd5e251317dd2ff0f4",
+        ),
+        (
+            _adder4_synth_script,
+            "sat\n((inst_0_A_sel #b00) (inst_0_B_sel #b01) (inst_0_CIN_sel #b00)"
+            " (inst_1_A_sel #b00) (inst_1_B_sel #b01) (inst_2_A_sel #b00) (inst_2_B_sel #b01)"
+            " (inst_3_A_sel #b00) (inst_3_B_sel #b01))\n",
+            473,
+            "fde02b4c8adabc5efc8def006f9b19d7e9b4f248a1efaac037db9a02e7b1381d",
+        ),
+    ],
+    ids=["lut4", "adder4"],
+)
+def test_search_is_pinned(lib, build, reply, clauses, digest):
+    # The clause list after solving holds every learnt clause, in order, with
+    # each clause's literals in their final watched order: a change to any
+    # decision, propagation order or learnt clause changes the digest. Such
+    # a change also changes netlists, so it needs a new perfbench/golden.json.
+    out = io.StringIO()
+    interp = Interpreter(out)
+    interp.run(parse_forms(tokenize(build(lib))))
+    sat = interp.blaster.sat
+    assert out.getvalue() == reply
+    assert len(sat.clauses) == clauses
+    assert hashlib.sha256(repr(sat.clauses).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("(check-sat)\n"))
+        assert main([]) == 0
+        assert gc.isenabled() == enabled
+        monkeypatch.setattr(sys, "stdin", io.StringIO("(frobnicate)\n"))
+        assert main([]) == 1
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert capsys.readouterr().out.startswith("sat\n(error ")
+
+
+def test_reset_frees_the_old_solver_without_the_collector(monkeypatch):
+    # main runs with the collector paused, so a replaced solver state must be
+    # freed by reference counting alone.
+    alive = []  # weak references to each state's Blaster and SatSolver
+    earlier = []  # what was left of the earlier states at each reset
+    reset = Interpreter.reset
+
+    def recording(self):
+        reset(self)
+        earlier.append([ref() for pair in alive for ref in pair])
+        alive.append((weakref.ref(self.blaster), weakref.ref(self.blaster.sat)))
+
+    monkeypatch.setattr(Interpreter, "reset", recording)
+    script = (
+        "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"
+        "(assert (= (bvmul a b) #b011100))\n(assert (bvult a b))\n(check-sat)\n(get-value (a b))\n"
+    )
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        out = serve_script(script + "(reset)\n" + script + "(reset)\n" + script)
+        assert out.count("sat\n") == 3
+        assert earlier == [[], [None] * 2, [None] * 4]
+    finally:
+        if was:
+            gc.enable()

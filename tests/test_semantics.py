@@ -109,6 +109,22 @@ def test_lower_shift_width_equalization():
     assert term == "(bvlshr a ((_ zero_extend 2) s))"
 
 
+def test_lower_spells_a_shared_node_at_each_use():
+    a = ir.Var("a", 2)
+    shared = ir.Add(a, ir.Const(2, 1))
+    term = lower_to_smt(ir.Xor(shared, ir.ZeroExt(ir.Not(shared), 2)), {"a": "a"})
+    assert term == "(bvxor (bvadd a #b01) (bvnot (bvadd a #b01)))"
+    term = lower_to_smt(ir.SignExt(ir.Concat(a, shared), 6), {"a": "a"})
+    assert term == "((_ sign_extend 2) (concat a (bvadd a #b01)))"
+
+
+def test_lower_deep_chain_does_not_recurse():
+    expr = ir.Var("x", 1)
+    for _ in range(5000):
+        expr = ir.Not(expr)
+    assert lower_to_smt(expr, {"x": "x"}) == "(bvnot " * 5000 + "x" + ")" * 5000
+
+
 def test_truth_table_xor2():
     rows = truth_table(xor2_design())
     assert rows == [
