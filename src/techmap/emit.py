@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ir, semantics, synthesis, templates, verilog
+from . import synthesis, templates, verilog
 from .errors import MissingHole, SignatureMismatch, ValidationError
 
 
@@ -261,9 +261,10 @@ def _import_netlist(netlist_source, library, filename=None):
 def check_equivalence(design, netlist_source, library, mode="exhaustive", solver=None):
     """Re-import a printed netlist and compare it against the design.
 
-    Exhaustive mode walks every input row (at most
-    `semantics.EXHAUSTIVE_INPUT_BITS` input bits, else TooManyInputBits);
-    solver mode issues a single refutation query. Either way an
+    The re-imported netlist is the sketch of a problem without holes.
+    Exhaustive mode walks every input row with `synthesis.exhaustive_counterexample`
+    (at most `semantics.EXHAUSTIVE_INPUT_BITS` input bits, else TooManyInputBits);
+    solver mode asks `synthesis.solver_counterexample`. Either way an
     inequivalence comes back with a concrete distinguishing input.
     """
     imported = _import_netlist(netlist_source, library)
@@ -277,21 +278,14 @@ def check_equivalence(design, netlist_source, library, mode="exhaustive", solver
             f"{imported.output_widths} vs {design.output_widths}"
         )
     imported_by_name = dict(imported.outputs)
-
+    aligned = tuple((name, imported_by_name[name]) for name, _ in design.outputs)
+    problem = synthesis.SynthesisProblem(design, aligned, (), design.inputs)
     if mode == "exhaustive":
-        want = semantics.compile_exprs([e for _, e in design.outputs], design.inputs)
-        got = semantics.compile_exprs(
-            [imported_by_name[name] for name, _ in design.outputs], design.inputs
-        )
-        row = semantics.first_mismatch(got, semantics.input_rows(design.inputs), want)
-        if row is None:
-            return EquivReport(True)
-        return EquivReport(False, semantics.row_env(design.inputs, row))
-    if mode == "solver":
+        cex = synthesis.exhaustive_counterexample(problem, {})
+    elif mode == "solver":
         if solver is None:
             raise ValidationError("solver mode needs a SolverConfig")
-        aligned = tuple((name, imported_by_name[name]) for name, _ in design.outputs)
-        problem = synthesis.SynthesisProblem(design, aligned, (), tuple(design.inputs))
         cex = synthesis.solver_counterexample(problem, {}, solver)
-        return EquivReport(cex is None, cex)
-    raise ValidationError(f"mode must be 'exhaustive' or 'solver', not {mode!r}")
+    else:
+        raise ValidationError(f"mode must be 'exhaustive' or 'solver', not {mode!r}")
+    return EquivReport(cex is None, cex)

@@ -346,22 +346,20 @@ def free_symbols(expr):
     )
 
 
-def substitute(expr, bindings, target="vars"):
-    """Replace Vars (target='vars') or Holes (target='holes') by expressions.
+def substitute(expr, bindings):
+    """Replace Vars by expressions: `bindings` maps a Var name to its replacement.
 
-    Symbols absent from `bindings` stay in place. DAG sharing is preserved:
-    a node reached through several paths is rewritten once, and a node is
-    rebuilt only when one of its operands changed.
+    Only Vars are replaced; Holes, and Vars absent from `bindings`, stay in
+    place. DAG sharing is preserved: a node reached through several paths is
+    rewritten once, and a node is rebuilt only when one of its operands
+    changed.
     """
-    if target not in ("vars", "holes"):
-        raise ValueError(f"target must be 'vars' or 'holes', not {target!r}")
-    leaf_type = Var if target == "vars" else Hole
     for name, replacement in bindings.items():
         if not isinstance(replacement, BitVecExpr):
             raise TypeError(f"binding for '{name}' is not a BitVecExpr")
     memo = {}  # id(node) -> its rewrite
     for node in postorder((expr,)):
-        if isinstance(node, leaf_type) and node.name in bindings:
+        if isinstance(node, Var) and node.name in bindings:
             new = bindings[node.name]
             if new.width != node.width:
                 raise WidthMismatch(f"binding for '{node.name}'", node.width, new.width)
@@ -469,7 +467,7 @@ def expr_from_dict(obj, where="$"):
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     op = obj.get("op")
-    if op not in _OP_TYPES:
+    if not isinstance(op, str) or op not in _OP_TYPES:
         raise ParseError(f"unknown op {op!r}", where)
     cls = _OP_TYPES[op]
     if cls in (Var, Hole):
@@ -552,11 +550,13 @@ def from_json(text):
     """Parse JSON text into an expression (object with 'op') or a Design."""
     try:
         obj = json.loads(text)
+        if isinstance(obj, dict) and "op" in obj:
+            return expr_from_dict(obj)
+        return design_from_dict(obj)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"line {exc.lineno} col {exc.colno}")
-    if isinstance(obj, dict) and "op" in obj:
-        return expr_from_dict(obj)
-    return design_from_dict(obj)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", "$") from None
 
 
 _PRETTY_OPS = {
@@ -567,24 +567,25 @@ _PRETTY_OPS = {
 
 
 def _pretty(expr):
-    if isinstance(expr, Var):
-        return f"{expr.name}:{expr.width}"
-    if isinstance(expr, Hole):
-        return f"?{expr.name}:{expr.width}"
-    if isinstance(expr, Const):
-        return f"{expr.value}'{expr.width}"
-    if isinstance(expr, (_Unary, _Reduce)):
-        return f"{_PRETTY_OPS[type(expr)]}({_pretty(expr.a)})"
-    if isinstance(expr, (_Binary, _Shift, _Compare)):
-        return f"({_pretty(expr.a)} {_PRETTY_OPS[type(expr)]} {_pretty(expr.b)})"
-    if isinstance(expr, Mux):
-        return f"({_pretty(expr.cond)} ? {_pretty(expr.a)} : {_pretty(expr.b)})"
-    if isinstance(expr, Extract):
-        return f"{_pretty(expr.a)}[{expr.hi}:{expr.lo}]"
-    if isinstance(expr, Concat):
-        return f"{{{_pretty(expr.hi)}, {_pretty(expr.lo)}}}"
-    if isinstance(expr, ZeroExt):
-        return f"zext({_pretty(expr.a)}, {expr.width})"
-    if isinstance(expr, SignExt):
-        return f"sext({_pretty(expr.a)}, {expr.width})"
-    return repr(expr)
+    text = {}  # id(node) -> its text
+    for node in postorder((expr,)):
+        t = type(node)
+        kids = [text[id(k)] for k in _children(node)]
+        if t is Var or t is Hole:
+            out = f"{'?' if t is Hole else ''}{node.name}:{node.width}"
+        elif t is Const:
+            out = f"{node.value}'{node.width}"
+        elif issubclass(t, (_Unary, _Reduce)):
+            out = f"{_PRETTY_OPS[t]}({kids[0]})"
+        elif issubclass(t, (_Binary, _Shift, _Compare)):
+            out = f"({kids[0]} {_PRETTY_OPS[t]} {kids[1]})"
+        elif t is Mux:
+            out = f"({kids[0]} ? {kids[1]} : {kids[2]})"
+        elif t is Extract:
+            out = f"{kids[0]}[{node.hi}:{node.lo}]"
+        elif t is Concat:
+            out = f"{{{kids[0]}, {kids[1]}}}"
+        else:
+            out = f"{'zext' if t is ZeroExt else 'sext'}({kids[0]}, {node.width})"
+        text[id(node)] = out
+    return text[id(expr)]

@@ -37,7 +37,7 @@ class Library:
             for role, value in roles.items():
                 named.extend(value if isinstance(value, list) else [value])
             for port in named:
-                if port not in ports:
+                if not isinstance(port, str) or port not in ports:
                     raise ValidationError(
                         f"descriptor for '{name}' references missing port '{port}'"
                     )
@@ -49,20 +49,22 @@ def _read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}")
+    except RecursionError:
+        raise ParseError("nested too deeply", str(path)) from None
 
 
 def load_library(path):
     """Load a library directory via its manifest."""
     root = Path(path)
     manifest = _read_json(root / MANIFEST)
-    entries = manifest.get("primitives")
+    entries = manifest.get("primitives") if isinstance(manifest, dict) else None
     if not isinstance(entries, list):
         raise ParseError("manifest needs a 'primitives' array", str(root / MANIFEST))
     primitives = {}
     descriptors = {}
     layout = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "semantics" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("semantics"), str):
             raise ParseError(f"primitives[{i}] needs a 'semantics' file", str(root / MANIFEST))
         sem_file = entry["semantics"]
         sem = semantics_from_dict(_read_json(root / sem_file), where=sem_file)
@@ -71,7 +73,11 @@ def load_library(path):
         primitives[sem.name] = sem
         desc_file = entry.get("descriptor")
         if desc_file is not None:
+            if not isinstance(desc_file, str):
+                raise ParseError(f"primitives[{i}] needs a 'descriptor' file", str(root / MANIFEST))
             desc = _read_json(root / desc_file)
+            if not isinstance(desc, dict):
+                raise ParseError("expected an object", desc_file)
             if desc.get("primitive") != sem.name:
                 raise ValidationError(
                     f"descriptor {desc_file} names '{desc.get('primitive')}', not '{sem.name}'"

@@ -212,7 +212,9 @@ def _bin_const(value, width):
 def lower_to_smt(expr, symbol_map):
     """Render an expression as an SMT-LIB v2 QF_BV term.
 
-    Every Var and Hole must be mapped to an SMT identifier in `symbol_map`.
+    Every Var and Hole is rendered as the text `symbol_map` gives its name
+    (else UnmappedSymbol): an SMT identifier, or any term, such as a literal
+    that lowers the expression as if that constant had been substituted.
     Reductions are expanded over extracted bits, Eq/Ult wrap their boolean
     in an ite producing a 1-bit vector, and shifts equalize operand widths
     by zero-extension before truncating back to the operand width.

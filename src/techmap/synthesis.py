@@ -9,6 +9,9 @@ and the sketch once each and compare them row by row through
 `semantics.first_mismatch`; hole assignments and rows both go in
 ascending order, so the first match and the first counterexample are the
 lowest ones.
+A query lowers the design and the sketch, unchanged, under a symbol
+binding: the synth query binds each example's inputs to literals, the
+verify query binds the holes to the candidate's.
 Solver interaction is deliberately primitive: one QF_BV script per query,
 no incremental mode, so any SMT-LIB v2 solver works. A solver is started
 once per script with the script on stdin, except the bundled `minismt`
@@ -18,9 +21,10 @@ pays for one interpreter start-up instead of one per query. The replies are
 the bytes a fresh process would print.
 Every question goes through `query`, the one place a solver's answer is
 read: unsat gives None, sat gives the model, read with `minismt`'s
-s-expression reader, and unknown or anything else raises. The three
-callers that look for a counterexample (CEGIS with and without holes, and
-solver-mode equivalence checking) share `solver_counterexample`.
+s-expression reader, and unknown or anything else raises.
+There is one counterexample search per check mode, `solver_counterexample`
+and `exhaustive_counterexample`: CEGIS verifies with the first, and
+`emit.check_equivalence` runs either on a problem without holes.
 """
 
 from __future__ import annotations
@@ -70,6 +74,10 @@ class SynthesisProblem:
             )
         env = dict(self.inputs)
         hole_widths = dict(self.holes)
+        clash = env.keys() & hole_widths.keys()
+        if clash:
+            # A query binds symbols by name, so one name cannot be both.
+            raise ValidationError(f"names used both as input and hole: {sorted(clash)}")
         for _, expr in self.sketch_exprs:
             ir.validate(expr, env, allow_holes=True)
             _, holes_used = ir.free_symbols(expr)
@@ -121,7 +129,10 @@ def solve_brute_force(
     space = problem.hole_space
     if space > max_hole_space:
         raise LimitExceeded("hole space", space, max_hole_space)
-    rows = list(_input_rows(problem, max_input_bits))
+    try:
+        rows = list(semantics.input_rows(problem.inputs, max_input_bits))
+    except TooManyInputBits as exc:
+        raise LimitExceeded("input bits", exc.total, exc.limit) from None
     design, sketch = _compile(problem)
     want = []
     semantics.first_mismatch(design, rows, record=want)
@@ -131,13 +142,6 @@ def solve_brute_force(
             assignment = dict(zip((name for name, _ in problem.holes), values))
             return Solution(assignment, "brute", SolveStats(index + 1, 0, wall_ms))
     raise Infeasible(f"no assignment among {space} implements '{problem.design.name}'")
-
-
-def _input_rows(problem, limit):
-    try:
-        return semantics.input_rows(problem.inputs, limit)
-    except TooManyInputBits as exc:
-        raise LimitExceeded("input bits", exc.total, exc.limit) from None
 
 
 def _compile(problem):
@@ -214,53 +218,48 @@ def symbol_table(problem):
     return table
 
 
-_HEADER = "(set-option :produce-models true)\n(set-logic QF_BV)\n"
-
-
-def _const_env(env, widths):
-    return {name: ir.Const(widths[name], value) for name, value in env.items()}
-
-
 def emit_synth_query(problem, examples):
     """Script asking for hole values consistent with every example env."""
     table = symbol_table(problem)
-    widths = dict(problem.inputs)
-    lines = [_HEADER.rstrip("\n")]
-    for name, width in problem.holes:
-        lines.append(f"(declare-const {table[name]} (_ BitVec {width}))")
+    asserts = []
     for env in examples:
-        consts = _const_env(env, widths)
-        for (_, dexpr), (_, sexpr) in zip(problem.design.outputs, problem.sketch_exprs):
-            dterm = semantics.lower_to_smt(ir.substitute(dexpr, consts, "vars"), table)
-            sterm = semantics.lower_to_smt(ir.substitute(sexpr, consts, "vars"), table)
-            lines.append(f"(assert (= {dterm} {sterm}))")
-    lines.append("(check-sat)")
-    if problem.holes:
-        lines.append("(get-value (" + " ".join(table[n] for n, _ in problem.holes) + "))")
-    return "\n".join(lines) + "\n"
+        asserts += _equalities(problem, _bind(table, problem.inputs, env))
+    return _script(table, problem.holes, asserts)
 
 
 def emit_verify_query(problem, assignment):
     """Script searching for an input where the filled sketch disagrees."""
     table = symbol_table(problem)
-    lines = [_HEADER.rstrip("\n")]
-    for name, width in problem.inputs:
+    equalities = _equalities(problem, _bind(table, problem.holes, assignment))
+    agree = equalities[0] if len(equalities) == 1 else f"(and {' '.join(equalities)})"
+    return _script(table, problem.inputs, [f"(not {agree})"])
+
+
+def _bind(table, symbols, values):
+    """`table` with each (name, width) in `symbols` mapped to the literal of its value."""
+    bound = dict(table)
+    for name, width in symbols:
+        bound[name] = semantics.lower_to_smt(ir.Const(width, values[name]), table)
+    return bound
+
+
+def _equalities(problem, symbols):
+    """`(= design sketch)` for each output, lowered under `symbols`."""
+    return [
+        f"(= {semantics.lower_to_smt(d, symbols)} {semantics.lower_to_smt(s, symbols)})"
+        for (_, d), (_, s) in zip(problem.design.outputs, problem.sketch_exprs)
+    ]
+
+
+def _script(table, unknowns, asserts):
+    """Declare the (name, width) `unknowns`, assert `asserts`, and ask for the unknowns."""
+    lines = ["(set-option :produce-models true)", "(set-logic QF_BV)"]
+    for name, width in unknowns:
         lines.append(f"(declare-const {table[name]} (_ BitVec {width}))")
-    hole_consts = {
-        name: ir.Const(width, assignment[name]) for name, width in problem.holes
-    }
-    equalities = []
-    for (_, dexpr), (_, sexpr) in zip(problem.design.outputs, problem.sketch_exprs):
-        dterm = semantics.lower_to_smt(dexpr, table)
-        sterm = semantics.lower_to_smt(ir.substitute(sexpr, hole_consts, "holes"), table)
-        equalities.append(f"(= {dterm} {sterm})")
-    if len(equalities) == 1:
-        lines.append(f"(assert (not {equalities[0]}))")
-    else:
-        lines.append("(assert (not (and " + " ".join(equalities) + ")))")
+    lines += (f"(assert {a})" for a in asserts)
     lines.append("(check-sat)")
-    if problem.inputs:
-        lines.append("(get-value (" + " ".join(table[n] for n, _ in problem.inputs) + "))")
+    if unknowns:
+        lines.append("(get-value (" + " ".join(table[n] for n, _ in unknowns) + "))")
     return "\n".join(lines) + "\n"
 
 
@@ -573,8 +572,11 @@ def solver_counterexample(problem, assignment, solver):
 def exhaustive_counterexample(
     problem, assignment, max_input_bits=semantics.EXHAUSTIVE_INPUT_BITS
 ):
-    """Check a candidate assignment on every input row; None when sound."""
-    rows = _input_rows(problem, max_input_bits)
+    """Check a candidate assignment on every input row; None when sound.
+
+    More than `max_input_bits` input bits raise TooManyInputBits.
+    """
+    rows = semantics.input_rows(problem.inputs, max_input_bits)
     try:
         values = [assignment[name] for name, _ in problem.holes]
     except KeyError as exc:

@@ -504,7 +504,7 @@ def sketch_to_exprs(sketch, library):
             bits = [_binding_expr(b, input_widths, net_exprs) for b in bindings]
             binding[port] = ir.concat(reversed(bits))
         for port, expr in prim.outputs:
-            net_exprs[(inst.name, port)] = ir.substitute(expr, binding, target="vars")
+            net_exprs[(inst.name, port)] = ir.substitute(expr, binding)
 
     results = []
     for name, sources in sketch.output_map:

@@ -322,6 +322,10 @@ class VerilogModuleAst:
         return widths
 
 
+# Binary operators by precedence, loosest first.
+_BINARY_LEVELS = ({"|"}, {"^"}, {"&"}, {"==", "!="}, {"<"}, {"<<", ">>"}, {"+", "-"}, {"*"})
+
+
 class _Parser:
     def __init__(self, tokens, filename, allow_instances):
         self.tokens = tokens
@@ -566,7 +570,7 @@ class _Parser:
         return self.parse_ternary()
 
     def parse_ternary(self):
-        cond = self.parse_bitor()
+        cond = self.parse_binary()
         if self.at("op", "?"):
             tok = self.next()
             a = self.parse_ternary()
@@ -575,37 +579,16 @@ class _Parser:
             return VTernary(cond, a, b, tok.line, tok.col)
         return cond
 
-    def _binop_level(self, ops, next_level):
-        node = next_level()
-        while self.peek().kind == "op" and self.peek().text in ops:
+    def parse_binary(self, level=0):
+        """Left-associative binary operators of `_BINARY_LEVELS[level]` and tighter."""
+        if level == len(_BINARY_LEVELS):
+            return self.parse_unary()
+        node = self.parse_binary(level + 1)
+        while self.peek().kind == "op" and self.peek().text in _BINARY_LEVELS[level]:
             tok = self.next()
-            rhs = next_level()
+            rhs = self.parse_binary(level + 1)
             node = VBinary(tok.text, node, rhs, tok.line, tok.col)
         return node
-
-    def parse_bitor(self):
-        return self._binop_level({"|"}, self.parse_bitxor)
-
-    def parse_bitxor(self):
-        return self._binop_level({"^"}, self.parse_bitand)
-
-    def parse_bitand(self):
-        return self._binop_level({"&"}, self.parse_equality)
-
-    def parse_equality(self):
-        return self._binop_level({"==", "!="}, self.parse_relational)
-
-    def parse_relational(self):
-        return self._binop_level({"<"}, self.parse_shift)
-
-    def parse_shift(self):
-        return self._binop_level({"<<", ">>"}, self.parse_additive)
-
-    def parse_additive(self):
-        return self._binop_level({"+", "-"}, self.parse_multiplicative)
-
-    def parse_multiplicative(self):
-        return self._binop_level({"*"}, self.parse_unary)
 
     def parse_unary(self):
         tok = self.peek()
@@ -694,33 +677,35 @@ class _Parser:
 
 
 def _ast_reads(node):
-    """Yield (identifier, line, col) for every name an expression reads."""
-    if isinstance(node, VId):
-        yield node.name, node.line, node.col
-    elif isinstance(node, VSelect):
-        yield node.base, node.line, node.col
-        if node.hi is None:
-            yield from _ast_reads(node.index)
-    elif isinstance(node, VUnary):
-        yield from _ast_reads(node.a)
-    elif isinstance(node, VBinary):
-        yield from _ast_reads(node.a)
-        yield from _ast_reads(node.b)
-    elif isinstance(node, VTernary):
-        yield from _ast_reads(node.cond)
-        yield from _ast_reads(node.a)
-        yield from _ast_reads(node.b)
-    elif isinstance(node, VConcat):
-        for p in node.parts:
-            yield from _ast_reads(p)
-    elif isinstance(node, VRepl):
-        yield from _ast_reads(node.part)
+    """Yield (identifier, line, col) for every name an expression reads, left to right."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, VId):
+            yield node.name, node.line, node.col
+        elif isinstance(node, VSelect):
+            yield node.base, node.line, node.col
+            if node.hi is None:
+                stack.append(node.index)
+        elif isinstance(node, VUnary):
+            stack.append(node.a)
+        elif isinstance(node, VBinary):
+            stack += (node.b, node.a)
+        elif isinstance(node, VTernary):
+            stack += (node.b, node.a, node.cond)
+        elif isinstance(node, VConcat):
+            stack.extend(reversed(node.parts))
+        elif isinstance(node, VRepl):
+            stack.append(node.part)
 
 
 def parse(source, filename=None, allow_instances=False):
     """Parse a module in the supported subset into a validated AST."""
-    tokens = _lex(source, filename)
-    return _Parser(tokens, filename, allow_instances).parse_module()
+    parser = _Parser(_lex(source, filename), filename, allow_instances)
+    try:
+        return parser.parse_module()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.where(parser.peek())) from None
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +813,7 @@ class _Elaborator:
             reads = {name for name, _, _ in _ast_reads(stmt.rhs) if self._is_signal(name)}
             add(
                 stmt.target, stmt.hi, stmt.lo,
-                (lambda rhs=stmt.rhs, c=ctx, w=where: self._lower(rhs, c, w)),
+                (lambda rhs=stmt.rhs, c=ctx, w=where: self._lower_statement(rhs, c, w)),
                 reads, where,
             )
 
@@ -876,11 +861,11 @@ class _Elaborator:
                 def build(prim=prim, port=port, conn_in=dict(conn_in), params=dict(params), w=where):
                     binding = {}
                     for pin, pin_w in prim.inputs:
-                        binding[pin] = self._lower(conn_in[pin], pin_w, w)
+                        binding[pin] = self._lower_statement(conn_in[pin], pin_w, w)
                     for pname, pw, _ in prim.params:
                         binding[pname] = ir.Const(pw, params[pname])
                     out_expr = dict(prim.outputs)[port]
-                    return ir.substitute(out_expr, binding, target="vars")
+                    return ir.substitute(out_expr, binding)
 
                 add(target, hi, lo, build, set(reads), where)
 
@@ -916,23 +901,23 @@ class _Elaborator:
             for _, _, _, reads in entries:
                 deps[name] |= {r for r in reads if r in self.pieces or not self._is_source(r)}
         order = []
-        state = {}
-
-        def visit(name, chain):
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                cycle = chain[chain.index(name):]
-                raise CombinationalCycle(cycle)
-            state[name] = 1
-            for dep in sorted(deps.get(name, ())):
-                if dep in self.pieces:
-                    visit(dep, chain + [dep])
-            state[name] = 2
-            order.append(name)
-
-        for name in sorted(self.pieces):
-            visit(name, [name])
+        done = set()
+        for root in sorted(self.pieces):
+            if root in done:
+                continue
+            path = [root]
+            pending = [iter(sorted(deps[root]))]
+            while path:
+                dep = next((d for d in pending[-1] if d in self.pieces and d not in done), None)
+                if dep is None:
+                    pending.pop()
+                    done.add(path[-1])
+                    order.append(path.pop())
+                elif dep in path:
+                    raise CombinationalCycle(path[path.index(dep):] + [dep])
+                else:
+                    path.append(dep)
+                    pending.append(iter(sorted(deps[dep])))
         return order
 
     def _signal(self, name):
@@ -962,6 +947,13 @@ class _Elaborator:
         return ir.concat(reversed(exprs))
 
     # -- expression lowering ------------------------------------------------
+    def _lower_statement(self, node, ctx, where):
+        """`_lower` for the whole expression of the statement at `where`."""
+        try:
+            return self._lower(node, ctx, where)
+        except RecursionError:
+            raise ParseError("expression nested too deeply", where) from None
+
     def _lower(self, node, ctx, where):
         t = type(node)
         if t is VNum:

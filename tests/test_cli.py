@@ -278,3 +278,67 @@ def test_bundled_solver_imports_this_techmap_without_pythonpath(tmp_path):
     )
     assert result.returncode == 0, result.stderr.decode()
     assert "LUT2" in out.read_text()
+
+
+def _module(rhs):
+    return f"module m(input a, output y);\n  assign y = {rhs};\nendmodule\n"
+
+
+def _nots(depth):
+    return '{"op": "not", "args": [' * depth + '{"op": "var", "name": "a", "width": 1}' + "]}" * depth
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("xor.v", _module(" ^ ".join(["a"] * 1000)), ":2:3: expression nested too deeply"),
+        ("paren.v", _module("(" * 3000 + "a" + ")" * 3000), ":2:"),
+        ("not.v", _module("~" * 3000 + "a"), ":2:"),
+        (
+            "not.json",
+            '{"name": "d", "inputs": [{"name": "a", "width": 1}], '
+            f'"outputs": [{{"name": "y", "expr": {_nots(800)}}}]}}',
+            "error: $: expression nested too deeply",
+        ),
+    ],
+    ids=["xor chain", "parentheses", "negations", "design json"],
+)
+def test_deeply_nested_design_is_located_user_error(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    err = capsys.readouterr().err
+    assert message in err and "nested too deeply" in err and "internal error" not in err
+    if name.endswith(".v"):
+        assert f"error: {path}:2:" in err
+
+
+def test_deeply_nested_library_entry_is_located_user_error(tmp_path, capsys):
+    libdir = tmp_path / "lib"
+    library.save_library(library.default_library(), libdir)
+    (libdir / "lut2.json").write_text(
+        '{"name": "LUT2", "inputs": [{"name": "a", "width": 1}], "params": [], '
+        f'"outputs": [{{"name": "y", "expr": {_nots(800)}}}]}}'
+    )
+    code = run_cli(
+        "map", "--design", DESIGNS / "and2.v", "--library", libdir,
+        "--template", "lut_single", "-o", tmp_path / "x.v",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"error: {libdir / 'lut2.json'}: nested too deeply" in err
+
+
+def test_long_wire_chain_elaborates(tmp_path, capsys):
+    # Each wire reads the next, so ordering the definitions walks a chain
+    # of 1200 wires.
+    n = 1200
+    lines = ["module m(input a, output y);"]
+    lines += [f"  wire w{k};" for k in range(n)]
+    lines.append(f"  assign w{n - 1} = a;")
+    lines += [f"  assign w{k} = ~w{k + 1};" for k in range(n - 1)]
+    lines += ["  assign y = w0;", "endmodule"]
+    path = tmp_path / "chain.v"
+    path.write_text("\n".join(lines) + "\n")
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 0
+    assert capsys.readouterr().out == "y=0x0\n"

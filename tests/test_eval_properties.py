@@ -70,6 +70,18 @@ def test_compiled_evaluator_agrees_with_minismt(batch, env):
 
 
 @settings(max_examples=200, deadline=None)
+@given(exprs(max_width=16, max_depth=5, count=2), envs, st.sets(st.sampled_from(VAR_POOL)))
+def test_lowering_under_literal_bindings_is_lowering_after_substitution(batch, env, bound):
+    consts = {name: ir.Const(width, env[name]) for name, width in bound}
+    symbols = {name: name for name, _ in VAR_POOL}
+    symbols.update((name, semantics.lower_to_smt(c, {})) for name, c in consts.items())
+    for expr in batch:
+        assert semantics.lower_to_smt(expr, symbols) == semantics.lower_to_smt(
+            ir.substitute(expr, consts), symbols
+        )
+
+
+@settings(max_examples=200, deadline=None)
 @given(exprs(max_width=16, max_depth=6, count=1), envs)
 def test_error_contract(batch, env):
     (expr,) = batch
@@ -85,7 +97,7 @@ def test_error_contract(batch, env):
             eval_concrete(expr, dict(env, **{name: 1 << width}))
         # The same symbol as a hole: unbound it cannot be evaluated, bound to
         # the variable's value it gives the variable's result.
-        holed = ir.substitute(expr, {name: ir.Hole(name, width)}, "vars")
+        holed = ir.substitute(expr, {name: ir.Hole(name, width)})
         with pytest.raises(HolePresent):
             eval_concrete(holed, env)
         assert eval_concrete(holed, env, {name: env[name]}) == value

@@ -93,31 +93,32 @@ def test_validate_rejects_inconsistent_hole_widths():
 
 def test_substitute_vars():
     a, b = ir.Var("a", 1), ir.Var("b", 1)
-    got = ir.substitute(ir.And(a, b), {"a": ir.Const(1, 1)}, "vars")
+    got = ir.substitute(ir.And(a, b), {"a": ir.Const(1, 1)})
     assert got == ir.And(ir.Const(1, 1), b)
 
 
 def test_substitute_holes_under_extract():
-    expr = ir.Extract(2, 0, ir.Hole("INIT", 4))
-    got = ir.substitute(expr, {"INIT": ir.Const(4, 8)}, "holes")
-    assert got == ir.Extract(2, 0, ir.Const(4, 8))
+    # Only Vars are replaced: a Hole stays even when its name is bound.
+    expr = ir.Extract(2, 0, ir.Concat(ir.Var("x", 2), ir.Hole("h", 2)))
+    got = ir.substitute(expr, {"x": ir.Const(2, 1), "h": ir.Const(2, 3)})
+    assert got == ir.Extract(2, 0, ir.Concat(ir.Const(2, 1), ir.Hole("h", 2)))
 
 
 def test_substitute_checks_binding_width():
     with pytest.raises(WidthMismatch):
-        ir.substitute(ir.Var("a", 4), {"a": ir.Const(3, 0)}, "vars")
+        ir.substitute(ir.Var("a", 4), {"a": ir.Const(3, 0)})
 
 
 def test_substitute_leaves_unbound_symbols():
     expr = ir.And(ir.Var("a", 1), ir.Var("b", 1))
-    got = ir.substitute(expr, {"a": ir.Const(1, 0)}, "vars")
+    got = ir.substitute(expr, {"a": ir.Const(1, 0)})
     assert got.b is expr.b
 
 
 def test_substitute_preserves_sharing():
     shared = ir.Add(ir.Var("a", 4), ir.Var("b", 4))
     expr = ir.Xor(shared, ir.Not(shared))
-    got = ir.substitute(expr, {"a": ir.Const(4, 1)}, "vars")
+    got = ir.substitute(expr, {"a": ir.Const(4, 1)})
     assert got.a is got.b.a  # still one rewritten node, not two copies
 
 
@@ -132,11 +133,30 @@ def test_substitution_lemma_randomized():
         bindings = {
             n: rand_expr(rng, dict(VAR_POOL)[n], 2) for n in bound
         }
-        substituted = ir.substitute(expr, bindings, "vars")
+        substituted = ir.substitute(expr, bindings)
         extended = dict(env)
         for name, rhs in bindings.items():
             extended[name] = eval_concrete(rhs, env)
         assert eval_concrete(substituted, env) == eval_concrete(expr, extended)
+
+
+def test_str_spells_every_node_kind():
+    a, b, h = ir.Var("a", 4), ir.Var("b", 4), ir.Hole("h", 1)
+    expr = ir.Concat(
+        ir.Mux(h, ir.Add(a, ir.Not(b)), ir.Shl(ir.Const(4, 9), ir.Extract(1, 0, b))),
+        ir.ZeroExt(ir.Concat(ir.Eq(a, b), ir.ReduceXor(ir.SignExt(ir.Neg(a), 6))), 3),
+    )
+    assert str(expr) == (
+        "{(?h:1 ? (a:4 + ~(b:4)) : (9'4 << b:4[1:0])), "
+        "zext({(a:4 == b:4), ^(sext(-(a:4), 6))}, 3)}"
+    )
+
+
+def test_str_of_deep_chain_does_not_recurse():
+    expr = ir.Var("a", 1)
+    for _ in range(5000):
+        expr = ir.Not(expr)
+    assert str(expr) == "~(" * 5000 + "a:1" + ")" * 5000
 
 
 def test_free_symbols():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import stat
 import subprocess
@@ -137,6 +138,18 @@ def test_problem_alignment_is_checked():
         SynthesisProblem(design, (("z", ir.Const(1, 0)),), (), tuple(design.inputs))
 
 
+def test_problem_rejects_a_name_that_is_both_input_and_hole():
+    # Each output on its own is valid, but a query binds symbols by name,
+    # so binding input `a` to a literal would also bind hole `a`.
+    design = ir.Design(
+        "pair", (("a", 1), ("b", 1)),
+        (("y", ir.Var("a", 1)), ("z", ir.Var("b", 1))),
+    )
+    sketch = (("y", ir.Var("a", 1)), ("z", ir.Hole("a", 1)))
+    with pytest.raises(ValidationError, match="both as input and hole"):
+        SynthesisProblem(design, sketch, (("a", 1),), tuple(design.inputs))
+
+
 def test_symbol_table_sanitizes_deterministically():
     design = ir.Design(
         "odd",
@@ -179,6 +192,54 @@ def test_verify_query_negates_output_conjunction(lib):
     assignment = {name: 0 for name, _ in problem.holes}
     script = emit_verify_query(problem, assignment)
     assert "(assert (not (and (= " in script
+
+
+def _lut4_8ea1_problem(lib):
+    return holes_problem(table4_design(0x8EA1), lib)[0]
+
+
+@pytest.mark.parametrize(
+    "build, size, digest",
+    [
+        (
+            lambda lib: emit_synth_query(
+                p := _lut4_8ea1_problem(lib), initial_examples(p, 1, 8)
+            ),
+            8308,
+            "afc33a6d886b7c52bac273f261a61f60266d16236277d3251713b569ef4648f6",
+        ),
+        (
+            lambda lib: emit_synth_query(
+                p := _adder4_problem(lib), initial_examples(p, 3, 4)
+            ),
+            45437,
+            "5091962943113b9364ed742e84c45958084071183ba75122a2355cb57e363c32",
+        ),
+        (
+            lambda lib: emit_verify_query(
+                p := _lut4_8ea1_problem(lib),
+                {name: value for (name, _), value in zip(p.holes, (0x8EA1, 0, 1, 2, 3))},
+            ),
+            1397,
+            "ff1a1a746e35a3f268e5d8a1a12428f96d0a4e4a35b421b12c2e29c4e4dc67ec",
+        ),
+        (
+            lambda lib: emit_verify_query(
+                p := _adder4_problem(lib), {name: 1 for name, _ in p.holes}
+            ),
+            9647,
+            "4e2100fa1a00df8bca3c19a53342930c110cd23a9cfac0d8591973907cc86b79",
+        ),
+    ],
+    ids=["lut4 synth", "adder4 synth", "lut4 verify", "adder4 verify"],
+)
+def test_query_scripts_are_pinned(lib, build, size, digest):
+    # LUT4 table 0x8EA1 with binding holes, and the adder4 carry chain,
+    # whose verify query has two outputs and so takes the (not (and ...))
+    # form. The values were recorded from scripts built by substituting
+    # constants into copies of the DAG.
+    script = build(lib)
+    assert (len(script), hashlib.sha256(script.encode()).hexdigest()) == (size, digest)
 
 
 def test_parse_model_forms():

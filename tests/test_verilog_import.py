@@ -124,7 +124,7 @@ def test_lut2_elaboration_shape_and_and_table():
 
 def test_free_symbols_of_sketched_lut2(lib):
     zexpr = dict(lib.primitives["LUT2"].outputs)["Z"]
-    holed = ir.substitute(zexpr, {"INIT": ir.Hole("INIT", 4)}, "vars")
+    holed = ir.substitute(zexpr, {"INIT": ir.Hole("INIT", 4)})
     assert ir.free_symbols(holed) == ({"A": 1, "B": 1}, {"INIT": 4})
 
 
@@ -147,7 +147,7 @@ def test_bound_equals_symbolic_plus_substitution():
     for init in range(16):
         bound = verilog.elaborate(ast, params={"INIT": init})
         via_subst = ir.substitute(
-            dict(symbolic.outputs)["Z"], {"INIT": ir.Const(4, init)}, "vars"
+            dict(symbolic.outputs)["Z"], {"INIT": ir.Const(4, init)}
         )
         for row in range(4):
             env = {"A": row & 1, "B": row >> 1}
