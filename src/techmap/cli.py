@@ -20,6 +20,7 @@ from .errors import (
     Infeasible,
     LimitExceeded,
     NoCompatiblePrimitive,
+    ParseError,
     SignatureMismatch,
     SolverError,
     TechmapError,
@@ -92,8 +93,12 @@ def cmd_import(args):
     sem = verilog.import_primitive(source, filename=str(args.model))
     if args.name is not None and args.name != sem.name:
         sem = verilog.PrimitiveSemantics(args.name, sem.inputs, sem.params, sem.outputs)
+    try:
+        text = verilog.semantics_to_json(sem)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", str(args.model)) from None
     with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(verilog.semantics_to_json(sem))
+        fh.write(text)
     return 0
 
 
@@ -108,6 +113,7 @@ def _solve(problem, args):
 
 def cmd_map(args):
     design = load_design(args.design)
+    verilog.check_identifiers(design, str(args.design))
     lib = load_library_arg(args.library)
     kinds = []
     for chunk in args.template:

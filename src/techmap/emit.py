@@ -6,6 +6,15 @@ re-importing the printed text and comparing it against the original design.
 The checker deliberately shares no binding logic with `resolve`: it goes
 through the Verilog importer and semantic inlining, so a bug in emission
 cannot vouch for itself.
+
+`resolve` ties an instance output port straight to the design output when
+no instance pin reads the port and the port either is a whole output, bit
+for bit, or is one bit wide and feeds exactly one output bit. Every other
+output port drives a wire, and output bits that no port drives get an
+`assign` per run of consecutive bits. Instances and wires keep the names
+the sketch gives them unless a design port, or a name chosen before, uses
+that name; then the first free suffix `_1`, `_2`, ... is appended. Hole
+names, which name sketch instances, are not changed.
 """
 
 from __future__ import annotations
@@ -40,124 +49,103 @@ class Netlist:
     assigns: tuple  # of (output name, hi, lo, tuple of bit refs LSB first)
 
 
+def _hole_value(hole, assignment):
+    if hole not in assignment:
+        raise MissingHole(hole)
+    return assignment[hole]
+
+
 def _resolve_binding(binding, assignment):
     if isinstance(binding, templates.BindingHole):
         cands = binding.candidates
         if len(cands) == 1:
             return cands[0]
-        if binding.hole not in assignment:
-            raise MissingHole(binding.hole)
-        sel = assignment[binding.hole]
-        return cands[min(sel, len(cands) - 1)]
+        return cands[min(_hole_value(binding.hole, assignment), len(cands) - 1)]
     return binding
 
 
 def resolve(sketch, solution):
     """Apply a solution's hole values to a sketch, yielding a Netlist."""
     assignment = solution.assignment if isinstance(solution, synthesis.Solution) else solution
+    pins = {
+        inst.name: [
+            (port, [_resolve_binding(b, assignment) for b in bindings]) for port, bindings in inst.pins
+        ]
+        for inst in sketch.instances
+    }
+    read = {
+        (src.instance, src.port)
+        for inst_pins in pins.values()
+        for _, sources in inst_pins
+        for src in sources
+        if isinstance(src, templates.NetBit)
+    }
+    feeds = {}  # (instance, port) -> [(port bit, output, output bit)]
+    for oname, sources in sketch.output_map:
+        for obit, src in enumerate(sources):
+            if isinstance(src, templates.NetBit):
+                feeds.setdefault((src.instance, src.port), []).append((src.bit, oname, obit))
+
     output_widths = dict(sketch.outputs)
+    taken = set(dict(sketch.inputs)) | set(output_widths)
 
-    resolved_pins = {}  # (inst, port) -> list of SignalBit/ConstBit/NetBit
-    net_consumers = {}  # (inst, port) -> count of instance-pin consumers
-    for inst in sketch.instances:
-        for port, bindings in inst.pins:
-            sources = [_resolve_binding(b, assignment) for b in bindings]
-            resolved_pins[(inst.name, port)] = sources
-            for src in sources:
-                if isinstance(src, templates.NetBit):
-                    key = (src.instance, src.port)
-                    net_consumers[key] = net_consumers.get(key, 0) + 1
+    def fresh(name):
+        unique, k = name, 0
+        while unique in taken:
+            k += 1
+            unique = f"{name}_{k}"
+        taken.add(unique)
+        return unique
 
-    # Decide each instance output port's sink: a design output when the
-    # mapping covers it exactly and nobody else consumes it, else a wire.
-    out_sources = {}  # output name -> list of NetBit/ConstBit
-    for name, sources in sketch.output_map:
-        out_sources[name] = list(sources)
-    port_direct = {}  # (inst, port) -> ("out", name) | ("outbit", name, bit)
-    claimed_bits = {}  # output name -> {bit: (inst, port)}
-    for inst in sketch.instances:
-        for port, width in inst.outputs:
-            key = (inst.name, port)
-            refs = [
-                (oname, bit)
-                for oname, sources in out_sources.items()
-                for bit, src in enumerate(sources)
-                if isinstance(src, templates.NetBit)
-                and (src.instance, src.port) == key
-            ]
-            if net_consumers.get(key):
-                continue
-            if width == 1 and len(refs) == 1:
-                oname, bit = refs[0]
-                port_direct[key] = ("outbit", oname, bit)
-                claimed_bits.setdefault(oname, {})[bit] = key
-            elif width > 1 and len(refs) == width:
-                oname = refs[0][0]
-                if all(
-                    o == oname and out_sources[oname][b].bit == b for o, b in refs
-                ) and output_widths.get(oname) == width and sorted(b for _, b in refs) == list(range(width)):
-                    port_direct[key] = ("out", oname)
-                    claimed_bits.setdefault(oname, {}).update({b: key for _, b in refs})
-
-    # Wires for everything not directly tied to an output.
+    names = {inst.name: fresh(inst.name) for inst in sketch.instances}
     net_names = dict(sketch.net_names)
     wires = []
-    wire_of = {}
+    port_refs = {}  # (instance, port) -> the bit refs its pin connects, LSB first
     for inst in sketch.instances:
         for port, width in inst.outputs:
             key = (inst.name, port)
-            if key in port_direct:
-                continue
-            wname = net_names.get(key, f"{inst.name}_{port}")
-            wire_of[key] = wname
-            wires.append((wname, width))
+            fed = sorted(feeds.get(key, ()))
+            if key not in read and len(fed) == width and (
+                width == 1
+                or fed == [(b, fed[0][1], b) for b in range(width)]
+                and output_widths[fed[0][1]] == width
+            ):
+                port_refs[key] = tuple(("out", oname, obit) for _, oname, obit in fed)
+            else:
+                wire = fresh(net_names.get(key, f"{inst.name}_{port}"))
+                wires.append((wire, width))
+                port_refs[key] = tuple(("wire", wire, b) for b in range(width))
 
     def bit_ref(src):
         if isinstance(src, templates.ConstBit):
             return ("const", src.value)
         if isinstance(src, templates.SignalBit):
             return ("in", src.name, src.bit)
-        key = (src.instance, src.port)
-        return ("wire", wire_of[key], src.bit)
+        return port_refs[(src.instance, src.port)][src.bit]
 
     instances = []
     for inst in sketch.instances:
-        params = []
-        for pname, pwidth, value in inst.params:
-            if isinstance(value, templates.ParamHole):
-                if value.hole not in assignment:
-                    raise MissingHole(value.hole)
-                params.append((pname, pwidth, assignment[value.hole]))
-            else:
-                params.append((pname, pwidth, value))
-        pins = []
-        for port, _ in inst.pins:
-            pins.append((port, tuple(bit_ref(s) for s in resolved_pins[(inst.name, port)])))
-        for port, width in inst.outputs:
-            key = (inst.name, port)
-            direct = port_direct.get(key)
-            if direct is None:
-                pins.append((port, tuple(("wire", wire_of[key], b) for b in range(width))))
-            elif direct[0] == "out":
-                oname = direct[1]
-                pins.append((port, tuple(("out", oname, b) for b in range(width))))
-            else:
-                _, oname, bit = direct
-                pins.append((port, (("out", oname, bit),)))
-        instances.append(NetInstance(inst.name, inst.primitive, tuple(params), tuple(pins)))
+        params = tuple(
+            (pname, pwidth, _hole_value(value.hole, assignment)
+             if isinstance(value, templates.ParamHole) else value)
+            for pname, pwidth, value in inst.params
+        )
+        inst_pins = [(port, tuple(map(bit_ref, sources))) for port, sources in pins[inst.name]]
+        inst_pins += [(port, port_refs[(inst.name, port)]) for port, _ in inst.outputs]
+        instances.append(NetInstance(names[inst.name], inst.primitive, params, tuple(inst_pins)))
 
+    driven = {ref[1:] for refs in port_refs.values() for ref in refs if ref[0] == "out"}
+    out_sources = dict(sketch.output_map)
     assigns = []
     for oname, owidth in sketch.outputs:
-        claimed = claimed_bits.get(oname, {})
-        pending = [b for b in range(owidth) if b not in claimed]
         run = []
-        for b in pending + [None]:
-            if run and (b is None or b != run[-1] + 1):
+        for b in range(owidth + 1):
+            if b < owidth and (oname, b) not in driven:
+                run.append(b)
+            elif run:
                 refs = tuple(bit_ref(out_sources[oname][k]) for k in run)
                 assigns.append((oname, run[-1], run[0], refs))
                 run = []
-            if b is not None:
-                run.append(b)
     return Netlist(
         sketch.module_name,
         tuple(sketch.inputs),
@@ -166,16 +154,6 @@ def resolve(sketch, solution):
         tuple(instances),
         tuple(assigns),
     )
-
-
-def _render_bit(ref, widths):
-    tag = ref[0]
-    if tag == "const":
-        return f"1'b{ref[1]}"
-    _, name, bit = ref
-    if widths[name] == 1:
-        return name
-    return f"{name}[{bit}]"
 
 
 def _render_bus(refs, widths):
@@ -197,7 +175,7 @@ def _render_bus(refs, widths):
         if lo == 0 and hi == widths[name] - 1:
             parts.append(name)
         elif hi == lo:
-            parts.append(_render_bit(ref, widths))
+            parts.append(f"{name}[{hi}]")
         else:
             parts.append(f"{name}[{hi}:{lo}]")
         i = j
@@ -235,13 +213,7 @@ def print_verilog(netlist):
         )
         lines.append(f"  {inst.primitive} {params}{inst.name} ({pins});")
     for oname, hi, lo, refs in netlist.assigns:
-        owidth = widths[oname]
-        if hi == owidth - 1 and lo == 0:
-            target = oname
-        elif hi == lo:
-            target = f"{oname}[{hi}]" if owidth > 1 else oname
-        else:
-            target = f"{oname}[{hi}:{lo}]"
+        target = _render_bus(tuple(("out", oname, b) for b in range(lo, hi + 1)), widths)
         lines.append(f"  assign {target} = {_render_bus(refs, widths)};")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,11 @@ freedom is encoded uniformly as a selector hole driving a mux chain, with
 out-of-range selector values clamping to the last candidate, so both kinds
 of unknowns are solved by the same machinery.
 
+A group of pins is bound over a list of candidate signals. With the
+default pin mode each pin gets a selector hole over the signals, then
+constant 0, then constant 1. In pinned mode pin j gets signal j and spare
+pins get constant 0; more signals than pins is a signature mismatch.
+
 Four template families are provided: a single LUT, one LUT per output bit,
 a ripple carry chain, and a wide multiplier. Carry and multiplier cells
 declare their pin roles in a descriptor shipped next to the primitive,
@@ -169,45 +174,31 @@ class TemplateOptions:
             raise ValidationError(f"pin_mode must be 'holes' or 'pinned', not {self.pin_mode!r}")
 
 
-def _flat_input_bits(design):
-    return [SignalBit(name, bit) for name, width in design.inputs for bit in range(width)]
-
-
-def _lut_shape(sem):
-    """Return (k, param name) when `sem` looks like a k-input LUT."""
+def _lut_width(sem):
+    """k when `sem` looks like a k-input LUT, else None."""
     if len(sem.outputs) != 1 or sem.outputs[0][1].width != 1:
         return None
     if any(w != 1 for _, w in sem.inputs):
         return None
     k = len(sem.inputs)
-    if k < 1 or len(sem.params) != 1:
+    if k < 1 or len(sem.params) != 1 or sem.params[0][1] != 1 << k:
         return None
-    pname, pwidth, _ = sem.params[0]
-    if pwidth != 1 << k:
-        return None
-    return k, pname
+    return k
 
 
 def _pick_lut(library, kind, options, needed_bits):
     if options.primitive is not None:
         sem = library.primitives.get(options.primitive)
-        shape = _lut_shape(sem) if sem is not None else None
-        if shape is None:
+        if sem is None or _lut_width(sem) is None:
             raise NoCompatiblePrimitive(kind.value, f"'{options.primitive}' is not a LUT-shaped cell")
-        return sem, shape
-    luts = []
-    for name in sorted(library.primitives):
-        shape = _lut_shape(library.primitives[name])
-        if shape is not None:
-            luts.append((shape[0], name, shape))
+        return sem
+    luts = sorted(
+        (k, name) for name, sem in library.primitives.items() if (k := _lut_width(sem)) is not None
+    )
     if not luts:
         raise NoCompatiblePrimitive(kind.value, "library has no k-input/1-output cell with a 2^k parameter")
-    luts.sort()
-    for k, name, shape in luts:
-        if k >= needed_bits:
-            return library.primitives[name], shape
-    k, name, shape = luts[-1]
-    return library.primitives[name], shape
+    _, name = next((lut for lut in luts if lut[0] >= needed_bits), luts[-1])
+    return library.primitives[name]
 
 
 def _descriptor_cell(library, kind, options, required_roles):
@@ -223,191 +214,116 @@ def _descriptor_cell(library, kind, options, required_roles):
     )
 
 
-def _lut_pins(inst_name, sem, k, design, options, bit=None):
-    """Bindings for a LUT's pins over the design's input bits.
-
-    `bit` restricts candidates to that bit of each (wide enough) input, as
-    the per-bit template requires; None offers every input bit.
-    """
-    if bit is None:
-        signals = _flat_input_bits(design)
-    else:
-        signals = [SignalBit(n, bit) for n, w in design.inputs if w > bit]
-    pins = []
+def _bind(inst, cell, ports, signals, options):
+    """Pins of `ports` of instance `inst` (a `cell`) over candidate `signals`."""
     if options.pin_mode == "pinned":
-        if len(signals) > k:
+        if len(signals) > len(ports):
             raise SignatureMismatch(
-                f"{len(signals)} candidate bits do not fit the {k} pins of {sem.name}"
+                f"{len(signals)} candidate bits do not fit the {len(ports)} pins of {cell}"
             )
-        for j, (pin, _) in enumerate(sem.inputs):
-            src = signals[j] if j < len(signals) else ConstBit(0)
-            pins.append((pin, (src,)))
-    else:
-        candidates = tuple(signals) + (ConstBit(0), ConstBit(1))
-        for pin, _ in sem.inputs:
-            hole = BindingHole(f"{inst_name}.{pin}.sel", candidates)
-            pins.append((pin, (hole,)))
-    return tuple(pins)
+        padded = list(signals) + [ConstBit(0)] * (len(ports) - len(signals))
+        return [(port, (src,)) for port, src in zip(ports, padded)]
+    candidates = tuple(signals) + (ConstBit(0), ConstBit(1))
+    return [(port, (BindingHole(f"{inst}.{port}.sel", candidates),)) for port in ports]
 
 
-def _param_holes(inst_name, sem):
-    return tuple(
-        (pname, pwidth, ParamHole(f"{inst_name}.{pname}")) for pname, pwidth, _ in sem.params
-    )
+def _instance(name, sem, pins):
+    """An instance of `sem` with a hole for every parameter."""
+    params = tuple((p, width, ParamHole(f"{name}.{p}")) for p, width, _ in sem.params)
+    outputs = tuple((p, e.width) for p, e in sem.outputs)
+    return SketchInstance(name, sem.name, params, tuple(pins), outputs)
 
 
-def instantiate(kind, design, library, options=None):
-    """Build a sketch of the given kind for a design signature."""
-    options = options or TemplateOptions()
-    if kind is TemplateKind.LUT_SINGLE:
-        return _instantiate_lut_single(design, library, options)
-    if kind is TemplateKind.BITWISE_PER_BIT:
-        return _instantiate_bitwise(design, library, options)
-    if kind is TemplateKind.CARRY_CHAIN:
-        return _instantiate_carry(design, library, options)
-    if kind is TemplateKind.MULTIPLIER:
-        return _instantiate_multiplier(design, library, options)
-    raise ValueError(f"unknown template kind {kind!r}")
-
-
-def _signature(design):
-    return tuple(design.inputs), tuple((n, e.width) for n, e in design.outputs)
-
-
-def _instantiate_lut_single(design, library, options):
-    inputs, outputs = _signature(design)
+def _lut_single(design, library, options):
+    outputs = tuple(design.output_widths.items())
     if len(outputs) != 1 or outputs[0][1] != 1:
         raise SignatureMismatch("lut_single needs exactly one 1-bit design output")
-    sem, (k, _) = _pick_lut(library, TemplateKind.LUT_SINGLE, options, sum(w for _, w in inputs))
-    inst = SketchInstance(
-        "inst_0",
-        sem.name,
-        _param_holes("inst_0", sem),
-        _lut_pins("inst_0", sem, k, design, options),
-        tuple((n, e.width) for n, e in sem.outputs),
-    )
-    out_port = sem.outputs[0][0]
-    return Sketch(
-        inputs, outputs, (inst,), ((outputs[0][0], (NetBit("inst_0", out_port, 0),)),),
-        module_name=design.name,
-    )
+    signals = [SignalBit(name, bit) for name, width in design.inputs for bit in range(width)]
+    return _lut_row(TemplateKind.LUT_SINGLE, design, library, options, len(signals), [signals])
 
 
-def _instantiate_bitwise(design, library, options):
-    inputs, outputs = _signature(design)
-    if len(outputs) != 1:
+def _bitwise(design, library, options):
+    if len(design.outputs) != 1:
         raise SignatureMismatch("bitwise_per_bit needs exactly one design output")
-    out_name, n = outputs[0]
-    sem, (k, _) = _pick_lut(
-        library, TemplateKind.BITWISE_PER_BIT, options, len(inputs)
+    signal_sets = [
+        [SignalBit(name, i) for name, width in design.inputs if width > i]
+        for i in range(design.outputs[0][1].width)
+    ]
+    return _lut_row(
+        TemplateKind.BITWISE_PER_BIT, design, library, options, len(design.inputs), signal_sets
     )
-    instances = []
-    sources = []
-    for i in range(n):
-        name = f"inst_{i}"
-        instances.append(
-            SketchInstance(
-                name,
-                sem.name,
-                _param_holes(name, sem),
-                _lut_pins(name, sem, k, design, options, bit=i),
-                tuple((p, e.width) for p, e in sem.outputs),
-            )
-        )
-        sources.append(NetBit(name, sem.outputs[0][0], 0))
+
+
+def _lut_row(kind, design, library, options, needed_bits, signal_sets):
+    """One LUT per bit of the design's one output; bit i's pins bind over signal_sets[i]."""
+    sem = _pick_lut(library, kind, options, needed_bits)
+    ports = [p for p, _ in sem.inputs]
+    instances = tuple(
+        _instance(f"inst_{i}", sem, _bind(f"inst_{i}", sem.name, ports, signals, options))
+        for i, signals in enumerate(signal_sets)
+    )
+    sources = tuple(NetBit(inst.name, sem.outputs[0][0]) for inst in instances)
     return Sketch(
-        inputs, outputs, tuple(instances), ((out_name, tuple(sources)),),
-        module_name=design.name,
+        design.inputs, tuple(design.output_widths.items()), instances,
+        ((design.outputs[0][0], sources),), module_name=design.name,
     )
 
 
-def _instantiate_carry(design, library, options):
-    inputs, outputs = _signature(design)
+def _carry_chain(design, library, options):
+    inputs, outputs = design.inputs, tuple(design.output_widths.items())
     sem, desc = _descriptor_cell(
         library, TemplateKind.CARRY_CHAIN, options, {"sum", "cout", "cin", "operands"}
     )
     sum_port, cout_port, cin_port = desc["sum"], desc["cout"], desc["cin"]
-    op_ports = tuple(desc["operands"])
 
     if len(inputs) not in (2, 3) or inputs[0][1] != inputs[1][1]:
         raise SignatureMismatch("carry_chain needs two equal-width operand inputs")
     n = inputs[0][1]
-    cin_name = None
+    carry_in = []
     if len(inputs) == 3:
         if inputs[2][1] != 1:
             raise SignatureMismatch("a carry-in input must be 1 bit wide")
-        cin_name = inputs[2][0]
+        carry_in = [SignalBit(inputs[2][0])]
     if not outputs or outputs[0][1] != n or len(outputs) > 2:
         raise SignatureMismatch("carry_chain needs an n-bit sum output first, optional 1-bit carry-out")
-    sum_name = outputs[0][0]
-    cout_name = None
-    if len(outputs) == 2:
-        if outputs[1][1] != 1:
-            raise SignatureMismatch("a carry-out output must be 1 bit wide")
-        cout_name = outputs[1][0]
+    if len(outputs) == 2 and outputs[1][1] != 1:
+        raise SignatureMismatch("a carry-out output must be 1 bit wide")
 
     instances = []
     net_names = []
     for i in range(n):
         name = f"inst_{i}"
-        pins = []
-        for port, operand in zip(op_ports, (inputs[0][0], inputs[1][0])):
-            if options.pin_mode == "pinned":
-                pins.append((port, (SignalBit(operand, i),)))
-            else:
-                candidates = (
-                    SignalBit(inputs[0][0], i),
-                    SignalBit(inputs[1][0], i),
-                    ConstBit(0),
-                    ConstBit(1),
-                )
-                pins.append((port, (BindingHole(f"{name}.{port}.sel", candidates),)))
+        operands = [SignalBit(inputs[0][0], i), SignalBit(inputs[1][0], i)]
+        pins = _bind(name, sem.name, desc["operands"][:2], operands, options)
         if i == 0:
-            if options.pin_mode == "pinned":
-                cin_src = SignalBit(cin_name, 0) if cin_name else ConstBit(0)
-                pins.append((cin_port, (cin_src,)))
-            else:
-                candidates = (ConstBit(0), ConstBit(1))
-                if cin_name:
-                    candidates = (SignalBit(cin_name, 0),) + candidates
-                pins.append((cin_port, (BindingHole(f"{name}.{cin_port}.sel", candidates),)))
+            pins += _bind(name, sem.name, [cin_port], carry_in, options)
         else:
-            pins.append((cin_port, (NetBit(f"inst_{i - 1}", cout_port, 0),)))
+            pins.append((cin_port, (NetBit(f"inst_{i - 1}", cout_port),)))
             net_names.append(((f"inst_{i - 1}", cout_port), f"c{i - 1}"))
-        instances.append(
-            SketchInstance(
-                name,
-                sem.name,
-                _param_holes(name, sem),
-                tuple(pins),
-                tuple((p, e.width) for p, e in sem.outputs),
-            )
-        )
+        instances.append(_instance(name, sem, pins))
 
-    output_map = [(sum_name, tuple(NetBit(f"inst_{i}", sum_port, 0) for i in range(n)))]
-    if cout_name:
-        output_map.append((cout_name, (NetBit(f"inst_{n - 1}", cout_port, 0),)))
+    output_map = [(outputs[0][0], tuple(NetBit(f"inst_{i}", sum_port) for i in range(n)))]
+    if len(outputs) == 2:
+        output_map.append((outputs[1][0], (NetBit(f"inst_{n - 1}", cout_port),)))
     return Sketch(
         inputs, outputs, tuple(instances), tuple(output_map), tuple(net_names),
         module_name=design.name,
     )
 
 
-def _instantiate_multiplier(design, library, options):
-    inputs, outputs = _signature(design)
+def _multiplier(design, library, options):
+    inputs, outputs = design.inputs, tuple(design.output_widths.items())
     sem, desc = _descriptor_cell(
         library, TemplateKind.MULTIPLIER, options, {"operands", "product"}
     )
-    op_ports = tuple(desc["operands"])
     product_port = desc["product"]
     if len(inputs) != 2:
         raise SignatureMismatch("multiplier needs exactly two operand inputs")
     if len(outputs) != 1:
         raise SignatureMismatch("multiplier needs exactly one product output")
     in_widths = dict(sem.inputs)
-    out_widths = dict((p, e.width) for p, e in sem.outputs)
     pins = []
-    for port, (op_name, op_width) in zip(op_ports, inputs):
+    for port, (op_name, op_width) in zip(desc["operands"], inputs):
         bus = in_widths[port]
         if op_width > bus:
             raise SignatureMismatch(f"operand '{op_name}' ({op_width} bits) exceeds pin {port} ({bus} bits)")
@@ -416,21 +332,31 @@ def _instantiate_multiplier(design, library, options):
         )
         pins.append((port, bindings))
     out_name, out_width = outputs[0]
-    if out_width > out_widths[product_port]:
+    product_width = sem.output_widths[product_port]
+    if out_width > product_width:
         raise SignatureMismatch(
-            f"output '{out_name}' ({out_width} bits) exceeds product bus ({out_widths[product_port]} bits)"
+            f"output '{out_name}' ({out_width} bits) exceeds product bus ({product_width} bits)"
         )
-    inst = SketchInstance(
-        "inst_0",
-        sem.name,
-        _param_holes("inst_0", sem),
-        tuple(pins),
-        tuple((p, e.width) for p, e in sem.outputs),
-    )
     sources = tuple(NetBit("inst_0", product_port, b) for b in range(out_width))
     return Sketch(
-        inputs, outputs, (inst,), ((out_name, sources),), module_name=design.name,
+        inputs, outputs, (_instance("inst_0", sem, pins),), ((out_name, sources),),
+        module_name=design.name,
     )
+
+
+_BUILDERS = {
+    TemplateKind.LUT_SINGLE: _lut_single,
+    TemplateKind.BITWISE_PER_BIT: _bitwise,
+    TemplateKind.CARRY_CHAIN: _carry_chain,
+    TemplateKind.MULTIPLIER: _multiplier,
+}
+
+
+def instantiate(kind, design, library, options=None):
+    """Build a sketch of the given kind for a design signature."""
+    if kind not in _BUILDERS:
+        raise ValueError(f"unknown template kind {kind!r}")
+    return _BUILDERS[kind](design, library, options or TemplateOptions())
 
 
 def sketch_holes(sketch):

@@ -98,6 +98,7 @@ _UNSUPPORTED_OPS = {
     "<=", ">=", ">", "&&", "||", "===", "!==", "**", "/", "%", "<<<", ">>>", "~^", "^~", "!",
 }
 
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")  # the `id` token below
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r]+)
@@ -362,7 +363,8 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
     def parse_module(self):
         self.expect("kw", "module")
-        name = self.expect("id").text
+        header = self.expect("id")
+        name = header.text
         params = []
         if self.at("op", "#"):
             self.next()
@@ -377,7 +379,9 @@ class _Parser:
                     continue
                 break
             self.expect("op", ")")
-        ports, plain_names = self.parse_port_list()
+        ports, plain = self.parse_port_list()
+        if plain and ports:
+            raise VerilogSyntaxError("mixed ANSI and non-ANSI port list", self.where(header))
         self.expect("op", ";")
         wires = []
         assigns = []
@@ -412,15 +416,15 @@ class _Parser:
                 "trailing input after endmodule", self.where(self.peek())
             )
 
-        if plain_names:
+        if plain:
             # Non-ANSI header: directions come from the body declarations.
-            missing = [n for n in plain_names if n not in body_dirs]
+            missing = [tok for tok in plain if tok.text not in body_dirs]
             if missing:
-                raise UndeclaredIdentifier(missing[0], None)
-            ports = tuple(body_dirs[n] for n in plain_names)
+                raise UndeclaredIdentifier(missing[0].text, self.where(missing[0]))
+            ports = tuple(body_dirs[tok.text] for tok in plain)
         elif body_dirs:
             raise VerilogSyntaxError(
-                "port direction declared both in header and body", None
+                "port direction declared both in header and body", self.where(header)
             )
 
         ast = VerilogModuleAst(
@@ -436,7 +440,7 @@ class _Parser:
         return ast
 
     def parse_port_list(self):
-        """Returns (ANSI port decls, plain name list for non-ANSI headers)."""
+        """Returns (ANSI port decls, plain name tokens for non-ANSI headers)."""
         self.expect("op", "(")
         ports = []
         plain = []
@@ -452,11 +456,11 @@ class _Parser:
                 name = self.expect("id").text
                 ports.append(PortDecl(name, direction, width))
             elif self.at("id"):
-                name = self.next().text
+                tok = self.next()
                 if direction is None:
-                    plain.append(name)
+                    plain.append(tok)
                 else:
-                    ports.append(PortDecl(name, direction, width))
+                    ports.append(PortDecl(tok.text, direction, width))
             else:
                 tok = self.peek()
                 raise VerilogSyntaxError(f"bad port declaration at {tok.text!r}", self.where(tok))
@@ -465,8 +469,6 @@ class _Parser:
                 continue
             self.expect("op", ")")
             break
-        if plain and ports:
-            raise VerilogSyntaxError("mixed ANSI and non-ANSI port list", None)
         return ports, plain
 
     def parse_opt_range(self):
@@ -1103,6 +1105,15 @@ def _decimal(obj, key, where):
         return int(raw, 10)
     except ValueError:
         raise ParseError(f"{key} {raw!r} is not a decimal string", where) from None
+
+
+def check_identifiers(design, where=None):
+    """Raise ParseError at `where` unless the design's module and port
+    names are Verilog identifiers, so that a printed netlist re-imports."""
+    ports = [name for name, _ in design.inputs] + [name for name, _ in design.outputs]
+    for kind, name in [("module", design.name)] + [("port", name) for name in ports]:
+        if not _IDENTIFIER_RE.fullmatch(name) or name in _KEYWORDS | _UNSUPPORTED_KEYWORDS:
+            raise ParseError(f"{kind} name {name!r} is not a Verilog identifier", where)
 
 
 def semantics_to_json(sem):

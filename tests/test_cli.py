@@ -342,3 +342,97 @@ def test_long_wire_chain_elaborates(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 0
     assert capsys.readouterr().out == "y=0x0\n"
+
+
+@pytest.mark.parametrize(
+    "template, source, declaration",
+    [
+        (
+            "carry_chain",
+            "module add2(input [1:0] c0, input [1:0] c1, output [1:0] s);\n"
+            "  assign s = c0 + c1;\nendmodule\n",
+            "  wire c0_1;\n",
+        ),
+        (
+            "multiplier",
+            "module mulp(input [3:0] inst_0_P, input [3:0] b, output [7:0] p);\n"
+            "  assign p = inst_0_P * b;\nendmodule\n",
+            "  wire [15:0] inst_0_P_1;\n",
+        ),
+        (
+            "lut_single",
+            "module andi(input inst_0, input b, output y);\n"
+            "  assign y = inst_0 & b;\nendmodule\n",
+            " inst_0_1 (.A(inst_0), .B(b), .Z(y));\n",
+        ),
+    ],
+    ids=["carry wire", "multiplier wire", "instance"],
+)
+def test_netlist_names_avoid_design_ports(tmp_path, capsys, template, source, declaration):
+    design = tmp_path / "design.v"
+    design.write_text(source)
+    out = tmp_path / "out.v"
+    code = run_cli(
+        "map", "--design", design, "--template", template,
+        "--backend", "brute", "--pin-mode", "pinned", "-o", out,
+    )
+    assert code == 0
+    assert declaration in out.read_text()
+    assert run_cli("verify", "--design", design, "--netlist", out) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+
+
+@pytest.mark.parametrize("field, name", [("input", "wire"), ("module", "2x")])
+def test_map_rejects_design_names_that_do_not_reimport(tmp_path, capsys, field, name):
+    obj = json.loads((DESIGNS / "xor2.json").read_text())
+    if field == "module":
+        obj["name"] = name
+    else:
+        obj["inputs"][0]["name"] = name
+        obj["outputs"][0]["expr"]["args"][0]["name"] = name
+    design = tmp_path / "named.json"
+    design.write_text(json.dumps(obj))
+    out = tmp_path / "out.v"
+    code = run_cli(
+        "map", "--design", design, "--template", "lut_single",
+        "--backend", "brute", "--pin-mode", "pinned", "-o", out,
+    )
+    assert code == 1
+    kind = "module" if field == "module" else "port"
+    assert f"error: {design}: {kind} name '{name}' is not a Verilog identifier" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "source, where, message",
+    [
+        ("module m(a, y); input a; endmodule\n", "1:13", "undeclared identifier 'y'"),
+        (
+            "module m(input a, output y); input a; assign y = a; endmodule\n",
+            "1:8",
+            "port direction declared both in header and body",
+        ),
+        (
+            "module m(a, input b, output y); assign y = b; endmodule\n",
+            "1:8",
+            "mixed ANSI and non-ANSI port list",
+        ),
+    ],
+    ids=["undeclared port", "direction twice", "mixed port list"],
+)
+def test_non_ansi_header_faults_are_located(tmp_path, capsys, source, where, message):
+    path = tmp_path / "m.v"
+    path.write_text(source)
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    assert capsys.readouterr().err == f"error: {path}:{where}: {message}\n"
+
+
+def test_import_of_deep_model_is_located_user_error(tmp_path, capsys):
+    model = tmp_path / "deep.v"
+    model.write_text(
+        "module DEEP(input A, output Z);\n  assign Z = " + " ^ ".join(["A"] * 600) + ";\nendmodule\n"
+    )
+    out = tmp_path / "deep.json"
+    assert run_cli("import", model, "-o", out) == 1
+    assert capsys.readouterr().err == f"error: {model}: expression nested too deeply\n"
+    assert not out.exists()

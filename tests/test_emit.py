@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from techmap import emit, ir, synthesis, verilog
@@ -11,9 +13,12 @@ from techmap.templates import (
     TemplateKind,
     TemplateOptions,
     instantiate,
+    sketch_holes,
 )
 
-from util import MINISMT, adder4_design, and2_design, mul4_design, probe_solver
+from util import (
+    MINISMT, adder4_design, and2_design, majority3_design, mul4_design, probe_solver,
+)
 
 
 def and2_sketch_with_holes(lib):
@@ -163,3 +168,69 @@ def test_solver_mode_equivalence(lib, solver_config):
     assert not report.equivalent
     env = report.counterexample
     assert (env["a"] & env["b"]) != (9 >> (env["a"] + 2 * env["b"])) & 1
+
+
+def _signature_design(name, inputs, outputs):
+    """A design with the given port widths; `resolve` reads only the signature."""
+    return ir.Design(name, inputs, tuple((n, ir.Const(w, 0)) for n, w in outputs))
+
+
+def _carry_design(cin, cout):
+    inputs = (("a", 3), ("b", 3)) + ((("ci", 1),) if cin else ())
+    outputs = (("s", 3),) + ((("co", 1),) if cout else ())
+    return _signature_design("carry3", inputs, outputs)
+
+
+_BITWISE = _signature_design("bw2", (("a", 2), ("b", 2), ("c", 1)), (("y", 2),))
+
+# (template, design, pin mode, hole values that replace the default ones)
+_NETLIST_CASES = {
+    # D's selector (3 bits over 5 candidates) is past its last candidate.
+    "lut_single holes": (TemplateKind.LUT_SINGLE, majority3_design(), "holes", {"inst_0.D.sel": 7}),
+    "lut_single pinned": (TemplateKind.LUT_SINGLE, majority3_design(), "pinned", {}),
+    "bitwise holes": (TemplateKind.BITWISE_PER_BIT, _BITWISE, "holes", {}),
+    "bitwise pinned": (TemplateKind.BITWISE_PER_BIT, _BITWISE, "pinned", {}),
+    "carry holes cin cout": (TemplateKind.CARRY_CHAIN, _carry_design(True, True), "holes", {}),
+    "carry holes cin": (TemplateKind.CARRY_CHAIN, _carry_design(True, False), "holes", {}),
+    "carry holes cout": (TemplateKind.CARRY_CHAIN, _carry_design(False, True), "holes", {}),
+    "carry holes": (TemplateKind.CARRY_CHAIN, _carry_design(False, False), "holes", {}),
+    "carry pinned cin cout": (TemplateKind.CARRY_CHAIN, _carry_design(True, True), "pinned", {}),
+    "carry pinned cin": (TemplateKind.CARRY_CHAIN, _carry_design(True, False), "pinned", {}),
+    "carry pinned cout": (TemplateKind.CARRY_CHAIN, _carry_design(False, True), "pinned", {}),
+    "carry pinned": (TemplateKind.CARRY_CHAIN, _carry_design(False, False), "pinned", {}),
+    "multiplier": (TemplateKind.MULTIPLIER, mul4_design(), "holes", {}),
+}
+
+
+def _pinned_netlist_text(lib, case):
+    kind, design, pin_mode, overrides = _NETLIST_CASES[case]
+    sketch = instantiate(kind, design, lib, TemplateOptions(pin_mode=pin_mode))
+    holes = sketch_holes(sketch)
+    assignment = {name: (5 * k + 3) % (1 << width) for k, (name, width) in enumerate(holes)}
+    assignment.update(overrides)
+    return emit.print_verilog(emit.resolve(sketch, assignment))
+
+
+_NETLIST_PINS = {
+    "lut_single holes": (152, "d217fbd273f5f0d1d4d792a39e3ad71027885661af934845d5c3d1d5d029e81b"),
+    "lut_single pinned": (149, "1fe20d3ef0cf70eadc1d2e8e32b7e09f4331abfcabb78af7738693e1d29bae04"),
+    "bitwise holes": (255, "bd0a88e94647f4e13ddfd3da704eb224792d6795e2aec2387a4c2da953a79134"),
+    "bitwise pinned": (255, "26fe593892d6f58b2f4ca7be63ddc27158fffa0720c7db47d72e3d8caa04d39e"),
+    "carry holes cin cout": (336, "e72248cc1bd320252bc56235392f99f411a0b2ce490f62d590af895a0f46135c"),
+    "carry holes cin": (352, "4d20fb85edfeb163818155e1a08091fe283e993c6a6af1ff49c2b0627f5b6e0e"),
+    "carry holes cout": (324, "62942d905eeb9bd0ffcbc7dfbe7b999b1cfbc69bfe59028ab901b196c5335630"),
+    "carry holes": (340, "d27607bfd7c40b2fc57d4ae6fef0aa6ccdaaec35fef7beb72c62037db3960da7"),
+    "carry pinned cin cout": (334, "b4d096cf108aadb79dfd3c30aea6c0a816c83bb84449672857be3d0edc3ad016"),
+    "carry pinned cin": (350, "c1d5d55f340a5249e9ca3c47cadc460996fec003397f10bdc8a413ab087667e0"),
+    "carry pinned cout": (324, "9105d1379c7a911dee28400cd5cdfffe41d51f51983d630b28b7cdfb6d5cd63c"),
+    "carry pinned": (340, "0498589539f3b3099c4596781e4eebb4af916f6e2e7857c8358ccbca0b7d1765"),
+    "multiplier": (229, "430f637bcf0908319fa3fb0de74d088b44d083c38dc7b6371fc6579a16bc690e"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NETLIST_CASES))
+def test_printed_netlists_are_pinned(lib, case):
+    # Fixed hole values, so no solver runs. The sizes and digests were
+    # recorded before `resolve` decided direct-or-wire from two maps.
+    text = _pinned_netlist_text(lib, case)
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == _NETLIST_PINS[case]

@@ -1,6 +1,7 @@
 """Rules the package source keeps, checked on its syntax tree."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import techmap
@@ -58,3 +59,24 @@ def test_expression_walks_do_not_recurse():
         if isinstance(node, ast.Call) and _callee(node.func) == fn.name
     }
     assert sorted(found - {"ir.py:expr_from_dict", "ir.py:expr_to_dict"}) == []
+
+
+def test_functions_the_benchmark_tracer_wraps_exist():
+    # perfbench/tracing.py wraps techmap functions by name; a renamed one
+    # would only fail a traced benchmark run. Read its lists without
+    # importing it.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    lists = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("SPANNED", "HOT")
+    }
+    assert sorted(lists) == ["HOT", "SPANNED"]
+    missing = [
+        f"{module}.{name}"
+        for module, name, _ in lists["SPANNED"] + lists["HOT"]
+        if not callable(getattr(importlib.import_module(f"techmap.{module}"), name, None))
+    ]
+    assert missing == []

@@ -137,6 +137,25 @@ def test_carry_chain_structure(lib):
     }
 
 
+def test_carry_chain_pinned_mode_binds_operands_and_carry_in(lib):
+    pinned = TemplateOptions(pin_mode="pinned")
+    sketch = instantiate(TemplateKind.CARRY_CHAIN, adder4_design(), lib, pinned)
+    assert [inst.pins for inst in sketch.instances] == [
+        (
+            ("A", (SignalBit("a", i),)),
+            ("B", (SignalBit("b", i),)),
+            ("CIN", (SignalBit("cin", 0) if i == 0 else NetBit(f"inst_{i - 1}", "COUT", 0),)),
+        )
+        for i in range(4)
+    ]
+    assert sketch_holes(sketch) == []
+    no_cin = ir.Design(
+        "add2", (("a", 2), ("b", 2)), (("s", ir.Add(ir.Var("a", 2), ir.Var("b", 2))),)
+    )
+    sketch = instantiate(TemplateKind.CARRY_CHAIN, no_cin, lib, pinned)
+    assert dict(sketch.instances[0].pins)["CIN"] == (ConstBit(0),)
+
+
 def test_carry_chain_free_vars_are_design_inputs(lib):
     design = adder4_design()
     sketch = instantiate(TemplateKind.CARRY_CHAIN, design, lib)
@@ -187,6 +206,27 @@ def test_bitwise_per_bit(lib):
     assert binding.candidates == (
         SignalBit("a", 2), SignalBit("b", 2), ConstBit(0), ConstBit(1)
     )
+
+
+def test_bitwise_per_bit_pinned_mode_binds_that_bit_of_each_input(lib):
+    design = ir.Design(
+        "mix", (("a", 2), ("b", 2), ("c", 1)),
+        (("y", ir.Xor(ir.Var("a", 2), ir.Var("b", 2))),),
+    )
+    sketch = instantiate(
+        TemplateKind.BITWISE_PER_BIT, design, lib, TemplateOptions(pin_mode="pinned")
+    )
+    assert [inst.primitive for inst in sketch.instances] == ["LUT4", "LUT4"]
+    assert sketch.instances[0].pins == (
+        ("A", (SignalBit("a", 0),)), ("B", (SignalBit("b", 0),)),
+        ("C", (SignalBit("c", 0),)), ("D", (ConstBit(0),)),
+    )
+    # `c` is one bit wide, so bit 1 has only two candidates.
+    assert sketch.instances[1].pins == (
+        ("A", (SignalBit("a", 1),)), ("B", (SignalBit("b", 1),)),
+        ("C", (ConstBit(0),)), ("D", (ConstBit(0),)),
+    )
+    assert sketch_holes(sketch) == [("inst_0.INIT", 16), ("inst_1.INIT", 16)]
 
 
 def test_hole_substitution_validates_and_uses_only_inputs(lib):
