@@ -121,8 +121,8 @@ class SolverSpawnError(SolverError):
 
 
 class SolverUnknown(SolverError):
-    def __init__(self):
-        super().__init__("solver returned 'unknown'")
+    def __init__(self, message="solver returned 'unknown'"):
+        super().__init__(message)
 
 
 class SolverProtocolError(SolverError):

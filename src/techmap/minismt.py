@@ -9,9 +9,18 @@ cvc5) are drop-in replacements and preferred when installed.
 Stdin is a stream (`serve`): each top-level form runs as soon as its last
 line has been read, and every response is flushed at once, so one process
 can answer many scripts. `(reset)` starts a fresh solver state between
-them; `synthesis` keeps one process per CEGIS run this way. An input error
-prints `(error "...")` and exits 1, after the commands read before it have
-run. Given a file argument, the whole file is read and parsed first.
+them. An input error prints `(error "...")` and exits 1, after the commands
+read before it have run. Given a file argument, the whole file is read and
+parsed first.
+
+check-sat searches a copy of the blasted formula (`SatSolver.clone`), so
+its answer and model depend only on the declarations and assertions made
+since the last reset, never on an earlier check-sat: after more
+assertions, the next check-sat and get-value print what a fresh process
+would for the same declarations and assertions. `synthesis` relies on
+this to send each CEGIS example to its synth process once. Learnt clauses
+are deliberately not kept from one check-sat to the next: they would
+change the search, and so the models.
 
 Internals: terms are bit-blasted to CNF through an AND/XOR gate layer with
 structural hashing and constant folding, then decided by a small CDCL SAT
@@ -20,9 +29,10 @@ decisions, geometric restarts). Everything is deterministic: the same
 script gives the same decisions, learnt clauses and model, and so the same
 output bytes. The benchmark's `perfbench/golden.json` holds digests of
 netlists built from these models, so a solver change that alters the
-search (a new heuristic, incremental solving, another lowering of a term)
-needs its own benchmark change that regenerates `golden.json`; a change
-that only makes each step cheaper must keep every decision.
+search (a new heuristic, learnt clauses kept between check-sats, another
+lowering of a term) needs its own benchmark change that regenerates
+`golden.json`; a change that only makes each step cheaper must keep every
+decision.
 
 `main` pauses Python's cyclic garbage collector while it runs. Reading,
 blasting and search allocate millions of small tuples and lists, so the
@@ -33,7 +43,8 @@ and reference counting alone frees every state that a `(reset)` drops.
 Supported commands: set-option, set-logic, declare-const, declare-fun
 (zero arity), assert, check-sat, get-value, get-info :all-statistics
 (decisions, conflicts, propagations, variables and clauses, learnt ones
-included, since the last reset), echo, reset, exit. Terms:
+included, of the last check-sat's search since the last reset, else of the
+formula), echo, reset, exit. Terms:
 true/false, not/and/or/xor/=/ite, bvnot/bvneg/bvand/bvor/bvxor/bvadd/
 bvsub/bvmul/bvshl/bvlshr/bvult, concat, (_ extract i j), (_ zero_extend n),
 (_ sign_extend n), #b/#x literals and (_ bvN w).
@@ -44,7 +55,8 @@ get-value answer of any solver with them.
 
 Only the standard library is used, and importing this module stays cheap,
 because a solver process may still be started per query: once per script
-for one-shot callers, and again after every `(error ...)`.
+for one-shot callers, and again after every `(error ...)`. `synthesis`
+starts it with `python -S`, which skips the `site` import.
 """
 
 import gc
@@ -138,6 +150,23 @@ class SatSolver:
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0  # literals implied by unit propagation
+
+    def clone(self):
+        """A copy to search: nothing a search changes is shared with this solver.
+
+        Search reorders clause literals and watch lists, appends learnt
+        clauses, and moves the trail, the assignment, activities and phases.
+        """
+        other = SatSolver.__new__(SatSolver)
+        other.__dict__.update(self.__dict__)
+        other.clauses = [clause[:] for clause in self.clauses]
+        other.watches = {lit: watching[:] for lit, watching in self.watches.items()}
+        for name in (
+            "assign", "level", "reason", "activity", "phase", "queued", "trail", "trail_lim",
+            "heap",
+        ):
+            setattr(other, name, getattr(self, name)[:])
+        return other
 
     def new_var(self):
         self.nvars += 1
@@ -367,14 +396,11 @@ class SatSolver:
     def solve(self):
         """A model (the value of every variable, by index), or None when unsat.
 
-        The solver is left at decision level 0, so that clauses added
-        afterwards meet the level-0 assignment, not the last model.
+        Search changes the solver (see `clone`), so it runs once per
+        solver: `Interpreter` searches a clone for each check-sat.
         """
         if not self.ok:
             return None
-        # Clauses added since an earlier solve may watch literals that level 0
-        # already made false; propagating the level-0 trail again finds them.
-        self.qhead = 0
         self._rebuild_heap()
         conflicts = 0
         restart_limit = 100
@@ -401,9 +427,7 @@ class SatSolver:
             else:
                 var = self.pick_branch()
                 if var is None:
-                    model = list(self.assign)
-                    self.backtrack(0)
-                    return model
+                    return list(self.assign)
                 self.decisions += 1
                 self.trail_lim.append(len(self.trail))
                 self.enqueue(var if self.phase[var] else -var, None)
@@ -558,6 +582,7 @@ class Interpreter:
         self.symbols = {}  # name -> vector
         self.term_cache = {}
         self.last_model = None
+        self.searched = None  # the SatSolver the last check-sat searched
 
     def run(self, forms):
         for form in forms:
@@ -582,14 +607,19 @@ class Interpreter:
             lit = self.bool_term(form[1])
             self.blaster.sat.add_clause([lit])
         elif head == "check-sat":
-            self.last_model = self.blaster.sat.solve()
+            # The blasted formula itself is never searched, so every answer
+            # is the one a fresh process would give for these assertions.
+            # The last search's copy goes before the next one is made.
+            self.searched = None
+            self.searched = self.blaster.sat.clone()
+            self.last_model = self.searched.solve()
             print("sat" if self.last_model is not None else "unsat", file=self.out)
         elif head == "get-value":
             self.get_value(form)
         elif head == "get-info":
             if form[1:] != (":all-statistics",):
                 raise SmtInputError("get-info supports only :all-statistics")
-            sat = self.blaster.sat
+            sat = self.blaster.sat if self.searched is None else self.searched
             print(
                 f"(:decisions {sat.decisions} :conflicts {sat.conflicts}"
                 f" :propagations {sat.propagations} :vars {sat.nvars}"

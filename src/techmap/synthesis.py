@@ -12,13 +12,17 @@ lowest ones.
 A query lowers the design and the sketch, unchanged, under a symbol
 binding: the synth query binds each example's inputs to literals, the
 verify query binds the holes to the candidate's.
-Solver interaction is deliberately primitive: one QF_BV script per query,
-no incremental mode, so any SMT-LIB v2 solver works. A solver is started
-once per script with the script on stdin, except the bundled `minismt`
-(`BUNDLED_SOLVER`): `solve_cegis` keeps one of its processes alive for the
-whole run and sends it every query, separated by `(reset)`, so that the run
-pays for one interpreter start-up instead of one per query. The replies are
-the bytes a fresh process would print.
+Every query is one whole QF_BV script, so any SMT-LIB v2 solver works: a
+solver is started once per script with the script on stdin. The bundled
+`minismt` (`BUNDLED_SOLVER`) is the exception. `solve_cegis` keeps two of
+its processes alive for the whole run, each started with `python -S` at
+its first query: one answers the synth queries and one the verify queries.
+Each synth script is the last one with the new example's assertions added,
+so the synth process is sent only those and the script's closing commands;
+the verify process gets `(reset)` and the whole script. Since `minismt`'s
+check-sat does not depend on an earlier one, the replies are the bytes a
+fresh process would print for each whole script. A query unanswered after
+QUERY_TIMEOUT_S kills its solver and raises SolverUnknown.
 Every question goes through `query`, the one place a solver's answer is
 read: unsat gives None, sat gives the model, read with `minismt`'s
 s-expression reader, and unknown or anything else raises.
@@ -33,6 +37,8 @@ import contextlib
 import os
 import re
 import subprocess
+import select
+import selectors
 import sys
 import time
 from dataclasses import dataclass, field
@@ -171,9 +177,9 @@ class SolverConfig:
         z3:    SolverConfig("z3", ("-in", "-smt2"))
         cvc5:  SolverConfig("cvc5", ("--lang", "smt2"))
         bundled fallback: BUNDLED_SOLVER
-    A config equal to BUNDLED_SOLVER is run as one live process per CEGIS
-    run instead (see `solve_cegis`), and any process of it imports this
-    copy of `techmap`.
+    A config equal to BUNDLED_SOLVER is run as two live processes per
+    CEGIS run instead (see `solve_cegis`), and any process of it imports
+    this copy of `techmap`.
     """
 
     path: str
@@ -263,28 +269,42 @@ def _script(table, unknowns, asserts):
     return "\n".join(lines) + "\n"
 
 
+QUERY_TIMEOUT_S = 600.0  # wall-clock bound on the answer to one query
+
+
+def _timed_out():
+    return SolverUnknown(f"solver gave no answer within {QUERY_TIMEOUT_S:g} s")
+
+
 def run_solver(solver, script):
     """Send one script; returns the solver's stdout text.
 
-    `solver` is a SolverConfig, which gets one fresh process, or the live
-    child that `solve_cegis` opened.
+    `solver` is a SolverConfig, which gets one fresh process, or a live
+    child that `solve_cegis` opened. A solver that has not answered within
+    QUERY_TIMEOUT_S is killed, and SolverUnknown raised.
     """
     if isinstance(solver, _LiveSolver):
         return solver.ask(script)
-    proc = _spawn(subprocess.run, solver, input=script.encode())
+    try:
+        proc = _spawn(subprocess.run, solver, input=script.encode(), timeout=QUERY_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise _timed_out() from None
     return _reply(proc.stdout, proc.returncode, proc.stderr)
 
 
 def _spawn(start, config, **kwargs):
     """Start the solver with `start` (subprocess.run or Popen)."""
+    command = [config.path, *config.args]
     env = None
     if config == BUNDLED_SOLVER:
+        # `-S` skips importing `site`, most of a bare interpreter's start-up;
+        # the child still finds this copy of techmap through PYTHONPATH.
+        command.insert(1, "-S")
         path = (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     try:
         return start(
-            [config.path, *config.args],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs,
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs
         )
     except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
         raise SolverSpawnError(f"cannot run solver '{config.path}': {exc}")
@@ -306,47 +326,52 @@ _REPLY_END = b"techmap-reply-end\n"
 class _LiveSolver:
     """One bundled-solver process that answers a sequence of scripts.
 
-    Every script but the first sent to a process is preceded by `(reset)`
-    and every script is followed by `_ECHO_END`. The reply is every line
-    before the echoed line, or before end of file when the process exits,
-    as `minismt` does after printing `(error ...)`. A process that has
-    exited is started again on the next script.
+    A script's head is its text before `(check-sat)\n`. When the head last
+    sent to the process is a prefix of the new script's head, only the rest
+    of the script is written: `minismt` never changes its formula by
+    searching it, so the process then holds what a fresh one would after
+    reading the new head. Otherwise a running process first gets `(reset)`
+    and the whole script. Every script is followed by `_ECHO_END`. The
+    reply is every line before the echoed line, or before end of file when
+    the process exits, as `minismt` does after printing `(error ...)`. A
+    process that has exited is started again on the next script, and one
+    that has not replied within QUERY_TIMEOUT_S is killed.
     """
 
     def __init__(self, config):
         self.config = config
         self.proc = None
+        self.head = None  # of the last script sent to `proc`
 
     def ask(self, script):
-        data = script.encode()
+        head = script.partition("(check-sat)\n")[0]
         if self.proc is not None and self.proc.poll() is not None:
             self.close()
-        reset = self.proc is not None
-        if not reset:
+        if self.proc is None:
             self.proc = _spawn(subprocess.Popen, self.config, stdin=subprocess.PIPE)
+            sent = script
+        elif head.startswith(self.head):
+            sent = script[len(self.head):]
+        else:
+            sent = "(reset)\n" + script
+        self.head = head
         proc = self.proc
-        try:
-            if reset:
-                proc.stdin.write(b"(reset)\n")
-            proc.stdin.write(data)
-            proc.stdin.write(_ECHO_END)
-            proc.stdin.flush()
-        except BrokenPipeError:
-            pass  # the process has exited; its output is read as run_solver does
-        lines = []
-        for line in iter(proc.stdout.readline, b""):
-            if line == _REPLY_END:
-                # A fresh process would have read its script to the end and
-                # exited 0.
-                return _reply(b"".join(lines), 0, b"")
-            lines.append(line)
+        exchanged = _exchange(proc, sent.encode() + _ECHO_END)
+        if exchanged is None:
+            self.close(kill=True)
+            raise _timed_out()
+        out, answered = exchanged
+        if answered:
+            # A fresh process would have read its script to the end and
+            # exited 0.
+            return _reply(out, 0, b"")
         stderr = proc.stderr.read()
         self.close()
-        return _reply(b"".join(lines), proc.returncode, stderr)
+        return _reply(out, proc.returncode, stderr)
 
     def close(self, kill=False):
         """End the process, if one is running, and wait for it."""
-        proc, self.proc = self.proc, None
+        proc, self.proc, self.head = self.proc, None, None
         if proc is None:
             return
         if kill:
@@ -358,23 +383,62 @@ class _LiveSolver:
         proc.stderr.close()
 
 
+def _exchange(proc, data):
+    """Write `data` to `proc` and read what it prints, within QUERY_TIMEOUT_S.
+
+    Returns (the output before the first `_REPLY_END` line, True), or (all
+    of the output, False) when the process exits first; None once the time
+    is up.
+    """
+    deadline = time.monotonic() + QUERY_TIMEOUT_S
+    pending = memoryview(data)
+    out = b""
+    with selectors.DefaultSelector() as selector:
+        selector.register(proc.stdout, selectors.EVENT_READ)
+        selector.register(proc.stdin, selectors.EVENT_WRITE)
+        while True:
+            ready = selector.select(deadline - time.monotonic())
+            if not ready:
+                return None
+            for key, _ in ready:
+                if key.fileobj is proc.stdout:
+                    chunk = os.read(key.fd, 1 << 16)
+                    if not chunk:
+                        return out, False
+                    out += chunk
+                    if out == _REPLY_END or out.endswith(b"\n" + _REPLY_END):
+                        return out[: -len(_REPLY_END)], True
+                    continue
+                try:
+                    # A pipe that selects as writable takes PIPE_BUF bytes
+                    # without blocking.
+                    pending = pending[os.write(key.fd, pending[:select.PIPE_BUF]):]
+                except BrokenPipeError:
+                    pending = pending[:0]  # the process has exited; its output is still read
+                if not pending:
+                    selector.unregister(proc.stdin)
+
+
 @contextlib.contextmanager
 def _session(config):
-    """A live child for the bundled solver, else the config itself.
+    """Solvers for synth and for verify queries: for the bundled solver two
+    live children, each started at its first query, else the config twice.
 
-    The child is closed on return and killed on any exception, so none
+    The children are closed on return and killed on any exception, so none
     outlives the block.
     """
     if config != BUNDLED_SOLVER:
-        yield config
+        yield config, config
         return
-    live = _LiveSolver(config)
+    live = (_LiveSolver(config), _LiveSolver(config))
     try:
         yield live
     except BaseException:
-        live.close(kill=True)
+        for child in live:
+            child.close(kill=True)
         raise
-    live.close()
+    for child in live:
+        child.close()
 
 
 def query(solver, script, symbols):
@@ -511,9 +575,9 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
     Alternates a SYNTH query (find holes matching the collected example
     envs) with a VERIFY query (find an input refuting the candidate).
     An unsat SYNTH answer is definitive infeasibility, because examples
-    only ever constrain the hole space. With the bundled solver, every
-    query of the run goes to one process, closed on return and killed when
-    the run raises.
+    only ever constrain the hole space. With the bundled solver, the
+    run's synth queries go to one process and its verify queries to
+    another; both are closed on return and killed when the run raises.
     """
     started = time.perf_counter()
     table = symbol_table(problem)
@@ -524,17 +588,17 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
         wall_ms = (time.perf_counter() - started) * 1000.0
         return Solution(dict(assignment), "cegis", SolveStats(iterations, calls, wall_ms))
 
-    with _session(solver) as solver:
+    with _session(solver) as (synth, verify):
         if not problem.holes:
             calls += 1
-            if solver_counterexample(problem, {}, solver) is not None:
+            if solver_counterexample(problem, {}, verify) is not None:
                 raise TemplateInfeasible("sketch (with no holes) differs from the design")
             return finish({}, 0)
 
         examples = initial_examples(problem, seed, init_examples)
         for iteration in range(1, max_iters + 1):
             calls += 1
-            model = query(solver, emit_synth_query(problem, examples), hole_syms)
+            model = query(synth, emit_synth_query(problem, examples), hole_syms)
             if model is None:
                 raise TemplateInfeasible(
                     f"no hole assignment matches {len(examples)} example(s)"
@@ -544,7 +608,7 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
             assignment = {name: model.get(name, 0) for name, _ in problem.holes}
 
             calls += 1
-            cex = solver_counterexample(problem, assignment, solver)
+            cex = solver_counterexample(problem, assignment, verify)
             if cex is None:
                 return finish(assignment, iteration)
             if cex in examples:

@@ -8,6 +8,8 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techmap import ir, semantics, synthesis
 from techmap.minismt import Interpreter, SmtInputError, main, parse_forms, serve, tokenize
@@ -268,6 +270,63 @@ def test_get_info_all_statistics_counts_since_reset():
         run_script("(get-info :version)\n")
 
 
+@st.composite
+def command_streams(draw):
+    """Declarations, assertions and `(check-sat)` queries, one command a line.
+
+    Each assertion relates two random `rand_expr`s over VAR_POOL as they
+    compare under one hidden environment, by `bvult` or `=`, so that every
+    query is sat and most leave the search a choice. The variables an
+    assertion reads are declared just before it. The generator is seeded by
+    a drawn integer, since `rand_expr` takes a `random.Random`.
+    """
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    env = rand_env(rng)
+    table = {name: name for name, _ in VAR_POOL}
+    declared = set()
+    lines = []
+    for _ in range(draw(st.integers(2, 12))):
+        if rng.random() < 0.4:
+            lines.append("(check-sat)")
+            continue
+        width = rng.randint(1, 8)
+        pair = [rand_expr(rng, width, rng.randint(1, 4)) for _ in range(2)]
+        for name, w in sorted(ir.free_symbols(ir.Concat(*pair))[0].items()):
+            if name not in declared:
+                declared.add(name)
+                lines.append(f"(declare-const {name} (_ BitVec {w}))")
+        pair.sort(key=lambda e: semantics.eval_concrete(e, env))
+        low, high = (semantics.eval_concrete(e, env) for e in pair)
+        terms = " ".join(semantics.lower_to_smt(e, table) for e in pair)
+        lines.append(f"(assert ({'=' if low == high else 'bvult'} {terms}))")
+    return lines + ["(check-sat)"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(command_streams())
+def test_check_sat_answers_as_a_fresh_interpreter_would(lines):
+    # Every query is check-sat, then get-value of every declared symbol
+    # after sat; one interpreter answers them all in turn.
+    out = io.StringIO()
+    interp = Interpreter(out)
+    sent = []  # the declarations and assertions so far
+    symbols = []
+    for line in lines:
+        if line != "(check-sat)":
+            interp.command(parse_forms(tokenize(line))[0])
+            sent.append(line)
+            if line.startswith("(declare-const"):
+                symbols.append(line.split()[1])
+            continue
+        start = out.tell()
+        interp.command(("check-sat",))
+        query = [line]
+        if out.getvalue()[start:] == "sat\n" and symbols:
+            query.append(f"(get-value ({' '.join(symbols)}))")
+            interp.command(parse_forms(tokenize(query[-1]))[0])
+        assert out.getvalue()[start:] == run_script("\n".join(sent + query) + "\n")
+
+
 def _lut4_synth_script(lib):
     design = table4_design(0x8EA1)
     problem = synthesis.problem_from_sketch(
@@ -313,7 +372,7 @@ def test_search_is_pinned(lib, build, reply, clauses, digest):
     out = io.StringIO()
     interp = Interpreter(out)
     interp.run(parse_forms(tokenize(build(lib))))
-    sat = interp.blaster.sat
+    sat = interp.searched
     assert out.getvalue() == reply
     assert len(sat.clauses) == clauses
     assert hashlib.sha256(repr(sat.clauses).encode()).hexdigest() == digest

@@ -3,10 +3,12 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from techmap import emit, ir, synthesis, templates
+from techmap import cli, emit, ir, synthesis, templates
+from techmap.library import data_path
 from techmap.semantics import eval_design, eval_many, row_env
 from techmap.errors import (
     BudgetExceeded,
@@ -454,7 +456,7 @@ def test_live_solver_matches_one_shot_queries(monkeypatch, lib, started, build):
 
     monkeypatch.setattr(synthesis, "run_solver", recording)
     live = solve_cegis(problem, BUNDLED_SOLVER)
-    assert len(started) == 1
+    assert len(started) == 2
     assert live.stats.solver_calls == len(replies) > 2
 
     # The same run with a fresh process per query.
@@ -462,12 +464,52 @@ def test_live_solver_matches_one_shot_queries(monkeypatch, lib, started, build):
         synthesis, "run_solver", lambda solver, script: one_shot(BUNDLED_SOLVER, script)
     )
     fresh = solve_cegis(problem, BUNDLED_SOLVER)
-    assert len(started) == 1 + len(replies)
+    assert len(started) == 2 + len(replies)
     assert fresh.assignment == live.assignment
     assert fresh.stats.solver_calls == live.stats.solver_calls
     assert [one_shot(BUNDLED_SOLVER, script) for script, _ in replies] == [
         reply for _, reply in replies
     ]
+
+
+# A bundled-solver child that also appends every line it reads to a file.
+_TEE_CHILD = """
+import sys
+from techmap import minismt
+
+def lines(source, copy):
+    for line in source:
+        copy.write(line)
+        copy.flush()
+        yield line
+
+with open(sys.argv[1], "a", encoding="utf-8") as copy:
+    sys.stdin = lines(sys.stdin, copy)
+    code = minismt.main([])
+sys.exit(code)
+"""
+
+
+def test_each_example_is_written_to_the_synth_child_once(monkeypatch, tmp_path, lib, started):
+    counting = subprocess.Popen
+    copies = []  # of each child's stdin, in start order
+
+    def teeing(command, **kwargs):
+        copies.append(tmp_path / f"stdin-{len(copies)}")
+        return counting([command[0], "-c", _TEE_CHILD, copies[-1]], **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", teeing)
+    problem = _adder4_problem(lib)
+    solution = solve_cegis(problem, BUNDLED_SOLVER)
+    assert solution.stats.iterations > 2
+    text = copies[0].read_text()  # the synth child's
+    asserts = Counter(line for line in text.splitlines() if line.startswith("(assert "))
+    assert set(asserts.values()) == {1}
+    examples = len(initial_examples(problem, 0, 4)) + solution.stats.iterations - 1
+    assert len(asserts) == examples * len(problem.design.outputs)
+    assert "(reset)" not in text
+    assert text.count("(check-sat)") == solution.stats.iterations
+    assert len(started) == 2
 
 
 def _assert_all_reaped(procs):
@@ -523,7 +565,7 @@ def test_live_solver_killed_between_queries_is_replaced(monkeypatch, lib, starte
 
     monkeypatch.setattr(synthesis, "run_solver", kill_after_first)
     got = solve_cegis(problem, BUNDLED_SOLVER)
-    assert len(started) == 2
+    assert len(started) == 3
     assert got.assignment == want.assignment
     assert got.stats.solver_calls == want.stats.solver_calls
     _assert_all_reaped(started)
@@ -544,4 +586,21 @@ def test_other_solvers_get_one_process_per_query(tmp_path, lib, started):
     solution = solve_cegis(problem, config)
     assert solution.assignment == {"inst_0.INIT": 6}
     assert solution.stats.solver_calls == len(started) == 2
+    _assert_all_reaped(started)
+
+
+@pytest.mark.parametrize("live", [False, True], ids=["one-shot", "live"])
+def test_solver_past_the_query_bound_is_killed(monkeypatch, capsys, tmp_path, started, live):
+    # The fake solver never answers; as the bundled solver it is kept alive.
+    config = _fake_solver(tmp_path, "exec sleep 60")
+    if live:
+        monkeypatch.setattr(synthesis, "BUNDLED_SOLVER", config)
+    monkeypatch.setattr(synthesis, "QUERY_TIMEOUT_S", 0.5)
+    code = cli.main([
+        "map", "--design", str(data_path("designs") / "and2.v"), "--template", "lut_single",
+        "--backend", "cegis", "--solver", config.path, "-o", str(tmp_path / "x.v"),
+    ])
+    assert code == 2
+    assert "solver error: solver gave no answer within 0.5 s" in capsys.readouterr().err
+    assert len(started) == 1
     _assert_all_reaped(started)
