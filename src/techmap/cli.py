@@ -24,7 +24,6 @@ from .errors import (
     SignatureMismatch,
     SolverError,
     TechmapError,
-    TooManyInputBits,
 )
 from .templates import TemplateKind, TemplateOptions
 

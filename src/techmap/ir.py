@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import is_not
 
 from .errors import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DuplicatePrimitive, ParseError, ValidationError
-from .verilog import PrimitiveSemantics, semantics_from_dict, semantics_to_json
+from .verilog import semantics_from_dict, semantics_to_json
 
 MANIFEST = "manifest.json"
 

@@ -40,14 +40,25 @@ collector would keep starting full collections that walk the whole growing
 clause database, to find nothing: the solver builds no reference cycles,
 and reference counting alone frees every state that a `(reset)` drops.
 
-Supported commands: set-option, set-logic, declare-const, declare-fun
-(zero arity), assert, check-sat, get-value, get-info :all-statistics
-(decisions, conflicts, propagations, variables and clauses, learnt ones
-included, of the last check-sat's search since the last reset, else of the
-formula), echo, reset, exit. Terms:
-true/false, not/and/or/xor/=/ite, bvnot/bvneg/bvand/bvor/bvxor/bvadd/
-bvsub/bvmul/bvshl/bvlshr/bvult, concat, (_ extract i j), (_ zero_extend n),
-(_ sign_extend n), #b/#x literals and (_ bvN w).
+Commands: set-option, set-logic, declare-const and zero-arity declare-fun
+of a (_ BitVec w) sort, assert, check-sat, get-value, get-info
+:all-statistics (decisions, conflicts, propagations, variables and clauses,
+learnt ones included, of the last check-sat's search since the last reset,
+else of the formula), echo of one string, reset and exit.
+
+Terms are checked against one table, `_OPS`, before they are blasted: it
+gives each operator its operand sort, its arity (n+ is n or more, folded
+from the left) and whether bitvector operands share a width.
+- Boolean: not (1); and, or, xor (1+); = (2 of one sort, either); ite (a
+  Boolean, then 2 of one sort).
+- Bitvector: bvnot, bvneg (1); concat (1+); of one width, bvand, bvor,
+  bvxor, bvadd, bvsub, bvmul (1+) and bvshl, bvlshr, bvult (2); indexed,
+  (_ extract i j) for i >= j, (_ zero_extend n) and (_ sign_extend n) (1).
+- Constants: true, false, and the literals `literal` reads, as does
+  `synthesis.parse_model`: `#b` and binary digits, one bit each, `#x` and
+  hex digits, four bits each, and (_ bvN w) for N < 2^w.
+Every index, width and N is a numeral (`numeral`), decimal digits only. A
+malformed command or term, as any other input error, prints `(error ...)`.
 
 `tokenize` and `read_form` are the package's one s-expression reader: the
 interpreter reads scripts with them, and `synthesis.parse_model` reads the
@@ -178,10 +189,6 @@ class SatSolver:
         self.queued.append(False)
         return self.nvars
 
-    def value(self, lit):
-        v = self.assign[lit if lit > 0 else -lit]
-        return v if lit > 0 else -v
-
     def add_clause(self, lits):
         if not self.ok:
             return
@@ -211,12 +218,10 @@ class SatSolver:
         return idx
 
     def enqueue(self, lit, reason):
-        val = self.value(lit)
-        if val == 1:
-            return True
-        if val == -1:
-            return False
         var = lit if lit > 0 else -lit
+        val = self.assign[var] if lit > 0 else -self.assign[var]
+        if val:
+            return val == 1
         self.assign[var] = 1 if lit > 0 else -1
         self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
@@ -447,9 +452,6 @@ class Blaster:
         self.and_cache = {}
         self.xor_cache = {}
 
-    def fresh(self):
-        return self.sat.new_var()
-
     def lit_and(self, a, b):
         if a == -TRUE or b == -TRUE:
             return -TRUE
@@ -464,7 +466,7 @@ class Blaster:
         key = (a, b) if a < b else (b, a)
         out = self.and_cache.get(key)
         if out is None:
-            out = self.fresh()
+            out = self.sat.new_var()
             # Gate clauses have distinct, non-complementary literals by
             # construction, so they skip add_clause's checks.
             if self.sat.ok:
@@ -495,7 +497,7 @@ class Blaster:
         key = (a, b) if a < b else (b, a)
         out = self.xor_cache.get(key)
         if out is None:
-            out = self.fresh()
+            out = self.sat.new_var()
             if self.sat.ok:
                 attach = self.sat._attach
                 attach([-out, a, b])
@@ -565,11 +567,96 @@ class Blaster:
 
 
 # ---------------------------------------------------------------------------
+# Terms
+
+_DIGITS = {"#b": (re.compile(r"[01]+"), 2, 1), "#x": (re.compile(r"[0-9a-fA-F]+"), 16, 4)}
+
+
+def numeral(text):
+    """The value of an SMT-LIB numeral (ASCII digits), as every index and width is written."""
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than `int` reads
+            pass
+    raise SmtInputError(f"bad numeral {text!r}")
+
+
+def literal(form):
+    """The (value, width) of a bitvector literal, by the rules in the module docstring.
+
+    None if `form` is not shaped as a literal; SmtInputError if it is but breaks a rule.
+    """
+    if isinstance(form, str):
+        syntax = _DIGITS.get(form[:2])
+        if syntax is None:
+            return None
+        digits, base, bits = syntax
+        if not digits.fullmatch(form, 2):
+            raise SmtInputError(f"bad literal {form!r}")
+        return int(form[2:], base), bits * (len(form) - 2)
+    if len(form) == 3 and form[0] == "_" and isinstance(form[1], str) and form[1][:2] == "bv":
+        value, width = numeral(form[1][2:]), numeral(form[2])
+        if width < 1 or value >> width:
+            raise SmtInputError(f"bad literal {form!r}: the value must fit a width >= 1")
+        return value, width
+    return None
+
+
+# A blasted term is one SAT literal (an int) when Boolean and an LSB-first
+# list of them when a bitvector; an operand sort is one of these types.
+BOOL, BV, ANY = int, list, None
+
+
+def _equal(bl, a, b):
+    return -bl.lit_xor(a, b) if a.__class__ is BOOL else bl.bv_eq(a, b)
+
+
+def _ite(bl, cond, a, b):
+    if a.__class__ is BOOL:
+        return bl.lit_mux(cond, a, b)
+    return [bl.lit_mux(cond, x, y) for x, y in zip(a, b)]
+
+
+def _extract(bl, a, hi, lo):
+    if not lo <= hi < len(a):
+        raise SmtInputError(f"extract [{hi}:{lo}] out of range of a {len(a)}-bit operand")
+    return a[lo:hi + 1]
+
+
+# operator: (operand sort, arity, bitvector operands share a width,
+#            blast(blaster, *operands, *indices))
+# An arity of None is one or more operands, each blasted with the ones before
+# as soon as it is read. ANY: the last two operands share a sort, and ite's
+# condition before them is Boolean. An indexed operator `(_ name i ...)` is
+# keyed by its name and number of indices.
+_OPS = {
+    "not": (BOOL, 1, False, lambda bl, a: -a),
+    "and": (BOOL, None, False, Blaster.lit_and),
+    "or": (BOOL, None, False, Blaster.lit_or),
+    "xor": (BOOL, None, False, Blaster.lit_xor),
+    "=": (ANY, 2, True, _equal),
+    "ite": (ANY, 3, True, _ite),
+    "bvnot": (BV, 1, False, lambda bl, a: [-lit for lit in a]),
+    "bvneg": (BV, 1, False, lambda bl, a: bl.bv_add([-x for x in a], [-TRUE] * len(a), TRUE)[0]),
+    "bvand": (BV, None, True, lambda bl, a, b: list(map(bl.lit_and, a, b))),
+    "bvor": (BV, None, True, lambda bl, a, b: list(map(bl.lit_or, a, b))),
+    "bvxor": (BV, None, True, lambda bl, a, b: list(map(bl.lit_xor, a, b))),
+    "bvadd": (BV, None, True, lambda bl, a, b: bl.bv_add(a, b)[0]),
+    "bvsub": (BV, None, True, lambda bl, a, b: bl.bv_add(a, [-lit for lit in b], carry=TRUE)[0]),
+    "bvmul": (BV, None, True, Blaster.bv_mul),
+    "bvshl": (BV, 2, True, lambda bl, a, b: bl.bv_shift(a, b, left=True)),
+    "bvlshr": (BV, 2, True, lambda bl, a, b: bl.bv_shift(a, b, left=False)),
+    "bvult": (BV, 2, True, Blaster.bv_ult),
+    "concat": (BV, None, False, lambda bl, hi, lo: lo + hi),
+    ("extract", 2): (BV, 1, False, _extract),
+    ("zero_extend", 1): (BV, 1, False, lambda bl, a, n: a + [-TRUE] * n),
+    ("sign_extend", 1): (BV, 1, False, lambda bl, a, n: a + [a[-1]] * n),
+}
+
+
+# ---------------------------------------------------------------------------
 # Script interpretation
-
-
-def _is_int(text):
-    return text.isdigit()
 
 
 class Interpreter:
@@ -580,7 +667,7 @@ class Interpreter:
     def reset(self):
         self.blaster = Blaster()
         self.symbols = {}  # name -> vector
-        self.term_cache = {}
+        self.term_cache = {"true": TRUE, "false": -TRUE}  # term -> its blasted value
         self.last_model = None
         self.searched = None  # the SatSolver the last check-sat searched
 
@@ -598,13 +685,17 @@ class Interpreter:
         if head in ("set-option", "set-logic", "set-info"):
             pass
         elif head == "echo":
-            print(form[1].strip('"') if len(form) > 1 else "", file=self.out)
+            if len(form) != 2 or not isinstance(form[1], str):
+                raise SmtInputError("echo takes one string")
+            print(form[1].strip('"'), file=self.out)
         elif head in ("declare-const", "declare-fun"):
             self.declare(form)
         elif head == "assert":
             if len(form) != 2:
                 raise SmtInputError("assert takes one term")
-            lit = self.bool_term(form[1])
+            lit = self.term(form[1])
+            if lit.__class__ is not BOOL:
+                raise SmtInputError(f"assert takes a Boolean term, not {form[1]!r}")
             self.blaster.sat.add_clause([lit])
         elif head == "check-sat":
             # The blasted formula itself is never searched, so every answer
@@ -635,22 +726,22 @@ class Interpreter:
         return True
 
     def declare(self, form):
-        if form[0] == "declare-fun":
-            if len(form) != 4 or form[2] != ():
-                raise SmtInputError("only zero-arity declare-fun is supported")
-            name, sort = form[1], form[3]
-        else:
-            if len(form) != 3:
-                raise SmtInputError("declare-const takes a name and a sort")
-            name, sort = form[1], form[2]
+        if form[0] == "declare-fun" and (len(form) != 4 or form[2] != ()):
+            raise SmtInputError("only zero-arity declare-fun is supported")
+        if form[0] == "declare-const" and len(form) != 3:
+            raise SmtInputError("declare-const takes a name and a sort")
+        name, sort = form[1], form[-1]
+        if not isinstance(name, str):
+            raise SmtInputError(f"bad symbol {name!r}")
         if not (isinstance(sort, tuple) and len(sort) == 3 and sort[:2] == ("_", "BitVec")):
             raise SmtInputError(f"unsupported sort {sort!r}")
-        width = int(sort[2])
+        width = numeral(sort[2])
         if width < 1:
             raise SmtInputError("BitVec width must be >= 1")
         if name in self.symbols:
             raise SmtInputError(f"symbol {name!r} redeclared")
-        self.symbols[name] = [self.blaster.fresh() for _ in range(width)]
+        self.symbols[name] = [self.blaster.sat.new_var() for _ in range(width)]
+        self.last_model = None  # it has no value for the new symbol
 
     def get_value(self, form):
         if self.last_model is None:
@@ -663,155 +754,69 @@ class Interpreter:
             vec = self.symbols.get(sym)
             if vec is None:
                 raise SmtInputError(f"unknown symbol {sym!r} in get-value")
-            bits = ""
-            for lit in reversed(vec):
-                var = lit if lit > 0 else -lit
-                val = model[var]
-                if lit < 0:
-                    val = -val
-                bits += "1" if val == 1 else "0"
+            # A symbol's bits are variables of their own, so positive literals.
+            bits = "".join("1" if model[lit] == 1 else "0" for lit in reversed(vec))
             name = sym if _SIMPLE_SYMBOL.fullmatch(sym) else f"|{sym}|"
             parts.append(f"({name} #b{bits})")
         print("(" + " ".join(parts) + ")", file=self.out)
 
     # -- terms ---------------------------------------------------------------
-    def bool_term(self, term):
-        value = self.term(term)
-        if not isinstance(value, int):
-            raise SmtInputError(f"expected a boolean term, got a bitvector: {term!r}")
-        return value
-
-    def bv_term(self, term):
-        value = self.term(term)
-        if isinstance(value, int):
-            raise SmtInputError(f"expected a bitvector term, got a boolean: {term!r}")
-        return value
-
     def term(self, term):
-        key = term
-        cached = self.term_cache.get(key)
-        if cached is not None:
-            return cached
-        value = self._term(term)
-        self.term_cache[key] = value
+        value = self.term_cache.get(term)
+        if value is None:
+            value = self.term_cache[term] = self._term(term)
         return value
 
     def _term(self, term):
+        """Blast `term`, checked against `_OPS`; `term_cache` holds `true` and `false`."""
         bl = self.blaster
-        if isinstance(term, str):
-            if term == "true":
-                return TRUE
-            if term == "false":
-                return -TRUE
-            if term.startswith("#b"):
-                digits = term[2:]
-                if not digits or any(c not in "01" for c in digits):
-                    raise SmtInputError(f"bad binary literal {term!r}")
-                return bl.bv_const(int(digits, 2), len(digits))
-            if term.startswith("#x"):
-                digits = term[2:]
-                try:
-                    value = int(digits, 16)
-                except ValueError:
-                    raise SmtInputError(f"bad hex literal {term!r}")
-                return bl.bv_const(value, 4 * len(digits))
+        if term.__class__ is str or term and term[0] == "_":
+            read = literal(term)
+            if read is not None:
+                return bl.bv_const(*read)
             vec = self.symbols.get(term)
             if vec is None:
-                raise SmtInputError(f"unknown symbol {term!r}")
+                raise SmtInputError(f"unknown symbol or constant {term!r}")
             return vec
         if not term:
             raise SmtInputError("empty term")
         head = term[0]
-        if head == "_":
-            if len(term) == 3 and term[1].startswith("bv") and _is_int(term[1][2:]):
-                return bl.bv_const(int(term[1][2:]), int(term[2]))
-            raise SmtInputError(f"unsupported indexed constant {term!r}")
-        if isinstance(head, tuple) and head and head[0] == "_":
-            op = head[1]
-            arg = self.bv_term(term[1])
-            if op == "extract":
-                hi, lo = int(head[2]), int(head[3])
-                if not 0 <= lo <= hi < len(arg):
-                    raise SmtInputError(f"extract [{hi}:{lo}] out of range")
-                return arg[lo:hi + 1]
-            if op == "zero_extend":
-                return arg + [-TRUE] * int(head[2])
-            if op == "sign_extend":
-                return arg + [arg[-1]] * int(head[2])
-            raise SmtInputError(f"unsupported indexed op {op!r}")
-        args = term[1:]
-        if head == "not":
-            return -self.bool_term(args[0])
-        if head in ("and", "or", "xor"):
-            fold = {"and": bl.lit_and, "or": bl.lit_or, "xor": bl.lit_xor}[head]
-            acc = self.bool_term(args[0])
-            for a in args[1:]:
-                acc = fold(acc, self.bool_term(a))
+        entry = _OPS.get(head)
+        indices = ()
+        if entry is None and head.__class__ is tuple and len(head) > 1 and head[0] == "_":
+            entry = _OPS.get((head[1], len(head) - 2))
+            indices = [*map(numeral, head[2:])]
+        if entry is None:
+            raise SmtInputError(f"unsupported operator {head!r}")
+        sort, arity, same_width, blast = entry
+        operands = term[1:]
+        if len(operands) != arity and (arity or not operands):
+            raise SmtInputError(f"{head!r} takes {arity or '1+'} operand(s), not {len(operands)}")
+        if arity is None:
+            acc = None
+            for operand in operands:
+                value = self.term(operand)
+                if value.__class__ is not sort:
+                    raise SmtInputError(f"an operand of the wrong sort in {term!r}")
+                if same_width and acc is not None and len(value) != len(acc):
+                    raise SmtInputError(f"width mismatch ({len(acc)} vs {len(value)}) in {term!r}")
+                acc = value if acc is None else blast(bl, acc, value)
             return acc
-        if head == "=":
-            lhs = self.term(args[0])
-            rhs = self.term(args[1])
-            if isinstance(lhs, int) != isinstance(rhs, int):
-                raise SmtInputError("= over mixed sorts")
-            if isinstance(lhs, int):
-                return -bl.lit_xor(lhs, rhs)
-            self._same_width(lhs, rhs, term)
-            return bl.bv_eq(lhs, rhs)
-        if head == "ite":
-            cond = self.bool_term(args[0])
-            a = self.term(args[1])
-            b = self.term(args[2])
-            if isinstance(a, int) != isinstance(b, int):
-                raise SmtInputError("ite branches of mixed sorts")
-            if isinstance(a, int):
-                return bl.lit_mux(cond, a, b)
-            self._same_width(a, b, term)
-            return [bl.lit_mux(cond, x, y) for x, y in zip(a, b)]
-        if head == "bvult":
-            a, b = self.bv_term(args[0]), self.bv_term(args[1])
-            self._same_width(a, b, term)
-            return bl.bv_ult(a, b)
-        if head == "bvnot":
-            return [-lit for lit in self.bv_term(args[0])]
-        if head == "bvneg":
-            arg = self.bv_term(args[0])
-            out, _ = bl.bv_add([-lit for lit in arg], bl.bv_const(0, len(arg)), carry=TRUE)
-            return out
-        if head in ("bvand", "bvor", "bvxor"):
-            fold = {"bvand": bl.lit_and, "bvor": bl.lit_or, "bvxor": bl.lit_xor}[head]
-            acc = self.bv_term(args[0])
-            for a in args[1:]:
-                other = self.bv_term(a)
-                self._same_width(acc, other, term)
-                acc = [fold(x, y) for x, y in zip(acc, other)]
-            return acc
-        if head in ("bvadd", "bvsub", "bvmul"):
-            acc = self.bv_term(args[0])
-            for a in args[1:]:
-                other = self.bv_term(a)
-                self._same_width(acc, other, term)
-                if head == "bvadd":
-                    acc, _ = bl.bv_add(acc, other)
-                elif head == "bvsub":
-                    acc, _ = bl.bv_add(acc, [-lit for lit in other], carry=TRUE)
-                else:
-                    acc = bl.bv_mul(acc, other)
-            return acc
-        if head in ("bvshl", "bvlshr"):
-            a, b = self.bv_term(args[0]), self.bv_term(args[1])
-            self._same_width(a, b, term)
-            return bl.bv_shift(a, b, left=(head == "bvshl"))
-        if head == "concat":
-            acc = self.bv_term(args[0])
-            for a in args[1:]:
-                acc = self.bv_term(a) + acc
-            return acc
-        raise SmtInputError(f"unsupported operator {head!r}")
-
-    @staticmethod
-    def _same_width(a, b, term):
-        if len(a) != len(b):
-            raise SmtInputError(f"width mismatch ({len(a)} vs {len(b)}) in {term!r}")
+        values = [*map(self.term, operands)]
+        if sort is ANY:
+            sort = values[-1].__class__
+            wrong = values[-2].__class__ is not sort or (
+                arity > 2 and values[0].__class__ is not BOOL
+            )
+        else:
+            wrong = any(value.__class__ is not sort for value in values)
+        if wrong:
+            raise SmtInputError(f"an operand of the wrong sort in {term!r}")
+        if same_width and sort is BV and len(values[-2]) != len(values[-1]):
+            raise SmtInputError(
+                f"width mismatch ({len(values[-2])} vs {len(values[-1])}) in {term!r}"
+            )
+        return blast(bl, *values, *indices)
 
 
 def serve(lines, out):

@@ -41,7 +41,7 @@ import select
 import selectors
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ir, minismt, semantics, templates
 from .errors import (
@@ -360,14 +360,13 @@ class _LiveSolver:
         if exchanged is None:
             self.close(kill=True)
             raise _timed_out()
-        out, answered = exchanged
-        if answered:
-            # A fresh process would have read its script to the end and
-            # exited 0.
-            return _reply(out, 0, b"")
-        stderr = proc.stderr.read()
-        self.close()
-        return _reply(out, proc.returncode, stderr)
+        out, err, answered = exchanged
+        if not answered:
+            err += proc.stderr.read()
+            self.close()
+        # Had it answered, a fresh process would have read its script to the
+        # end and exited 0.
+        return _reply(out, 0 if answered else proc.returncode, err)
 
     def close(self, kill=False):
         """End the process, if one is running, and wait for it."""
@@ -386,37 +385,44 @@ class _LiveSolver:
 def _exchange(proc, data):
     """Write `data` to `proc` and read what it prints, within QUERY_TIMEOUT_S.
 
-    Returns (the output before the first `_REPLY_END` line, True), or (all
-    of the output, False) when the process exits first; None once the time
-    is up.
+    Returns (the output before the first `_REPLY_END` line, stderr, True),
+    or (all of the output, stderr so far, False) when the process exits
+    first; None once the time is up. Stderr is read as it comes, so a child
+    that fills its pipe is never left blocked.
     """
     deadline = time.monotonic() + QUERY_TIMEOUT_S
     pending = memoryview(data)
-    out = b""
+    out = err = b""
     with selectors.DefaultSelector() as selector:
         selector.register(proc.stdout, selectors.EVENT_READ)
+        selector.register(proc.stderr, selectors.EVENT_READ)
         selector.register(proc.stdin, selectors.EVENT_WRITE)
         while True:
             ready = selector.select(deadline - time.monotonic())
             if not ready:
                 return None
             for key, _ in ready:
-                if key.fileobj is proc.stdout:
-                    chunk = os.read(key.fd, 1 << 16)
+                if key.fileobj is proc.stdin:
+                    try:
+                        # A pipe that selects as writable takes PIPE_BUF
+                        # bytes without blocking.
+                        pending = pending[os.write(key.fd, pending[:select.PIPE_BUF]):]
+                    except BrokenPipeError:
+                        pending = pending[:0]  # the process has exited; its output is still read
+                    if not pending:
+                        selector.unregister(proc.stdin)
+                    continue
+                chunk = os.read(key.fd, 1 << 16)
+                if key.fileobj is proc.stderr:
+                    err += chunk
                     if not chunk:
-                        return out, False
+                        selector.unregister(proc.stderr)
+                elif not chunk:
+                    return out, err, False
+                else:
                     out += chunk
                     if out == _REPLY_END or out.endswith(b"\n" + _REPLY_END):
-                        return out[: -len(_REPLY_END)], True
-                    continue
-                try:
-                    # A pipe that selects as writable takes PIPE_BUF bytes
-                    # without blocking.
-                    pending = pending[os.write(key.fd, pending[:select.PIPE_BUF]):]
-                except BrokenPipeError:
-                    pending = pending[:0]  # the process has exited; its output is still read
-                if not pending:
-                    selector.unregister(proc.stdin)
+                        return out[: -len(_REPLY_END)], err, True
 
 
 @contextlib.contextmanager
@@ -497,30 +503,16 @@ def parse_model(stdout, expected):
 
 
 def _parse_value(val, width, transcript):
-    if isinstance(val, str) and val.startswith("#b"):
-        digits = val[2:]
-        if not re.fullmatch(r"[01]+", digits) or len(digits) != width:
-            raise SolverProtocolError(f"bad binary value {val!r} for width {width}", transcript)
-        return int(digits, 2)
-    if isinstance(val, str) and val.startswith("#x"):
-        digits = val[2:]
-        if not re.fullmatch(r"[0-9a-fA-F]+", digits) or len(digits) != (width + 3) // 4:
-            raise SolverProtocolError(f"bad hex value {val!r} for width {width}", transcript)
-        value = int(digits, 16)
-        if value >= 1 << width:
-            raise SolverProtocolError(f"value {val!r} exceeds width {width}", transcript)
-        return value
-    if (
-        isinstance(val, tuple) and len(val) == 3 and all(isinstance(v, str) for v in val)
-        and val[0] == "_" and val[1].startswith("bv")
+    """A `width`-bit value: a literal of that width, or `#x` with ceil(width / 4) digits."""
+    try:
+        value, size = minismt.literal(val) or (None, None)
+    except minismt.SmtInputError:
+        value = None
+    if value is None or value >> width or (
+        size != width and not (isinstance(val, str) and val[:2] == "#x" and size - 4 < width < size)
     ):
-        if not val[1][2:].isdigit() or not val[2].isdigit() or int(val[2]) != width:
-            raise SolverProtocolError(f"bad value {val!r} for width {width}", transcript)
-        value = int(val[1][2:])
-        if value >= 1 << width:
-            raise SolverProtocolError(f"value {val!r} exceeds width {width}", transcript)
-        return value
-    raise SolverProtocolError(f"unrecognized value form {val!r}", transcript)
+        raise SolverProtocolError(f"bad value {val!r} for width {width}", transcript)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ since roles cannot be inferred from port names alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import ir
 from .errors import NoCompatiblePrimitive, SignatureMismatch, ValidationError

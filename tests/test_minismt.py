@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import io
@@ -6,6 +7,7 @@ import select
 import subprocess
 import sys
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,21 @@ def test_errors():
         run_script("(get-value (a))\n")
     with pytest.raises(SmtInputError):
         run_script("(declare-const a Bool)\n")
+    with pytest.raises(SmtInputError):
+        run_script("(declare-const a (_ BitVec q))\n")
+    with pytest.raises(SmtInputError):
+        run_script("(assert (not))\n")
+    with pytest.raises(SmtInputError):
+        run_script("(echo (x))\n")
+    with pytest.raises(SmtInputError):  # the last model has no value for `a`
+        run_script("(check-sat)\n(declare-const a (_ BitVec 1))\n(get-value (a))\n")
+    # Each of these reads, if at all, as a term equal to itself.
+    for term in (
+        "#x0x1", "#x+f", "(_ bv5 2)", "(_ bv1 foo)", "((_ extract a 0) x)",
+        "((_ zero_extend -1) x)",
+    ):
+        with pytest.raises(SmtInputError):
+            run_script(f"(declare-const x (_ BitVec 4))\n(assert (= {term} {term}))\n")
 
 
 def test_subprocess_protocol():
@@ -327,6 +344,84 @@ def test_check_sat_answers_as_a_fresh_interpreter_would(lines):
         assert out.getvalue()[start:] == run_script("\n".join(sent + query) + "\n")
 
 
+# Pieces of minismt's grammar, with malformed ones mixed in: numerals,
+# literals, operators, arities, sorts and command arguments.
+_NUMERALS = st.sampled_from(["0", "1", "2", "3", "8", "007", "-1", "q", "1.5", "\u00b2", "+3"])
+_SYMBOLS = st.sampled_from(["x", "y", "z", "true", "false", "|a b|", "bvadd", "_"])
+_LITERALS = st.one_of(
+    st.builds("#b{}".format, st.text("012", max_size=5)),
+    st.builds("#x{}".format, st.text("0fFgx+_", max_size=3)),
+    st.builds("(_ bv{} {})".format, _NUMERALS, _NUMERALS),
+    st.builds("(_ {} {})".format, _SYMBOLS, _NUMERALS),
+)
+_OPERATORS = st.sampled_from([
+    "not", "and", "or", "xor", "=", "ite", "bvnot", "bvneg", "bvand", "bvor", "bvxor", "bvadd",
+    "bvsub", "bvmul", "bvshl", "bvlshr", "bvult", "concat", "extract", "bvudiv", "distinct",
+    "_", "()", "(x)",
+])
+_INDEXED = st.sampled_from(["extract", "zero_extend", "sign_extend", "repeat", "bv1"])
+
+
+def _terms(depth):
+    leaves = st.one_of(_SYMBOLS, _LITERALS, st.just("()"))
+    if depth == 0:
+        return leaves
+    sub = _terms(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(
+            lambda op, args: f"({' '.join([op, *args])})", _OPERATORS, st.lists(sub, max_size=4)
+        ),
+        st.builds(
+            lambda op, indices, args: f"((_ {' '.join([op, *indices])}) {' '.join(args)})",
+            _INDEXED, st.lists(_NUMERALS, max_size=3), st.lists(sub, max_size=2),
+        ),
+    )
+
+
+_SORTS = st.one_of(
+    st.builds("(_ BitVec {})".format, _NUMERALS),
+    st.sampled_from(["Bool", "(_ BitVec)", "(_ BitVec 1 2)", "x"]),
+)
+_COMMANDS = st.one_of(
+    st.builds("(declare-const {} {})".format, _SYMBOLS, _SORTS),
+    st.builds(
+        "(declare-fun {} {} {})".format, _SYMBOLS, st.sampled_from(["()", "(x)", "x"]), _SORTS
+    ),
+    st.builds("(assert {})".format, _terms(3)),
+    st.builds(lambda terms: f"(assert {' '.join(terms)})", st.lists(_terms(1), max_size=2)),
+    st.sampled_from([
+        "(check-sat)", "(get-value (x y))", "(get-value x)", "(get-value ((x)))",
+        "(get-info :all-statistics)", "(get-info :version)", '(echo "hi")', "(echo (x))",
+        "(echo)", "(reset)", "(set-option :produce-models true)", "(push 1)", "()",
+        "((check-sat))", "check-sat",
+    ]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COMMANDS, min_size=1, max_size=8))
+def test_malformed_input_is_an_input_error(commands):
+    # After two declarations, so that more terms get past their symbols.
+    declared = ["(declare-const x (_ BitVec 4))", "(declare-const y (_ BitVec 1))"]
+    text = "\n".join(declared + commands)
+    try:
+        Interpreter(io.StringIO()).run(parse_forms(tokenize(text)))
+        failed = False
+    except SmtInputError:
+        failed = True
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text + "\n")), contextlib.redirect_stdout(out):
+        code = main([])
+    lines = out.getvalue().splitlines()
+    if failed:
+        assert code == 1
+        assert lines[-1].startswith('(error "')
+        assert [line for line in lines if line.startswith("(error")] == lines[-1:]
+    else:
+        assert code == 0
+
+
 def _lut4_synth_script(lib):
     design = table4_design(0x8EA1)
     problem = synthesis.problem_from_sketch(
@@ -341,6 +436,18 @@ def _adder4_synth_script(lib):
         design, instantiate(TemplateKind.CARRY_CHAIN, design, lib), lib
     )
     return synthesis.emit_synth_query(problem, synthesis.initial_examples(problem, 3, 4))
+
+
+def _adder4_verify_script(lib):
+    # The synth case's model, but with bit 1's A pin reading b: a wrong
+    # candidate, so the search needs conflicts to find a counterexample.
+    design = adder4_design()
+    problem = synthesis.problem_from_sketch(
+        design, instantiate(TemplateKind.CARRY_CHAIN, design, lib), lib
+    )
+    assignment = {name: 1 if ".B." in name else 0 for name, _ in problem.holes}
+    assignment["inst_1.A.sel"] = 1
+    return synthesis.emit_verify_query(problem, assignment)
 
 
 @pytest.mark.parametrize(
@@ -361,8 +468,14 @@ def _adder4_synth_script(lib):
             473,
             "fde02b4c8adabc5efc8def006f9b19d7e9b4f248a1efaac037db9a02e7b1381d",
         ),
+        (
+            _adder4_verify_script,
+            "sat\n((a #b0000) (b #b1010) (cin #b0))\n",
+            145,
+            "112f603b255dabab30f9f9af411e4d2996cb12ae3e0286b52a7d0ec464ac9f6c",
+        ),
     ],
-    ids=["lut4", "adder4"],
+    ids=["lut4", "adder4", "adder4-verify"],
 )
 def test_search_is_pinned(lib, build, reply, clauses, digest):
     # The clause list after solving holds every learnt clause, in order, with

@@ -34,6 +34,24 @@ def test_only_synthesis_starts_processes():
     assert importers == ["synthesis.py"]
 
 
+def test_no_unused_imports():
+    # A name imported but never read is dead weight; `from __future__`
+    # imports change the compiler, not the namespace.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert found == []
+
+
 def _callee(func):
     """The name a call reaches directly: `f(...)`, `self.f(...)` or `cls.f(...)`."""
     if isinstance(func, ast.Name):

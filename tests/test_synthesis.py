@@ -249,6 +249,8 @@ def test_parse_model_forms():
     assert parse_model("sat\n((h #b1000))", expected) == {"h": 8}
     assert parse_model("sat\n((h #x8))", expected) == {"h": 8}
     assert parse_model("sat\n((h (_ bv8 4)))", expected) == {"h": 8}
+    # An #x value of a width that is not a multiple of 4 has ceil(width / 4) digits.
+    assert parse_model("sat\n((g #x1f))", {"g": ("g", 5)}) == {"g": 31}
     multi = "sat\n((h #b0001)\n (g #b1))"
     assert parse_model(multi, {"h": ("h", 4), "g": ("g", 1)}) == {"h": 1, "g": 1}
     # |h| and h are the same SMT-LIB symbol.
@@ -265,6 +267,9 @@ def test_parse_model_rejects_garbage():
         parse_model("((h #b1))", {"h": ("h", 1)})  # no sat line
     with pytest.raises(SolverProtocolError):
         parse_model("sat\n((h #b111))", {"h": ("h", 4)})  # wrong width
+    for value in ("#x20", "#x01f", "#xf", "(_ bv32 5)", "(_ bv1 4)", "#x1g"):
+        with pytest.raises(SolverProtocolError):
+            parse_model(f"sat\n((g {value}))", {"g": ("g", 5)})
     with pytest.raises(SolverProtocolError):
         parse_model("sat\n((h", {"h": ("h", 4)})
     with pytest.raises(SolverProtocolError):
@@ -586,6 +591,24 @@ def test_other_solvers_get_one_process_per_query(tmp_path, lib, started):
     solution = solve_cegis(problem, config)
     assert solution.assignment == {"inst_0.INIT": 6}
     assert solution.stats.solver_calls == len(started) == 2
+    _assert_all_reaped(started)
+
+
+def test_live_solver_that_fills_stderr_still_answers(monkeypatch, tmp_path, started):
+    # 200 KB is more than a pipe holds: a child whose stderr nobody reads
+    # blocks before its reply, until the query bound kills it.
+    config = _fake_solver(
+        tmp_path,
+        "head -c 200000 /dev/zero >&2\n"
+        "while read -r line; do\n"
+        '  case "$line" in *techmap-reply-end*) echo unsat; echo techmap-reply-end;; esac\n'
+        "done",
+    )
+    monkeypatch.setattr(synthesis, "BUNDLED_SOLVER", config)
+    monkeypatch.setattr(synthesis, "QUERY_TIMEOUT_S", 10.0)
+    with synthesis._session(config) as (synth, _):
+        assert synthesis.query(synth, "(check-sat)\n", {}) is None
+    assert len(started) == 1
     _assert_all_reaped(started)
 
 
