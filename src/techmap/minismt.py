@@ -66,8 +66,9 @@ get-value answer of any solver with them.
 
 Only the standard library is used, and importing this module stays cheap,
 because a solver process may still be started per query: once per script
-for one-shot callers, and again after every `(error ...)`. `synthesis`
-starts it with `python -S`, which skips the `site` import.
+that `synthesis.run_solver` sends outside a CEGIS run, and again after
+every `(error ...)`. `synthesis` starts it with `python -S`, which skips
+the `site` import.
 """
 
 import gc
@@ -679,6 +680,14 @@ class Interpreter:
 
     def command(self, form):
         """Run one command; False once it is `exit`."""
+        try:
+            return self._command(form)
+        except RecursionError:
+            # `term`, and the repr of a form in an error message, recurse
+            # once per nesting level.
+            raise SmtInputError("term nested too deeply") from None
+
+    def _command(self, form):
         if not isinstance(form, tuple) or not form:
             raise SmtInputError(f"bad command {form!r}")
         head = form[0]
@@ -871,9 +880,6 @@ def main(argv=None):
             serve(sys.stdin, sys.stdout)
     except SmtInputError as exc:
         print(f'(error "{exc}")')
-        return 1
-    except RecursionError:
-        print('(error "term nested too deeply")')
         return 1
     finally:
         if collecting:

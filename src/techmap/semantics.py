@@ -15,8 +15,8 @@ take.
 
 `first_mismatch` is the one exhaustive row loop. Brute-force enumeration,
 the exhaustive counterexample search and exhaustive equivalence checking
-walk rows through it, up to `EXHAUSTIVE_INPUT_BITS` input bits, and so does
-`truth_table`, with its own limit.
+walk rows through it, and so does `truth_table`, all up to the same
+`EXHAUSTIVE_INPUT_BITS` input bits.
 """
 
 from __future__ import annotations
@@ -309,14 +309,15 @@ def ascending(symbols):
     return (values[::-1] for values in itertools.product(*ranges))
 
 
-def input_rows(inputs, limit=EXHAUSTIVE_INPUT_BITS):
+def input_rows(inputs):
     """The rows of the ordered (name, width) `inputs`, as `ascending` gives them.
 
-    Raises TooManyInputBits when the inputs total more than `limit` bits.
+    Raises TooManyInputBits when the inputs total more than
+    EXHAUSTIVE_INPUT_BITS bits.
     """
     total = sum(width for _, width in inputs)
-    if total > limit:
-        raise TooManyInputBits(total, limit)
+    if total > EXHAUSTIVE_INPUT_BITS:
+        raise TooManyInputBits(total, EXHAUSTIVE_INPUT_BITS)
     return ascending(inputs)
 
 
@@ -341,7 +342,7 @@ def first_mismatch(fn, rows, want=None, args=(), record=None):
     return None
 
 
-def truth_table(obj, max_input_bits=20, param_binding=None):
+def truth_table(obj, param_binding=None):
     """Enumerate all input rows of a Design or PrimitiveSemantics.
 
     Returns a list of (input tuple, output tuple) in ascending row order,
@@ -364,7 +365,7 @@ def truth_table(obj, max_input_bits=20, param_binding=None):
     elif param_binding:
         raise ValidationError("param_binding given for an object without parameters")
 
-    rows = list(input_rows(inputs, max_input_bits))
+    rows = list(input_rows(inputs))
     outputs = []
     fn = compile_exprs([e for _, e in obj.outputs], inputs + tuple(params))
     first_mismatch(fn, rows, args=values, record=outputs)

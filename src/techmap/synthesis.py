@@ -12,10 +12,12 @@ lowest ones.
 A query lowers the design and the sketch, unchanged, under a symbol
 binding: the synth query binds each example's inputs to literals, the
 verify query binds the holes to the candidate's.
-Every query is one whole QF_BV script, so any SMT-LIB v2 solver works: a
-solver is started once per script with the script on stdin. The bundled
-`minismt` (`BUNDLED_SOLVER`) is the exception. `solve_cegis` keeps two of
-its processes alive for the whole run, each started with `python -S` at
+Every query is one whole QF_BV script, so any SMT-LIB v2 solver works.
+There is one transport: a `_Solver` starts each solver process with one
+`subprocess.Popen` call and talks to it only through `_exchange`. A solver
+gets a fresh process per script, with the script on stdin, except the
+bundled `minismt` (`BUNDLED_SOLVER`), which is live: `solve_cegis` keeps
+two of its processes for the whole run, each started with `python -S` at
 its first query: one answers the synth queries and one the verify queries.
 Each synth script is the last one with the new example's assertions added,
 so the synth process is sent only those and the script's closing commands;
@@ -122,21 +124,23 @@ class Solution:
     stats: SolveStats
 
 
-def solve_brute_force(
-    problem, max_hole_space=1 << 20, max_input_bits=semantics.EXHAUSTIVE_INPUT_BITS
-):
+BRUTE_HOLE_SPACE = 1 << 20  # the most hole assignments enumeration tries
+
+
+def solve_brute_force(problem):
     """Enumerate hole assignments in ascending order; first full match wins.
 
     Exhaustive and deterministic, hence the reference backend: when it
     raises Infeasible, no configuration of this sketch implements the
-    design. Limits guard against accidentally unbounded runs.
+    design. BRUTE_HOLE_SPACE and `semantics.EXHAUSTIVE_INPUT_BITS` guard
+    against accidentally unbounded runs.
     """
     started = time.perf_counter()
     space = problem.hole_space
-    if space > max_hole_space:
-        raise LimitExceeded("hole space", space, max_hole_space)
+    if space > BRUTE_HOLE_SPACE:
+        raise LimitExceeded("hole space", space, BRUTE_HOLE_SPACE)
     try:
-        rows = list(semantics.input_rows(problem.inputs, max_input_bits))
+        rows = list(semantics.input_rows(problem.inputs))
     except TooManyInputBits as exc:
         raise LimitExceeded("input bits", exc.total, exc.limit) from None
     design, sketch = _compile(problem)
@@ -171,15 +175,15 @@ def _compile(problem):
 class SolverConfig:
     """How to reach an SMT-LIB v2 solver.
 
-    The executable gets one full script on stdin per query, with stdin then
-    closed, and must print the check-sat status and get-value response on
-    stdout. Known-good configurations:
+    The executable is started once per query and gets one full script on
+    stdin, with stdin then closed; it must print the check-sat status and
+    get-value response on stdout before it exits. Known-good configurations:
         z3:    SolverConfig("z3", ("-in", "-smt2"))
         cvc5:  SolverConfig("cvc5", ("--lang", "smt2"))
         bundled fallback: BUNDLED_SOLVER
-    A config equal to BUNDLED_SOLVER is run as two live processes per
-    CEGIS run instead (see `solve_cegis`), and any process of it imports
-    this copy of `techmap`.
+    A config equal to BUNDLED_SOLVER is live instead: one process answers
+    a sequence of scripts (see `_Solver`), two per CEGIS run, and any
+    process of it imports this copy of `techmap`.
     """
 
     path: str
@@ -272,28 +276,20 @@ def _script(table, unknowns, asserts):
 QUERY_TIMEOUT_S = 600.0  # wall-clock bound on the answer to one query
 
 
-def _timed_out():
-    return SolverUnknown(f"solver gave no answer within {QUERY_TIMEOUT_S:g} s")
-
-
 def run_solver(solver, script):
     """Send one script; returns the solver's stdout text.
 
-    `solver` is a SolverConfig, which gets one fresh process, or a live
-    child that `solve_cegis` opened. A solver that has not answered within
+    `solver` is an open `_Solver`, or a SolverConfig, which gets a
+    `_Solver` for this script alone. A solver that has not answered within
     QUERY_TIMEOUT_S is killed, and SolverUnknown raised.
     """
-    if isinstance(solver, _LiveSolver):
+    if isinstance(solver, _Solver):
         return solver.ask(script)
-    try:
-        proc = _spawn(subprocess.run, solver, input=script.encode(), timeout=QUERY_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        raise _timed_out() from None
-    return _reply(proc.stdout, proc.returncode, proc.stderr)
+    with _Solver(solver) as one:
+        return one.ask(script)
 
 
-def _spawn(start, config, **kwargs):
-    """Start the solver with `start` (subprocess.run or Popen)."""
+def _spawn(config):
     command = [config.path, *config.args]
     env = None
     if config == BUNDLED_SOLVER:
@@ -302,53 +298,55 @@ def _spawn(start, config, **kwargs):
         command.insert(1, "-S")
         path = (_PACKAGE_ROOT, os.environ.get("PYTHONPATH"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    pipe = subprocess.PIPE
     try:
-        return start(
-            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, **kwargs
-        )
+        return subprocess.Popen(command, stdin=pipe, stdout=pipe, stderr=pipe, env=env)
     except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
         raise SolverSpawnError(f"cannot run solver '{config.path}': {exc}")
-
-
-def _reply(stdout, returncode, stderr):
-    out = stdout.decode(errors="replace")
-    if not out.strip():
-        raise SolverProtocolError(
-            f"solver produced no output (exit {returncode})", stderr.decode(errors="replace")
-        )
-    return out
 
 
 _ECHO_END = b'(echo "techmap-reply-end")\n'
 _REPLY_END = b"techmap-reply-end\n"
 
 
-class _LiveSolver:
-    """One bundled-solver process that answers a sequence of scripts.
+class _Solver:
+    """One config's solver processes, each started by a query that finds none running.
 
-    A script's head is its text before `(check-sat)\n`. When the head last
-    sent to the process is a prefix of the new script's head, only the rest
-    of the script is written: `minismt` never changes its formula by
-    searching it, so the process then holds what a fresh one would after
-    reading the new head. Otherwise a running process first gets `(reset)`
-    and the whole script. Every script is followed by `_ECHO_END`. The
-    reply is every line before the echoed line, or before end of file when
-    the process exits, as `minismt` does after printing `(error ...)`. A
-    process that has exited is started again on the next script, and one
-    that has not replied within QUERY_TIMEOUT_S is killed.
+    A config equal to BUNDLED_SOLVER is live: its process answers a
+    sequence of scripts. A script's head is its text before
+    `(check-sat)\n`. When the head last sent to the process is a prefix of
+    the new script's head, only the rest of the script is written:
+    `minismt` never changes its formula by searching it, so the process
+    then holds what a fresh one would after reading the new head.
+    Otherwise a running process first gets `(reset)` and the whole script.
+    Every script is followed by `_ECHO_END`, and the reply is every line
+    before the echoed line, or before end of file when the process exits,
+    as `minismt` does after printing `(error ...)`. Any other solver gets
+    a fresh process for each script, with stdin closed after it, and its
+    reply is everything it prints before end of file.
+
+    As a context manager it closes its process on exit, or kills it when
+    the block raises, so none outlives the block.
     """
 
     def __init__(self, config):
         self.config = config
+        self.live = config == BUNDLED_SOLVER
         self.proc = None
         self.head = None  # of the last script sent to `proc`
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, value, traceback):
+        self.close(kill=kind is not None)
 
     def ask(self, script):
         head = script.partition("(check-sat)\n")[0]
         if self.proc is not None and self.proc.poll() is not None:
             self.close()
         if self.proc is None:
-            self.proc = _spawn(subprocess.Popen, self.config, stdin=subprocess.PIPE)
+            self.proc = _spawn(self.config)
             sent = script
         elif head.startswith(self.head):
             sent = script[len(self.head):]
@@ -356,17 +354,21 @@ class _LiveSolver:
             sent = "(reset)\n" + script
         self.head = head
         proc = self.proc
-        exchanged = _exchange(proc, sent.encode() + _ECHO_END)
+        exchanged = _exchange(proc, sent.encode(), self.live)
         if exchanged is None:
             self.close(kill=True)
-            raise _timed_out()
+            raise SolverUnknown(f"solver gave no answer within {QUERY_TIMEOUT_S:g} s")
         out, err, answered = exchanged
         if not answered:
-            err += proc.stderr.read()
             self.close()
-        # Had it answered, a fresh process would have read its script to the
-        # end and exited 0.
-        return _reply(out, 0 if answered else proc.returncode, err)
+        if not out.strip():
+            # Had it answered, a fresh process would have read its script to
+            # the end and exited 0.
+            raise SolverProtocolError(
+                f"solver produced no output (exit {0 if answered else proc.returncode})",
+                err.decode(errors="replace"),
+            )
+        return out.decode(errors="replace")
 
     def close(self, kill=False):
         """End the process, if one is running, and wait for it."""
@@ -382,22 +384,24 @@ class _LiveSolver:
         proc.stderr.close()
 
 
-def _exchange(proc, data):
+def _exchange(proc, data, live):
     """Write `data` to `proc` and read what it prints, within QUERY_TIMEOUT_S.
 
-    Returns (the output before the first `_REPLY_END` line, stderr, True),
-    or (all of the output, stderr so far, False) when the process exits
-    first; None once the time is up. Stderr is read as it comes, so a child
-    that fills its pipe is never left blocked.
+    Returns (stdout, stderr, answered), or None once the time is up. A
+    `live` process is sent `_ECHO_END` after `data` and has answered at
+    its first `_REPLY_END` line, which is cut from stdout; any other has
+    stdin closed once `data` is written. Unanswered, the exchange ends when
+    the process has closed stdout and stderr. Stderr is read as it comes,
+    so a child that fills its pipe is never left blocked.
     """
     deadline = time.monotonic() + QUERY_TIMEOUT_S
-    pending = memoryview(data)
+    pending = memoryview(data + _ECHO_END if live else data)
     out = err = b""
     with selectors.DefaultSelector() as selector:
         selector.register(proc.stdout, selectors.EVENT_READ)
         selector.register(proc.stderr, selectors.EVENT_READ)
         selector.register(proc.stdin, selectors.EVENT_WRITE)
-        while True:
+        while selector.get_map():
             ready = selector.select(deadline - time.monotonic())
             if not ready:
                 return None
@@ -411,40 +415,19 @@ def _exchange(proc, data):
                         pending = pending[:0]  # the process has exited; its output is still read
                     if not pending:
                         selector.unregister(proc.stdin)
+                        if not live:
+                            proc.stdin.close()
                     continue
                 chunk = os.read(key.fd, 1 << 16)
-                if key.fileobj is proc.stderr:
+                if not chunk:
+                    selector.unregister(key.fileobj)
+                elif key.fileobj is proc.stderr:
                     err += chunk
-                    if not chunk:
-                        selector.unregister(proc.stderr)
-                elif not chunk:
-                    return out, err, False
                 else:
                     out += chunk
-                    if out == _REPLY_END or out.endswith(b"\n" + _REPLY_END):
+                    if live and (out == _REPLY_END or out.endswith(b"\n" + _REPLY_END)):
                         return out[: -len(_REPLY_END)], err, True
-
-
-@contextlib.contextmanager
-def _session(config):
-    """Solvers for synth and for verify queries: for the bundled solver two
-    live children, each started at its first query, else the config twice.
-
-    The children are closed on return and killed on any exception, so none
-    outlives the block.
-    """
-    if config != BUNDLED_SOLVER:
-        yield config, config
-        return
-    live = (_LiveSolver(config), _LiveSolver(config))
-    try:
-        yield live
-    except BaseException:
-        for child in live:
-            child.close(kill=True)
-        raise
-    for child in live:
-        child.close()
+    return out, err, False
 
 
 def query(solver, script, symbols):
@@ -580,7 +563,7 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
         wall_ms = (time.perf_counter() - started) * 1000.0
         return Solution(dict(assignment), "cegis", SolveStats(iterations, calls, wall_ms))
 
-    with _session(solver) as (synth, verify):
+    with _Solver(solver) as synth, _Solver(solver) as verify:
         if not problem.holes:
             calls += 1
             if solver_counterexample(problem, {}, verify) is not None:
@@ -625,14 +608,13 @@ def solver_counterexample(problem, assignment, solver):
     return cex
 
 
-def exhaustive_counterexample(
-    problem, assignment, max_input_bits=semantics.EXHAUSTIVE_INPUT_BITS
-):
+def exhaustive_counterexample(problem, assignment):
     """Check a candidate assignment on every input row; None when sound.
 
-    More than `max_input_bits` input bits raise TooManyInputBits.
+    More than `semantics.EXHAUSTIVE_INPUT_BITS` input bits raise
+    TooManyInputBits.
     """
-    rows = semantics.input_rows(problem.inputs, max_input_bits)
+    rows = semantics.input_rows(problem.inputs)
     try:
         values = [assignment[name] for name, _ in problem.holes]
     except KeyError as exc:

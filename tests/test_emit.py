@@ -1,10 +1,14 @@
 import hashlib
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from techmap import emit, ir, synthesis, verilog
 from techmap.errors import MissingHole, SignatureMismatch, TooManyInputBits
 from techmap.library import data_path
+from techmap.semantics import eval_design
 from techmap.synthesis import problem_from_sketch, solve_brute_force, solve_cegis
 from techmap.templates import (
     BindingHole,
@@ -130,6 +134,43 @@ def test_corrupted_init_yields_counterexample(lib):
     report = emit.check_equivalence(and2_design(), corrupted, lib, mode="exhaustive")
     assert not report.equivalent
     assert report.counterexample == {"a": 0, "b": 0}
+
+
+@st.composite
+def lut_tables(draw):
+    """(input count k, a 2^k-row truth table, one of its rows)."""
+    k = draw(st.integers(1, 4))
+    return k, draw(st.integers(0, (1 << (1 << k)) - 1)), draw(st.integers(0, (1 << k) - 1))
+
+
+@given(lut_tables())
+@settings(max_examples=30, deadline=None)
+def test_printed_lut_netlists_reimport_as_equivalent(lib, table):
+    # Emit -> re-import gives back the solved sketch: the netlist is
+    # equivalent, and with the INIT bit of one row flipped it differs from
+    # the design on the counterexample it is refuted with.
+    k, m, row = table
+    idx = ir.Var("i0", 1)
+    for j in range(1, k):
+        idx = ir.Concat(ir.Var(f"i{j}", 1), idx)
+    y = ir.Extract(0, 0, ir.LShr(ir.Const(1 << k, m), idx))
+    design = ir.Design("t", tuple((f"i{j}", 1) for j in range(k)), (("y", y),))
+    options = TemplateOptions(pin_mode="pinned")
+    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib, options)
+    solution = solve_brute_force(problem_from_sketch(design, sketch, lib))
+    text = emit.print_verilog(emit.resolve(sketch, solution))
+    assert emit.check_equivalence(design, text, lib).equivalent
+
+    [(size, init)] = re.findall(r"INIT\((\d+)'h([0-9A-F]+)\)", text)
+    flipped = f"{size}'h{int(init, 16) ^ (1 << row):0{len(init)}X}"
+    corrupted = text.replace(f"{size}'h{init}", flipped)
+    report = emit.check_equivalence(design, corrupted, lib)
+    assert not report.equivalent
+    imported = verilog.elaborate(
+        verilog.parse(corrupted, allow_instances=True), params={}, library=lib
+    )
+    cex = report.counterexample
+    assert eval_design(design, cex) != eval_design(imported, cex)
 
 
 def test_design_against_its_own_source(lib):

@@ -248,6 +248,14 @@ def test_subprocess_deep_nesting_is_an_input_error():
     assert b"Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("form", ["(assert (= {} #b1))", "({})"], ids=["term", "command"])
+def test_in_process_deep_nesting_is_an_input_error(form):
+    term = "(bvnot " * 3000 + "x" + ")" * 3000
+    script = "(declare-const x (_ BitVec 1))\n" + form.format(term) + "\n(check-sat)\n"
+    with pytest.raises(SmtInputError, match="nested too deeply"):
+        run_script(script)
+
+
 @pytest.mark.parametrize(
     "script, reply",
     [

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import techmap
@@ -32,6 +33,24 @@ def test_only_synthesis_starts_processes():
         or (isinstance(node, ast.ImportFrom) and node.module == "subprocess")
     )
     assert importers == ["synthesis.py"]
+
+
+def test_solver_processes_start_through_one_popen_call():
+    # One process transport: a single Popen call starts every solver
+    # process, and pipes are the only way to talk to one.
+    read = Counter()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "subprocess":
+                read.update(alias.name for alias in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "subprocess"
+            ):
+                read[node.attr] += 1
+    assert read["Popen"] == 1
+    assert sorted(read) == ["PIPE", "Popen"]
 
 
 def test_no_unused_imports():

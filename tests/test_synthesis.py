@@ -606,7 +606,7 @@ def test_live_solver_that_fills_stderr_still_answers(monkeypatch, tmp_path, star
     )
     monkeypatch.setattr(synthesis, "BUNDLED_SOLVER", config)
     monkeypatch.setattr(synthesis, "QUERY_TIMEOUT_S", 10.0)
-    with synthesis._session(config) as (synth, _):
+    with synthesis._Solver(config) as synth:
         assert synthesis.query(synth, "(check-sat)\n", {}) is None
     assert len(started) == 1
     _assert_all_reaped(started)
