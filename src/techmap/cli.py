@@ -8,6 +8,7 @@ Exit codes are part of the contract so scripts can tell outcomes apart:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -69,7 +70,7 @@ def load_design(path):
     text = Path(path).read_text(encoding="utf-8")
     if str(path).endswith(".json"):
         obj = ir.from_json(text)
-        if not isinstance(obj, ir.Design):
+        if not isinstance(obj, ir.Design) or obj.params:
             raise TechmapError(f"{path} does not contain a design")
         return obj
     ast = verilog.parse(text, filename=str(path))
@@ -89,11 +90,11 @@ def _report_path(out_path):
 
 def cmd_import(args):
     source = Path(args.model).read_text(encoding="utf-8")
-    sem = verilog.import_primitive(source, filename=str(args.model))
-    if args.name is not None and args.name != sem.name:
-        sem = verilog.PrimitiveSemantics(args.name, sem.inputs, sem.params, sem.outputs)
+    primitive = verilog.import_primitive(source, filename=str(args.model))
+    if args.name is not None:
+        primitive = dataclasses.replace(primitive, name=args.name)
     try:
-        text = verilog.semantics_to_json(sem)
+        text = ir.to_json(primitive)
     except RecursionError:
         raise ParseError("expression nested too deeply", str(args.model)) from None
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -1,11 +1,15 @@
 """Width-annotated bitvector expression DAG.
 
 This is the exchange format between every stage of the pipeline: hardware
-designs, extracted primitive semantics, and synthesis sketches are all
-expressions over this node set. Nodes are immutable; width constraints are
-enforced at construction time, so any expression you can hold is locally
-well-formed. `validate` adds the context-dependent checks (variable
-resolution, hole policy, per-name width consistency).
+designs, library primitives, and synthesis sketches are all expressions over
+this node set. Nodes are immutable; width constraints are enforced at
+construction time, so any expression you can hold is locally well-formed.
+`validate` adds the context-dependent checks (variable resolution, hole
+policy, per-name width consistency).
+
+Every module is one `Design`, whether a design to map or a library
+primitive: a primitive is a Design with parameters. `design_to_dict` and
+`design_from_dict` are the one JSON codec for both.
 
 Width rules:
   Var/Const/Hole      carry their width (>= 1)
@@ -392,21 +396,37 @@ def concat(parts):
 
 @dataclass(frozen=True)
 class Design:
-    """A hardware design: named input ports and output expressions over them."""
+    """A hardware module: named input ports, parameters, and output
+    expressions over both.
+
+    A design to map has no parameters. A library primitive keeps its
+    parameters as Vars that its outputs read, each with a default that is
+    a plain unsigned integer.
+    """
 
     name: str
     inputs: tuple  # of (name, width)
     outputs: tuple  # of (name, BitVecExpr)
+    params: tuple = ()  # of (name, width, default)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple((str(n), int(w)) for n, w in self.inputs))
         object.__setattr__(self, "outputs", tuple((str(n), e) for n, e in self.outputs))
+        object.__setattr__(
+            self, "params", tuple((str(n), int(w), int(d)) for n, w, d in self.params)
+        )
         _require(self.name != "", "Design name must be nonempty")
-        names = [n for n, _ in self.inputs] + [n for n, _ in self.outputs]
-        _require(len(set(names)) == len(names), f"duplicate port name in design '{self.name}'")
+        names = [n for n, _ in self.inputs] + [n for n, _, _ in self.params]
+        names += [n for n, _ in self.outputs]
+        _require(len(set(names)) == len(names), f"duplicate name in design '{self.name}'")
         env = {n: w for n, w in self.inputs}
         for _, w in self.inputs:
             _require(w >= 1, "input width must be >= 1")
+        for n, w, default in self.params:
+            _require(w >= 1, f"parameter {n} width must be >= 1")
+            if not 0 <= default < (1 << w):
+                raise ValidationError(f"default {default} for parameter {n} exceeds width {w}")
+            env[n] = w
         for n, e in self.outputs:
             validate(e, env, allow_holes=False)
 
@@ -473,16 +493,8 @@ def expr_from_dict(obj, where="$"):
     if cls in (Var, Hole):
         return cls(_field(obj, "name", str, where), _field(obj, "width", int, where))
     if cls is Const:
-        raw = _field(obj, "value", str, where)
-        try:
-            value = int(raw, 10)
-        except ValueError:
-            raise ParseError(f"const value {raw!r} is not a decimal string", where)
-        return Const(_field(obj, "width", int, where), value)
-    args_raw = obj.get("args")
-    if not isinstance(args_raw, list):
-        raise ParseError("missing or non-array 'args'", where)
-    args = [expr_from_dict(a, f"{where}.args[{i}]") for i, a in enumerate(args_raw)]
+        return Const(_field(obj, "width", int, where), _decimal(obj, "value", where))
+    args = [expr_from_dict(a, path) for a, path in _entries(obj, "args", where)]
     arity = {Extract: 1, ZeroExt: 1, SignExt: 1, Mux: 3, Concat: 2}.get(
         cls, 2 if issubclass(cls, (_Binary, _Shift, _Compare)) else 1
     )
@@ -504,35 +516,55 @@ def _field(obj, key, typ, where):
     return val
 
 
+def _decimal(obj, key, where):
+    """The integer that the decimal string obj[key] holds."""
+    raw = _field(obj, key, str, where)
+    try:
+        return int(raw, 10)
+    except ValueError:
+        raise ParseError(f"{key} {raw!r} is not a decimal string", where) from None
+
+
 def design_to_dict(design):
     return {
         "name": design.name,
         "inputs": [{"name": n, "width": w} for n, w in design.inputs],
+        "params": [{"name": n, "width": w, "default": str(d)} for n, w, d in design.params],
         "outputs": [{"name": n, "expr": expr_to_dict(e)} for n, e in design.outputs],
     }
 
 
 def design_from_dict(obj, where="$"):
+    """Inverse of design_to_dict. A missing "params" array reads as no
+    parameters; malformed input raises a ParseError located by its JSON path."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
-    name = _field(obj, "name", str, where)
-    inputs_raw = obj.get("inputs")
-    outputs_raw = obj.get("outputs")
-    if not isinstance(inputs_raw, list) or not isinstance(outputs_raw, list):
-        raise ParseError("missing 'inputs' or 'outputs' array", where)
-    inputs = []
-    for i, item in enumerate(inputs_raw):
-        w = f"{where}.inputs[{i}]"
+    inputs = tuple(
+        (_field(i, "name", str, w), _field(i, "width", int, w))
+        for i, w in _entries(obj, "inputs", where)
+    )
+    params = tuple(
+        (_field(p, "name", str, w), _field(p, "width", int, w), _decimal(p, "default", w))
+        for p, w in _entries(obj, "params", where, [])
+    )
+    outputs = tuple(
+        (_field(o, "name", str, w), expr_from_dict(o.get("expr"), f"{w}.expr"))
+        for o, w in _entries(obj, "outputs", where)
+    )
+    return Design(_field(obj, "name", str, where), inputs, outputs, params)
+
+
+def _entries(obj, key, where, missing=None):
+    """(object, JSON path) for each item of the array obj[key], which is
+    `missing` when absent."""
+    items = obj.get(key, missing)
+    if not isinstance(items, list):
+        raise ParseError(f"missing or non-array field '{key}'", where)
+    for i, item in enumerate(items):
+        path = f"{where}.{key}[{i}]"
         if not isinstance(item, dict):
-            raise ParseError("expected an object", w)
-        inputs.append((_field(item, "name", str, w), _field(item, "width", int, w)))
-    outputs = []
-    for i, item in enumerate(outputs_raw):
-        w = f"{where}.outputs[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError("expected an object", w)
-        outputs.append((_field(item, "name", str, w), expr_from_dict(item.get("expr"), f"{w}.expr")))
-    return Design(name, tuple(inputs), tuple(outputs))
+            raise ParseError("expected an object", path)
+        yield item, path
 
 
 def to_json(obj):

@@ -1,10 +1,11 @@
 """Primitive library persistence.
 
-A library directory holds one semantics JSON per primitive, optional
-template descriptor files declaring pin roles, and a manifest listing
-members. The package ships a default corpus (LUT2/LUT4/LUT6, a carry
-cell, an 8x8 multiplier) generated by the importer from the reference
-Verilog models under data/models.
+A library directory holds one module JSON per primitive (an `ir.Design`
+with parameters, written by `ir.to_json`), optional template descriptor
+files declaring pin roles, and a manifest listing members. The package
+ships a default corpus (LUT2/LUT4/LUT6, a carry cell, an 8x8 multiplier)
+generated by the importer from the reference Verilog models under
+data/models.
 """
 
 from __future__ import annotations
@@ -14,15 +15,15 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import ir
 from .errors import DuplicatePrimitive, ParseError, ValidationError
-from .verilog import semantics_from_dict, semantics_to_json
 
 MANIFEST = "manifest.json"
 
 
 @dataclass(frozen=True)
 class Library:
-    primitives: dict  # name -> PrimitiveSemantics
+    primitives: dict  # name -> ir.Design, its parameters kept
     descriptors: dict = field(default_factory=dict)  # name -> roles dict
     # Relative file names, preserved so save_library round-trips bytes.
     layout: tuple = ()
@@ -67,7 +68,7 @@ def load_library(path):
         if not isinstance(entry, dict) or not isinstance(entry.get("semantics"), str):
             raise ParseError(f"primitives[{i}] needs a 'semantics' file", str(root / MANIFEST))
         sem_file = entry["semantics"]
-        sem = semantics_from_dict(_read_json(root / sem_file), where=sem_file)
+        sem = ir.design_from_dict(_read_json(root / sem_file), where=sem_file)
         if sem.name in primitives:
             raise DuplicatePrimitive(sem.name)
         primitives[sem.name] = sem
@@ -111,7 +112,7 @@ def save_library(library, path):
     entries = []
     for name, sem_file, desc_file in layout:
         with open(root / sem_file, "w", encoding="utf-8") as fh:
-            fh.write(semantics_to_json(library.primitives[name]))
+            fh.write(ir.to_json(library.primitives[name]))
         entry = {"semantics": sem_file}
         if desc_file is not None:
             with open(root / desc_file, "w", encoding="utf-8") as fh:

@@ -58,7 +58,9 @@ from the left) and whether bitvector operands share a width.
   `synthesis.parse_model`: `#b` and binary digits, one bit each, `#x` and
   hex digits, four bits each, and (_ bvN w) for N < 2^w.
 Every index, width and N is a numeral (`numeral`), decimal digits only. A
-malformed command or term, as any other input error, prints `(error ...)`.
+declared sort, a (_ bvN w) literal, a concatenation and an extension are
+at most MAX_WIDTH bits wide. A malformed command or term, as any other
+input error, prints `(error ...)`.
 
 `tokenize` and `read_form` are the package's one s-expression reader: the
 interpreter reads scripts with them, and `synthesis.parse_model` reads the
@@ -76,9 +78,16 @@ import heapq
 import re
 import sys
 
+MAX_WIDTH = 1 << 16  # bits; checked before a bitvector is allocated
+
 
 class SmtInputError(Exception):
     pass
+
+
+def _check_width(width, what):
+    if not 1 <= width <= MAX_WIDTH:
+        raise SmtInputError(f"{what} width {width} is not in 1..{MAX_WIDTH}")
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +607,9 @@ def literal(form):
         return int(form[2:], base), bits * (len(form) - 2)
     if len(form) == 3 and form[0] == "_" and isinstance(form[1], str) and form[1][:2] == "bv":
         value, width = numeral(form[1][2:]), numeral(form[2])
-        if width < 1 or value >> width:
-            raise SmtInputError(f"bad literal {form!r}: the value must fit a width >= 1")
+        _check_width(width, "literal")
+        if value >> width:
+            raise SmtInputError(f"bad literal {form!r}: the value must fit its width")
         return value, width
     return None
 
@@ -617,6 +627,16 @@ def _ite(bl, cond, a, b):
     if a.__class__ is BOOL:
         return bl.lit_mux(cond, a, b)
     return [bl.lit_mux(cond, x, y) for x, y in zip(a, b)]
+
+
+def _concat(bl, hi, lo):
+    _check_width(len(lo) + len(hi), "concat")
+    return lo + hi
+
+
+def _extend(a, n, bit):
+    _check_width(len(a) + n, "extension")
+    return a + [bit] * n
 
 
 def _extract(bl, a, hi, lo):
@@ -649,10 +669,10 @@ _OPS = {
     "bvshl": (BV, 2, True, lambda bl, a, b: bl.bv_shift(a, b, left=True)),
     "bvlshr": (BV, 2, True, lambda bl, a, b: bl.bv_shift(a, b, left=False)),
     "bvult": (BV, 2, True, Blaster.bv_ult),
-    "concat": (BV, None, False, lambda bl, hi, lo: lo + hi),
+    "concat": (BV, None, False, _concat),
     ("extract", 2): (BV, 1, False, _extract),
-    ("zero_extend", 1): (BV, 1, False, lambda bl, a, n: a + [-TRUE] * n),
-    ("sign_extend", 1): (BV, 1, False, lambda bl, a, n: a + [a[-1]] * n),
+    ("zero_extend", 1): (BV, 1, False, lambda bl, a, n: _extend(a, n, -TRUE)),
+    ("sign_extend", 1): (BV, 1, False, lambda bl, a, n: _extend(a, n, a[-1])),
 }
 
 
@@ -745,8 +765,7 @@ class Interpreter:
         if not (isinstance(sort, tuple) and len(sort) == 3 and sort[:2] == ("_", "BitVec")):
             raise SmtInputError(f"unsupported sort {sort!r}")
         width = numeral(sort[2])
-        if width < 1:
-            raise SmtInputError("BitVec width must be >= 1")
+        _check_width(width, "BitVec")
         if name in self.symbols:
             raise SmtInputError(f"symbol {name!r} redeclared")
         self.symbols[name] = [self.blaster.sat.new_var() for _ in range(width)]

@@ -342,31 +342,29 @@ def first_mismatch(fn, rows, want=None, args=(), record=None):
     return None
 
 
-def truth_table(obj, param_binding=None):
-    """Enumerate all input rows of a Design or PrimitiveSemantics.
+def truth_table(design, param_binding=None):
+    """Enumerate all input rows of a Design.
 
     Returns a list of (input tuple, output tuple) in ascending row order,
-    inputs and outputs in declaration order. Semantics objects need a
-    `param_binding` only if their parameters should not take defaults.
+    inputs and outputs in declaration order. A primitive's parameters take
+    their defaults, except those that `param_binding` gives a value; a
+    binding for a name that is not a parameter raises UnknownVar.
     """
-    inputs = tuple(obj.inputs)
+    inputs = tuple(design.inputs)
+    binding = dict(param_binding or {})
     params = []
     values = []
-    if hasattr(obj, "params"):
-        binding = dict(param_binding or {})
-        for name, width, default in obj.params:
-            value = binding.pop(name, default)
-            if not 0 <= value < (1 << width):
-                raise ValidationError(f"parameter {name}={value} does not fit width {width}")
-            params.append((name, width))
-            values.append(value)
-        if binding:
-            raise UnknownVar(next(iter(binding)))
-    elif param_binding:
-        raise ValidationError("param_binding given for an object without parameters")
+    for name, width, default in design.params:
+        value = binding.pop(name, default)
+        if not 0 <= value < (1 << width):
+            raise ValidationError(f"parameter {name}={value} does not fit width {width}")
+        params.append((name, width))
+        values.append(value)
+    if binding:
+        raise UnknownVar(next(iter(binding)))
 
     rows = list(input_rows(inputs))
     outputs = []
-    fn = compile_exprs([e for _, e in obj.outputs], inputs + tuple(params))
+    fn = compile_exprs([e for _, e in design.outputs], inputs + tuple(params))
     first_mismatch(fn, rows, args=values, record=outputs)
     return list(zip(rows, outputs))

@@ -1,9 +1,10 @@
 """Combinational Verilog subset: parser and elaborator.
 
 Reads primitive models (and small designs) written with `assign` only and
-extracts their bitvector semantics. Parameters stay symbolic so a model
-elaborates once into PrimitiveSemantics usable for every configuration;
-binding parameters instead yields a plain Design.
+extracts their bitvector semantics as an `ir.Design`. Parameters stay
+symbolic, so a model elaborates once into a Design with parameters that
+serves every configuration; binding parameters instead folds them to
+constants and yields a Design without any.
 
 Accepted constructs: module/endmodule, ANSI or non-ANSI port lists,
 input/output/wire with [msb:0] ranges, `parameter NAME = sized_literal`,
@@ -28,7 +29,6 @@ width.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -42,41 +42,6 @@ from .errors import (
     VerilogSyntaxError,
     WidthMismatch,
 )
-
-
-@dataclass(frozen=True)
-class PrimitiveSemantics:
-    """One primitive's interface and per-output bitvector semantics.
-
-    Output expressions range over input Vars and parameter Vars; parameter
-    defaults are plain unsigned integers.
-    """
-
-    name: str
-    inputs: tuple  # of (name, width)
-    params: tuple  # of (name, width, default)
-    outputs: tuple  # of (name, BitVecExpr)
-
-    def __post_init__(self):
-        env = {n: w for n, w in self.inputs}
-        for n, w, default in self.params:
-            env[n] = w
-            if not 0 <= default < (1 << w):
-                raise ValidationError(f"default {default} for parameter {n} exceeds width {w}")
-        for _, e in self.outputs:
-            ir.validate(e, env, allow_holes=False)
-
-    @property
-    def input_widths(self):
-        return dict(self.inputs)
-
-    @property
-    def output_widths(self):
-        return {n: e.width for n, e in self.outputs}
-
-    @property
-    def param_widths(self):
-        return {n: w for n, w, _ in self.params}
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +105,7 @@ def _lex(source, filename):
         if kind == "nl":
             line += 1
             col = 1
-        elif kind in ("ws",):
-            col += len(text)
-        elif kind in ("lcomment",):
+        elif kind in ("ws", "lcomment"):
             col += len(text)
         elif kind == "bcomment":
             newlines = text.count("\n")
@@ -323,8 +286,9 @@ class VerilogModuleAst:
         return widths
 
 
-# Binary operators by precedence, loosest first.
+# Binary operators by precedence, loosest first, and each operator's level.
 _BINARY_LEVELS = ({"|"}, {"^"}, {"&"}, {"==", "!="}, {"<"}, {"<<", ">>"}, {"+", "-"}, {"*"})
+_BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
 
 
 class _Parser:
@@ -569,28 +533,27 @@ class _Parser:
 
     # -- expressions, loosest binding first ---------------------------------
     def parse_expr(self):
-        return self.parse_ternary()
-
-    def parse_ternary(self):
         cond = self.parse_binary()
         if self.at("op", "?"):
             tok = self.next()
-            a = self.parse_ternary()
+            a = self.parse_expr()
             self.expect("op", ":")
-            b = self.parse_ternary()
+            b = self.parse_expr()
             return VTernary(cond, a, b, tok.line, tok.col)
         return cond
 
-    def parse_binary(self, level=0):
-        """Left-associative binary operators of `_BINARY_LEVELS[level]` and tighter."""
-        if level == len(_BINARY_LEVELS):
-            return self.parse_unary()
-        node = self.parse_binary(level + 1)
-        while self.peek().kind == "op" and self.peek().text in _BINARY_LEVELS[level]:
-            tok = self.next()
+    def parse_binary(self, min_level=0):
+        """Left-associative binary operators of level `min_level` and tighter,
+        by precedence climbing: only a right operand recurses."""
+        node = self.parse_unary()
+        while True:
+            tok = self.peek()
+            level = _BINARY_LEVEL.get(tok.text) if tok.kind == "op" else None
+            if level is None or level < min_level:
+                return node
+            self.next()
             rhs = self.parse_binary(level + 1)
             node = VBinary(tok.text, node, rhs, tok.line, tok.col)
-        return node
 
     def parse_unary(self):
         tok = self.peek()
@@ -823,7 +786,7 @@ class _Elaborator:
             where = _where(self.filename, inst.line, inst.col)
             prim = self._lookup_primitive(inst.primitive, where)
             params = {n: d for n, _, d in prim.params}
-            declared = prim.param_widths
+            declared = {n: w for n, w, _ in prim.params}
             for pname, pwidth, pvalue in inst.params:
                 if pname not in declared:
                     raise ValidationError(f"{where}: {inst.primitive} has no parameter {pname}")
@@ -1028,83 +991,19 @@ class _Elaborator:
 
 
 def elaborate(ast, params=None, library=None):
-    """Extract semantics from an AST.
+    """Extract an ir.Design from an AST.
 
-    With `params=None` parameters stay symbolic and the result is a
-    PrimitiveSemantics; with a (possibly empty) binding they fold to
-    constants and the result is a Design. `library` enables the
+    With `params=None` parameters stay symbolic: the Design keeps them, and
+    its outputs read them as Vars. With a (possibly empty) binding they fold
+    to constants and the Design has none. `library` enables the
     instance-aware mode used when re-importing emitted netlists.
     """
     if ast.instances and library is None:
         raise UnsupportedConstruct("module instantiation", _where(ast.filename, 1, 1))
-    elab = _Elaborator(ast, library)
-    outputs = elab.run(params)
+    outputs = _Elaborator(ast, library).run(params)
     inputs = tuple((p.name, p.width) for p in ast.ports if p.direction == "input")
-    if params is None:
-        return PrimitiveSemantics(
-            ast.name,
-            inputs,
-            tuple((p.name, p.width, p.default) for p in ast.params),
-            tuple(outputs),
-        )
-    return ir.Design(ast.name, inputs, tuple(outputs))
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-
-
-def semantics_to_dict(sem):
-    return {
-        "name": sem.name,
-        "inputs": [{"name": n, "width": w} for n, w in sem.inputs],
-        "params": [
-            {"name": n, "width": w, "default": str(d)} for n, w, d in sem.params
-        ],
-        "outputs": [{"name": n, "expr": ir.expr_to_dict(e)} for n, e in sem.outputs],
-    }
-
-
-def semantics_from_dict(obj, where="$"):
-    """Inverse of semantics_to_dict. Malformed input raises a located ParseError."""
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    for key in ("name", "inputs", "params", "outputs"):
-        if key not in obj:
-            raise ParseError(f"missing field '{key}'", where)
-    inputs = tuple(
-        (ir._field(i, "name", str, w), ir._field(i, "width", int, w))
-        for i, w in _entries(obj, "inputs", where)
-    )
-    params = tuple(
-        (ir._field(p, "name", str, w), ir._field(p, "width", int, w), _decimal(p, "default", w))
-        for p, w in _entries(obj, "params", where)
-    )
-    outputs = tuple(
-        (ir._field(o, "name", str, w), ir.expr_from_dict(o.get("expr"), f"{w}.expr"))
-        for o, w in _entries(obj, "outputs", where)
-    )
-    return PrimitiveSemantics(ir._field(obj, "name", str, where), inputs, params, outputs)
-
-
-def _entries(obj, key, where):
-    """(object, JSON path) for each item of the array obj[key]."""
-    items = obj[key]
-    if not isinstance(items, list):
-        raise ParseError(f"field '{key}' must be an array", where)
-    for i, item in enumerate(items):
-        path = f"{where}.{key}[{i}]"
-        if not isinstance(item, dict):
-            raise ParseError("expected an object", path)
-        yield item, path
-
-
-def _decimal(obj, key, where):
-    raw = ir._field(obj, key, str, where)
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ParseError(f"{key} {raw!r} is not a decimal string", where) from None
+    kept = () if params is not None else tuple((p.name, p.width, p.default) for p in ast.params)
+    return ir.Design(ast.name, inputs, tuple(outputs), kept)
 
 
 def check_identifiers(design, where=None):
@@ -1116,20 +1015,10 @@ def check_identifiers(design, where=None):
             raise ParseError(f"{kind} name {name!r} is not a Verilog identifier", where)
 
 
-def semantics_to_json(sem):
-    return json.dumps(semantics_to_dict(sem), indent=2) + "\n"
+def import_primitive(source, filename=None):
+    """Parse and elaborate a primitive model into a Design with parameters.
 
-
-def import_primitive(source, out_path=None, filename=None):
-    """Parse + elaborate a primitive model; optionally write its JSON.
-
-    Output is deterministic: declaration order everywhere, canonical
-    formatting, so importing the same file twice is byte-identical.
+    The result is deterministic: declaration order everywhere, so importing
+    the same model twice writes byte-identical JSON.
     """
-    ast = parse(source, filename=filename)
-    sem = elaborate(ast)
-    if out_path is not None:
-        text = semantics_to_json(sem)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return sem
+    return elaborate(parse(source, filename=filename))

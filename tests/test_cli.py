@@ -115,6 +115,27 @@ def test_import_command(tmp_path, capsys):
     assert json.loads(renamed.read_text())["name"] == "MYLUT"
 
 
+@pytest.mark.parametrize("name", ["lut2", "lut4", "lut6", "carry1", "mult8x8"])
+def test_import_writes_the_shipped_library_bytes(tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    assert run_cli("import", data_path("models", f"{name}.v"), "-o", out) == 0
+    assert out.read_bytes() == data_path("library", f"{name}.json").read_bytes()
+
+
+def test_primitive_with_parameters_is_not_a_design(tmp_path, capsys):
+    lut2 = data_path("library", "lut2.json")
+    for args in (
+        ("simulate", "--design", lut2, "--inputs", "A=1,B=0"),
+        ("map", "--design", lut2, "--template", "lut_single", "-o", tmp_path / "x.v"),
+    ):
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err
+        assert f"error: {lut2} does not contain a design" in err and "internal error" not in err
+    carry1 = data_path("library", "carry1.json")
+    assert run_cli("simulate", "--design", carry1, "--inputs", "A=1,B=1,CIN=1") == 0
+    assert capsys.readouterr().out == "S=0x1 COUT=0x1\n"
+
+
 def test_import_unsupported_construct(tmp_path, capsys):
     src = tmp_path / "seq.v"
     src.write_text("module ff(input c, input d, output q); always @(posedge c) q <= d; endmodule")

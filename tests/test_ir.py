@@ -223,6 +223,18 @@ def test_design_rejects_duplicate_ports():
         ir.Design("bad", (("a", 1), ("a", 2)), ())
 
 
+def test_design_parameters_are_checked_and_round_trip():
+    out = (("y", ir.Xor(ir.Var("a", 2), ir.Var("P", 2))),)
+    design = ir.Design("cell", (("a", 2),), out, (("P", 2, 3),))
+    again = ir.from_json(ir.to_json(design))
+    assert again == design and again.params == (("P", 2, 3),)
+    with pytest.raises(UnknownVar):
+        ir.Design("cell", (("a", 2),), out)
+    for params in [(("P", 2, 4),), (("P", 2, 0), ("a", 1, 0)), (("P", 2, 0), ("y", 1, 0))]:
+        with pytest.raises(ValidationError):
+            ir.Design("cell", (("a", 2),), out, params)
+
+
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_concat_nests_to_the_left(count):
     parts = [ir.Var(f"p{k}", k + 1) for k in range(count)]

@@ -6,6 +6,7 @@ import random
 import select
 import subprocess
 import sys
+import time
 import weakref
 from unittest import mock
 
@@ -14,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techmap import ir, semantics, synthesis
-from techmap.minismt import Interpreter, SmtInputError, main, parse_forms, serve, tokenize
+from techmap.minismt import (
+    MAX_WIDTH,
+    Interpreter,
+    SmtInputError,
+    main,
+    parse_forms,
+    serve,
+    tokenize,
+)
 from techmap.templates import TemplateKind, instantiate
 
 from util import VAR_POOL, adder4_design, rand_env, rand_expr, table4_design
@@ -120,6 +129,44 @@ def test_subprocess_protocol():
     )
     assert bad.returncode == 1
     assert bad.stdout.decode().startswith('(error "')
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "(declare-const x (_ BitVec 2000000))\n(check-sat)\n",
+        "(declare-const x (_ BitVec 0))\n",
+        "(assert (= (_ bv0 3000000) (_ bv0 3000000)))\n",
+        "(declare-const x (_ BitVec 1))\n(assert (= ((_ zero_extend 3000000) x) #b0))\n",
+        f"(declare-const x (_ BitVec {MAX_WIDTH}))\n(assert (= ((_ sign_extend 1) x) x))\n",
+        f"(declare-const x (_ BitVec {MAX_WIDTH}))\n(assert (= (concat x {' x' * 200}) x))\n",
+    ],
+    ids=["declare", "declare none", "literal", "zero_extend", "sign_extend", "concat"],
+)
+def test_widths_past_the_cap_are_input_errors(script):
+    start = time.perf_counter()
+    with pytest.raises(SmtInputError, match=f"width [0-9]+ is not in 1..{MAX_WIDTH}"):
+        run_script(script)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_widths_at_the_cap_are_accepted():
+    script = (
+        f"(declare-const x (_ BitVec {MAX_WIDTH}))\n(declare-const y (_ BitVec 1))\n"
+        f"(assert (= ((_ zero_extend {MAX_WIDTH - 1}) y) (bvand x (_ bv1 {MAX_WIDTH}))))\n"
+    )
+    assert run_script(script) == ""
+
+
+def test_subprocess_width_past_the_cap_is_an_input_error():
+    result = subprocess.run(
+        [sys.executable, "-m", "techmap.minismt"],
+        input=b"(declare-const x (_ BitVec 2000000))\n(check-sat)\n",
+        capture_output=True, timeout=60,
+    )
+    assert result.returncode == 1
+    assert result.stdout.decode().startswith('(error "BitVec width 2000000')
+    assert result.stderr == b""
 
 
 def test_subprocess_under_optimize_flag():

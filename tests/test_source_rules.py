@@ -35,6 +35,19 @@ def test_only_synthesis_starts_processes():
     assert importers == ["synthesis.py"]
 
 
+def test_only_the_module_codec_library_and_cli_import_json():
+    # `ir` holds the one JSON codec for modules, `library` reads manifests
+    # and descriptors, and `cli` writes report.json.
+    importers = sorted(
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    )
+    assert importers == ["cli.py", "ir.py", "library.py"]
+
+
 def test_solver_processes_start_through_one_popen_call():
     # One process transport: a single Popen call starts every solver
     # process, and pipes are the only way to talk to one.

@@ -216,6 +216,37 @@ def test_operator_lowering():
     assert got == {"y": y, "f": f}
 
 
+def _show(node):
+    if isinstance(node, verilog.VBinary):
+        return f"({_show(node.a)} {node.op} {_show(node.b)})"
+    return node.name
+
+
+@pytest.mark.parametrize(
+    "rhs, tree",
+    [
+        (
+            "a | b ^ c & a == b < c << a + b * c - a",
+            "(a | (b ^ (c & (a == (b < (c << ((a + (b * c)) - a)))))))",
+        ),
+        ("a - b - c | a | b * c * a", "((((a - b) - c) | a) | ((b * c) * a))"),
+        ("a * (b | c) >> a != b", "(((a * (b | c)) >> a) != b)"),
+    ],
+    ids=["every level", "left associative", "parentheses"],
+)
+def test_binary_operators_bind_by_precedence_from_the_left(rhs, tree):
+    src = f"module m(input a, input b, input c, output y); assign y = {rhs}; endmodule"
+    assert _show(verilog.parse(src).assigns[0].rhs) == tree
+
+
+def test_deep_parentheses_elaborate_as_the_bare_operand():
+    def module(rhs):
+        return f"module m(input [3:0] a, output [3:0] y); assign y = {rhs}; endmodule"
+
+    deep = verilog.elaborate(verilog.parse(module("(" * 150 + "a" + ")" * 150)), params={})
+    assert deep == verilog.elaborate(verilog.parse(module("a")), params={})
+
+
 def test_replication_and_repeated_wire_reads_share_nodes():
     src = """
     module m(input a, output [3:0] y);
@@ -239,11 +270,12 @@ def test_widths_that_cannot_reconcile():
 def test_import_primitive_writes_deterministic_json(tmp_path):
     out1 = tmp_path / "lut4a.json"
     out2 = tmp_path / "lut4b.json"
-    sem = verilog.import_primitive(model("lut4.v"), out1)
-    verilog.import_primitive(model("lut4.v"), out2)
+    sem = verilog.import_primitive(model("lut4.v"))
+    out1.write_text(ir.to_json(sem))
+    out2.write_text(ir.to_json(verilog.import_primitive(model("lut4.v"))))
     assert sem.params == (("INIT", 16, 0),)
     assert out1.read_bytes() == out2.read_bytes()
-    again = verilog.semantics_from_dict(__import__("json").loads(out1.read_text()))
+    again = ir.from_json(out1.read_text())
     assert again == sem
 
 
