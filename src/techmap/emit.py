@@ -251,7 +251,7 @@ def check_equivalence(design, netlist_source, library, mode="exhaustive", solver
         )
     imported_by_name = dict(imported.outputs)
     aligned = tuple((name, imported_by_name[name]) for name, _ in design.outputs)
-    problem = synthesis.SynthesisProblem(design, aligned, (), design.inputs)
+    problem = synthesis.SynthesisProblem(design, aligned, ())
     if mode == "exhaustive":
         cex = synthesis.exhaustive_counterexample(problem, {})
     elif mode == "solver":

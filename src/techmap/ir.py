@@ -11,7 +11,9 @@ Every module is one `Design`, whether a design to map or a library
 primitive: a primitive is a Design with parameters. `design_to_dict` and
 `design_from_dict` are the one JSON codec for both.
 
-Width rules:
+Width rules, and next to them `OPERATORS`, the one table of what each node
+class is called in JSON and how the pretty printer, the SMT-LIB lowering
+and the Python evaluator compiler spell it:
   Var/Const/Hole      carry their width (>= 1)
   Not/Neg             width of the operand
   ReduceAnd/Or/Xor    1
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields, replace
 from operator import is_not
 
 from .errors import (
@@ -41,6 +43,7 @@ from .errors import (
     ValidationError,
     WidthMismatch,
 )
+from .minismt import decimal, decimal_text
 
 
 class BitVecExpr:
@@ -51,7 +54,17 @@ class BitVecExpr:
     width: int
 
     def __str__(self):
-        return _pretty(self)
+        """Verilog-like text: each node's `pretty` template, and a constant as value'width."""
+        text = {}  # id(node) -> its text
+        for node in postorder((self,)):
+            row = OPERATORS[type(node)]
+            if row.pretty is None:
+                out = f"{decimal_text(node.value)}'{node.width}"
+            else:
+                kids = [text[id(k)] for k in _children(node)]
+                out = row.pretty % (*kids, *(getattr(node, name) for name in row.indices))
+            text[id(node)] = out
+        return text[id(self)]
 
 
 def _require(cond, message):
@@ -77,7 +90,8 @@ class Const(BitVecExpr):
     def __post_init__(self):
         _require(self.width >= 1, "Const width must be >= 1")
         if not 0 <= self.value < (1 << self.width):
-            raise ValidationError(f"Const value {self.value} out of range for width {self.width}")
+            value = decimal_text(self.value)
+            raise ValidationError(f"Const value {value} out of range for width {self.width}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +123,7 @@ class Neg(_Unary):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class _Reduce(BitVecExpr):
-    a: BitVecExpr
-    width: int = field(init=False, repr=False, compare=False)
-
+class _Reduce(_Unary):
     def __post_init__(self):
         object.__setattr__(self, "width", 1)
 
@@ -132,7 +142,8 @@ class ReduceXor(_Reduce):
 
 @dataclass(frozen=True, slots=True)
 class _Binary(BitVecExpr):
-    """Binary op whose operands must share a width (which the result keeps)."""
+    """Binary op whose operands must share a width (which the result keeps);
+    `_Shift` and `_Compare` change that rule."""
 
     a: BitVecExpr
     b: BitVecExpr
@@ -168,13 +179,8 @@ class Mul(_Binary):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class _Shift(BitVecExpr):
-    a: BitVecExpr
-    b: BitVecExpr
-    width: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+class _Shift(_Binary):
+    def __post_init__(self):  # the amount may have any width
         object.__setattr__(self, "width", self.a.width)
 
 
@@ -186,15 +192,9 @@ class LShr(_Shift):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class _Compare(BitVecExpr):
-    a: BitVecExpr
-    b: BitVecExpr
-    width: int = field(init=False, repr=False, compare=False)
-
+class _Compare(_Binary):
     def __post_init__(self):
-        if self.a.width != self.b.width:
-            raise WidthMismatch(type(self).__name__, self.a.width, self.b.width)
+        _Binary.__post_init__(self)
         object.__setattr__(self, "width", 1)
 
 
@@ -249,37 +249,80 @@ class Concat(BitVecExpr):
 
 
 @dataclass(frozen=True, slots=True)
-class ZeroExt(BitVecExpr):
+class _Extend(BitVecExpr):
     a: BitVecExpr
     width: int
 
     def __post_init__(self):
         if self.width < self.a.width:
-            raise WidthMismatch("ZeroExt", f">= {self.a.width}", self.width)
+            raise WidthMismatch(type(self).__name__, f">= {self.a.width}", self.width)
 
 
-@dataclass(frozen=True, slots=True)
-class SignExt(BitVecExpr):
-    a: BitVecExpr
-    width: int
+class ZeroExt(_Extend):
+    pass
 
-    def __post_init__(self):
-        if self.width < self.a.width:
-            raise WidthMismatch("SignExt", f">= {self.a.width}", self.width)
 
+class SignExt(_Extend):
+    pass
+
+
+@dataclass(frozen=True)
+class Operator:
+    """A row of OPERATORS. A template is a %-format string, or None where that
+    notation's writer spells the node itself. `operands` names the node
+    class's BitVecExpr fields and `indices` its other init fields."""
+
+    node: InitVar[type]
+    json: str
+    pretty: str | None = None  # over the operands' text, then the indices
+    smt: str | None = None  # over terms, see `semantics.lower_to_smt`
+    python: str | None = None  # over named texts, see `semantics._operation`
+    operands: tuple = field(init=False)
+    indices: tuple = field(init=False)
+
+    def __post_init__(self, node):
+        init = [f for f in fields(node) if f.init]
+        object.__setattr__(self, "operands", tuple(f.name for f in init if f.type == "BitVecExpr"))
+        object.__setattr__(self, "indices", tuple(f.name for f in init if f.type != "BitVecExpr"))
+
+
+OPERATORS = {
+    cls: Operator(cls, *texts)
+    for cls, texts in {
+        # class: (JSON name, pretty, SMT-LIB and Python templates)
+        Var: ("var", "%s:%s"),
+        Const: ("const",),
+        Hole: ("hole", "?%s:%s"),
+        Not: ("not", "~(%s)", "(bvnot %s)", "%(a)s ^ %(mask)s"),
+        Neg: ("neg", "-(%s)", "(bvneg %s)", "-%(a)s & %(mask)s"),
+        ReduceAnd: ("redand", "&(%s)", "(bvand %s %s)"),
+        ReduceOr: ("redor", "|(%s)", "(bvor %s %s)", "1 if %(a)s else 0"),
+        ReduceXor: ("redxor", "^(%s)", "(bvxor %s %s)", "(%(a)s).bit_count() & 1"),
+        And: ("and", "(%s & %s)", "(bvand %s %s)", "%(a)s & %(b)s"),
+        Or: ("or", "(%s | %s)", "(bvor %s %s)", "%(a)s | %(b)s"),
+        Xor: ("xor", "(%s ^ %s)", "(bvxor %s %s)", "%(a)s ^ %(b)s"),
+        Add: ("add", "(%s + %s)", "(bvadd %s %s)", "(%(a)s + %(b)s) & %(mask)s"),
+        Sub: ("sub", "(%s - %s)", "(bvsub %s %s)", "(%(a)s - %(b)s) & %(mask)s"),
+        Mul: ("mul", "(%s * %s)", "(bvmul %s %s)", "%(a)s * %(b)s & %(mask)s"),
+        Shl: ("shl", "(%s << %s)", "(bvshl %s %s)", "%(a)s << %(b)s & %(mask)s if %(b)s < %(width)s else 0"),
+        # In Python the operands are in range, so big shifts give 0.
+        LShr: ("lshr", "(%s >> %s)", "(bvlshr %s %s)", "%(a)s >> %(b)s"),
+        Eq: ("eq", "(%s == %s)", "(ite (= %s %s) #b1 #b0)", "1 if %(a)s == %(b)s else 0"),
+        Ult: ("ult", "(%s < %s)", "(ite (bvult %s %s) #b1 #b0)", "1 if %(a)s < %(b)s else 0"),
+        Mux: ("mux", "(%s ? %s : %s)", "(ite (= %s #b1) %s %s)", "%(a)s if %(cond)s else %(b)s"),
+        Extract: ("extract", "%s[%s:%s]"),
+        Concat: ("concat", "{%s, %s}", "(concat %s %s)"),
+        ZeroExt: ("zext", "zext(%s, %s)"),
+        SignExt: ("sext", "sext(%s, %s)"),
+    }.items()
+}
 
 # Node type -> its operands, in field order. Every DAG walk asks this once
-# per node, so it is a table lookup rather than a chain of isinstance tests.
+# per node, so it is a table lookup and a generated attribute read each.
 _OPERANDS = {
-    Mux: lambda e: (e.cond, e.a, e.b),
-    Concat: lambda e: (e.hi, e.lo),
+    cls: eval(f"lambda e: ({''.join(f'e.{name}, ' for name in row.operands)})")
+    for cls, row in OPERATORS.items()
 }
-for _cls in (Var, Const, Hole):
-    _OPERANDS[_cls] = lambda e: ()
-for _cls in (Not, Neg, ReduceAnd, ReduceOr, ReduceXor, Extract, ZeroExt, SignExt):
-    _OPERANDS[_cls] = lambda e: (e.a,)
-for _cls in (And, Or, Xor, Add, Sub, Mul, Shl, LShr, Eq, Ult):
-    _OPERANDS[_cls] = lambda e: (e.a, e.b)
 
 
 def _children(expr):
@@ -367,22 +410,14 @@ def substitute(expr, bindings):
             new = bindings[node.name]
             if new.width != node.width:
                 raise WidthMismatch(f"binding for '{node.name}'", node.width, new.width)
-        elif isinstance(node, (Var, Const, Hole)):
-            new = node
         else:
             kids = _children(node)
             new_kids = [memo[id(k)] for k in kids]
-            new = _rebuild(node, new_kids) if any(map(is_not, kids, new_kids)) else node
+            new = node
+            if any(map(is_not, kids, new_kids)):
+                new = replace(node, **dict(zip(OPERATORS[type(node)].operands, new_kids)))
         memo[id(node)] = new
     return memo[id(expr)]
-
-
-def _rebuild(node, kids):
-    if isinstance(node, Extract):
-        return Extract(node.hi, node.lo, kids[0])
-    if isinstance(node, (ZeroExt, SignExt)):
-        return type(node)(kids[0], node.width)
-    return type(node)(*kids)
 
 
 def concat(parts):
@@ -425,7 +460,8 @@ class Design:
         for n, w, default in self.params:
             _require(w >= 1, f"parameter {n} width must be >= 1")
             if not 0 <= default < (1 << w):
-                raise ValidationError(f"default {default} for parameter {n} exceeds width {w}")
+                value = decimal_text(default)
+                raise ValidationError(f"default {value} for parameter {n} exceeds width {w}")
             env[n] = w
         for n, e in self.outputs:
             validate(e, env, allow_holes=False)
@@ -439,72 +475,45 @@ class Design:
         return {n: e.width for n, e in self.outputs}
 
 
-_OP_NAMES = {
-    Var: "var",
-    Const: "const",
-    Not: "not",
-    Neg: "neg",
-    ReduceAnd: "redand",
-    ReduceOr: "redor",
-    ReduceXor: "redxor",
-    And: "and",
-    Or: "or",
-    Xor: "xor",
-    Add: "add",
-    Sub: "sub",
-    Mul: "mul",
-    Shl: "shl",
-    LShr: "lshr",
-    Eq: "eq",
-    Ult: "ult",
-    Mux: "mux",
-    Extract: "extract",
-    Concat: "concat",
-    ZeroExt: "zext",
-    SignExt: "sext",
-    Hole: "hole",
-}
-_OP_TYPES = {v: k for k, v in _OP_NAMES.items()}
+_JSON_CLASSES = {row.json: cls for cls, row in OPERATORS.items()}
 
 
 def expr_to_dict(expr):
-    op = _OP_NAMES[type(expr)]
-    if isinstance(expr, Var) or isinstance(expr, Hole):
-        return {"op": op, "name": expr.name, "width": expr.width}
-    if isinstance(expr, Const):
-        # Decimal strings sidestep integer-size limits of JSON consumers.
-        return {"op": op, "width": expr.width, "value": str(expr.value)}
-    out = {"op": op, "args": [expr_to_dict(c) for c in _children(expr)]}
-    if isinstance(expr, Extract):
-        out["hi"] = expr.hi
-        out["lo"] = expr.lo
-    elif isinstance(expr, (ZeroExt, SignExt)):
-        out["width"] = expr.width
-    return out
+    obj = {}  # id(node) -> its JSON object
+    for node in postorder((expr,)):
+        row = OPERATORS[type(node)]
+        out = {"op": row.json}
+        if row.operands:
+            out["args"] = [obj[id(k)] for k in _children(node)]
+        for name in row.indices:  # a Const's value is a decimal string, for any JSON reader
+            out[name] = decimal_text(node.value) if name == "value" else getattr(node, name)
+        obj[id(node)] = out
+    return obj[id(expr)]
 
 
 def expr_from_dict(obj, where="$"):
+    """Inverse of expr_to_dict. Malformed input raises a ParseError, and a
+    node that breaks a width rule a ValidationError, located by its JSON path."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     op = obj.get("op")
-    if not isinstance(op, str) or op not in _OP_TYPES:
+    if not isinstance(op, str) or op not in _JSON_CLASSES:
         raise ParseError(f"unknown op {op!r}", where)
-    cls = _OP_TYPES[op]
-    if cls in (Var, Hole):
-        return cls(_field(obj, "name", str, where), _field(obj, "width", int, where))
-    if cls is Const:
-        return Const(_field(obj, "width", int, where), _decimal(obj, "value", where))
-    args = [expr_from_dict(a, path) for a, path in _entries(obj, "args", where)]
-    arity = {Extract: 1, ZeroExt: 1, SignExt: 1, Mux: 3, Concat: 2}.get(
-        cls, 2 if issubclass(cls, (_Binary, _Shift, _Compare)) else 1
-    )
-    if len(args) != arity:
-        raise ParseError(f"op {op!r} expects {arity} args, got {len(args)}", where)
-    if cls is Extract:
-        return Extract(_field(obj, "hi", int, where), _field(obj, "lo", int, where), args[0])
-    if cls in (ZeroExt, SignExt):
-        return cls(args[0], _field(obj, "width", int, where))
-    return cls(*args)
+    cls = _JSON_CLASSES[op]
+    row = OPERATORS[cls]
+    values = {}
+    if row.operands:
+        args = [expr_from_dict(a, path) for a, path in _entries(obj, "args", where)]
+        if len(args) != len(row.operands):
+            raise ParseError(f"op {op!r} expects {len(row.operands)} args, got {len(args)}", where)
+        values.update(zip(row.operands, args))
+    for name in row.indices:  # a symbol's name is a str, a Const's value a decimal string
+        typ = str if name == "name" else int
+        values[name] = _decimal(obj, name, where) if name == "value" else _field(obj, name, typ, where)
+    try:
+        return cls(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _field(obj, key, typ, where):
@@ -520,7 +529,7 @@ def _decimal(obj, key, where):
     """The integer that the decimal string obj[key] holds."""
     raw = _field(obj, key, str, where)
     try:
-        return int(raw, 10)
+        return decimal(raw)
     except ValueError:
         raise ParseError(f"{key} {raw!r} is not a decimal string", where) from None
 
@@ -529,7 +538,7 @@ def design_to_dict(design):
     return {
         "name": design.name,
         "inputs": [{"name": n, "width": w} for n, w in design.inputs],
-        "params": [{"name": n, "width": w, "default": str(d)} for n, w, d in design.params],
+        "params": [{"name": n, "width": w, "default": decimal_text(d)} for n, w, d in design.params],
         "outputs": [{"name": n, "expr": expr_to_dict(e)} for n, e in design.outputs],
     }
 
@@ -589,35 +598,3 @@ def from_json(text):
         raise ParseError(exc.msg, f"line {exc.lineno} col {exc.colno}")
     except RecursionError:
         raise ParseError("expression nested too deeply", "$") from None
-
-
-_PRETTY_OPS = {
-    Not: "~", Neg: "-", ReduceAnd: "&", ReduceOr: "|", ReduceXor: "^",
-    And: "&", Or: "|", Xor: "^", Add: "+", Sub: "-", Mul: "*",
-    Shl: "<<", LShr: ">>", Eq: "==", Ult: "<",
-}
-
-
-def _pretty(expr):
-    text = {}  # id(node) -> its text
-    for node in postorder((expr,)):
-        t = type(node)
-        kids = [text[id(k)] for k in _children(node)]
-        if t is Var or t is Hole:
-            out = f"{'?' if t is Hole else ''}{node.name}:{node.width}"
-        elif t is Const:
-            out = f"{node.value}'{node.width}"
-        elif issubclass(t, (_Unary, _Reduce)):
-            out = f"{_PRETTY_OPS[t]}({kids[0]})"
-        elif issubclass(t, (_Binary, _Shift, _Compare)):
-            out = f"({kids[0]} {_PRETTY_OPS[t]} {kids[1]})"
-        elif t is Mux:
-            out = f"({kids[0]} ? {kids[1]} : {kids[2]})"
-        elif t is Extract:
-            out = f"{kids[0]}[{node.hi}:{node.lo}]"
-        elif t is Concat:
-            out = f"{{{kids[0]}, {kids[1]}}}"
-        else:
-            out = f"{'zext' if t is ZeroExt else 'sext'}({kids[0]}, {node.width})"
-        text[id(node)] = out
-    return text[id(expr)]

@@ -87,7 +87,7 @@ class SmtInputError(Exception):
 
 def _check_width(width, what):
     if not 1 <= width <= MAX_WIDTH:
-        raise SmtInputError(f"{what} width {width} is not in 1..{MAX_WIDTH}")
+        raise SmtInputError(f"{what} width {decimal_text(width)} is not in 1..{MAX_WIDTH}")
 
 
 # ---------------------------------------------------------------------------
@@ -583,13 +583,30 @@ _DIGITS = {"#b": (re.compile(r"[01]+"), 2, 1), "#x": (re.compile(r"[0-9a-fA-F]+"
 
 
 def numeral(text):
-    """The value of an SMT-LIB numeral (ASCII digits), as every index and width is written."""
-    if isinstance(text, str) and text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than `int` reads
-            pass
+    """The value of an SMT-LIB numeral (ASCII digits), as every index and width is
+    written; none that is accepted needs more digits than 2^MAX_WIDTH - 1, 19,729."""
+    if isinstance(text, str) and len(text) <= 19729 and text.isascii() and text.isdigit():
+        return decimal(text)
     raise SmtInputError(f"bad numeral {text!r}")
+
+
+def decimal(text):
+    """int(text, 10), which also reads ASCII digits past the limit on what `int`
+    and `str` convert, `sys.get_int_max_str_digits()` (at least 640)."""
+    if len(text) <= 640 or not (text.isascii() and text.isdigit()):
+        return int(text, 10)
+    half = len(text) // 2
+    return decimal(text[:-half]) * 10**half + decimal(text[-half:])
+
+
+def decimal_text(value):
+    """str(value) for an int >= 0, also past the limit; like `decimal`, it converts
+    a longer number as two halves."""
+    if value.bit_length() <= 2000:  # at most 603 digits
+        return str(value)
+    half = value.bit_length() * 3 // 20  # about half its digits, as log10(2) > 0.3
+    high, low = divmod(value, 10**half)
+    return decimal_text(high) + decimal_text(low).zfill(half)
 
 
 def literal(form):
@@ -641,6 +658,7 @@ def _extend(a, n, bit):
 
 def _extract(bl, a, hi, lo):
     if not lo <= hi < len(a):
+        hi, lo = decimal_text(hi), decimal_text(lo)
         raise SmtInputError(f"extract [{hi}:{lo}] out of range of a {len(a)}-bit operand")
     return a[lo:hi + 1]
 

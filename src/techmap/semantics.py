@@ -2,7 +2,9 @@
 
 The three views of an expression's meaning. Concrete evaluation is the
 simulation/oracle path, the SMT lowering feeds the solver-backed search,
-and truth tables are the exhaustive cross-check between them.
+and truth tables are the exhaustive cross-check between them. The Python
+and SMT-LIB text of an operator node is its `ir.OPERATORS` template; the
+writers here spell only the nodes that no one template covers.
 
 Concrete evaluation compiles an expression DAG once, with `compile_exprs`,
 into a Python function with one statement per operator node; no tree is
@@ -68,11 +70,11 @@ def compile_exprs(exprs, inputs, holes=()):
                 fail = f"_e{len(checks)}"
                 namespace[fail] = _range_error("hole " if is_hole else "", node.name, node.width)
                 checks[arg, node.width] = (
-                    f"    if not 0 <= {arg} <= {(1 << node.width) - 1}: {fail}({arg})"
+                    f"    if not 0 <= {arg} <= {(1 << node.width) - 1:#x}: {fail}({arg})"
                 )
             ref[id(node)] = arg
         elif t is ir.Const:
-            ref[id(node)] = str(node.value)
+            ref[id(node)] = hex(node.value)
         else:
             operands = [ref[id(k)] for k in ir._children(node)]
             text = _operation(node, operands)
@@ -97,57 +99,29 @@ def _range_error(kind, name, width):
 
 
 def _operation(node, operands):
-    """Python expression text for an operator node over its operands' text."""
+    """Python expression text for an operator node: its `python` template over
+    its operands' text, by field name, and its `mask` and `width`, or else
+    spelled here. Integers are in hex, which converts at any length."""
     t = type(node)
     a = operands[0]
     mask = (1 << node.width) - 1
-    if t is ir.Not:
-        return f"{a} ^ {mask}"
-    if t is ir.Neg:
-        return f"-{a} & {mask}"
-    if t is ir.ReduceAnd:
-        return f"1 if {a} == {(1 << node.a.width) - 1} else 0"
-    if t is ir.ReduceOr:
-        return f"1 if {a} else 0"
-    if t is ir.ReduceXor:
-        return f"({a}).bit_count() & 1"
-    if t is ir.Mux:
-        return f"{operands[1]} if {a} else {operands[2]}"
     if t is ir.Extract:
         if node.lo == 0:
-            return a if node.width == node.a.width else f"{a} & {mask}"
-        return f"{a} >> {node.lo} & {mask}"
+            return a if node.width == node.a.width else f"{a} & {mask:#x}"
+        return f"{a} >> {node.lo:#x} & {mask:#x}"
     if t is ir.ZeroExt:
         return a
     if t is ir.SignExt:
         if node.width == node.a.width:
             return a
         extension = mask ^ ((1 << node.a.width) - 1)
-        return f"{a} | {extension} if {a} >> {node.a.width - 1} else {a}"
-    b = operands[1]
-    if t is ir.And:
-        return f"{a} & {b}"
-    if t is ir.Or:
-        return f"{a} | {b}"
-    if t is ir.Xor:
-        return f"{a} ^ {b}"
-    if t is ir.Add:
-        return f"({a} + {b}) & {mask}"
-    if t is ir.Sub:
-        return f"({a} - {b}) & {mask}"
-    if t is ir.Mul:
-        return f"{a} * {b} & {mask}"
-    if t is ir.Shl:
-        return f"{a} << {b} & {mask} if {b} < {node.width} else 0"
-    if t is ir.LShr:
-        return f"{a} >> {b}"  # operands are in range, so big shifts give 0
-    if t is ir.Eq:
-        return f"1 if {a} == {b} else 0"
-    if t is ir.Ult:
-        return f"1 if {a} < {b} else 0"
+        return f"{a} | {extension:#x} if {a} >> {node.a.width - 1:#x} else {a}"
+    if t is ir.ReduceAnd:
+        return f"1 if {a} == {(1 << node.a.width) - 1:#x} else 0"
     if t is ir.Concat:
-        return f"{a} << {node.lo.width} | {b}"
-    raise TypeError(f"not a BitVecExpr: {node!r}")
+        return f"{a} << {node.lo.width:#x} | {operands[1]}"
+    row = ir.OPERATORS[t]
+    return row.python % dict(zip(row.operands, operands), mask=hex(mask), width=hex(node.width))
 
 
 _CACHE_SIZE = 64
@@ -205,8 +179,11 @@ def eval_design(design, env):
     return {name: value for (name, _), value in zip(design.outputs, values)}
 
 
-def _bin_const(value, width):
-    return "#b" + format(value, f"0{width}b")
+# Node type -> its SMT-LIB template, for the types whose term is that
+# template over their operands' terms; `lower_to_smt` spells the others.
+_TERMS = {
+    c: row.smt for c, row in ir.OPERATORS.items() if row.smt and not issubclass(c, (ir._Reduce, ir._Shift))
+}
 
 
 def lower_to_smt(expr, symbol_map):
@@ -215,9 +192,10 @@ def lower_to_smt(expr, symbol_map):
     Every Var and Hole is rendered as the text `symbol_map` gives its name
     (else UnmappedSymbol): an SMT identifier, or any term, such as a literal
     that lowers the expression as if that constant had been substituted.
-    Reductions are expanded over extracted bits, Eq/Ult wrap their boolean
-    in an ite producing a 1-bit vector, and shifts equalize operand widths
-    by zero-extension before truncating back to the operand width.
+    Most nodes are their `ir.OPERATORS` template over their operands'
+    terms. Reductions fold theirs over extracted bits, and shifts equalize
+    operand widths by zero-extension before truncating back to the operand
+    width.
 
     Each distinct node is lowered once, after its operands, in one pass over
     `ir.postorder`, so no recursion limit applies however deep the
@@ -227,62 +205,47 @@ def lower_to_smt(expr, symbol_map):
     text = {}  # id(node) -> its term
     for node in ir.postorder([expr]):
         t = type(node)
-        if t is ir.Var or t is ir.Hole:
+        template = _TERMS.get(t)
+        if template is not None:
+            # By arity: a tuple built per node costs this hot loop a tenth.
+            kids = ir._children(node)
+            if len(kids) == 2:
+                term = template % (text[id(kids[0])], text[id(kids[1])])
+            elif len(kids) == 1:
+                term = template % text[id(kids[0])]
+            else:
+                term = template % (text[id(kids[0])], text[id(kids[1])], text[id(kids[2])])
+        elif t is ir.Var or t is ir.Hole:
             try:
                 term = symbol_map[node.name]
             except KeyError:
                 raise UnmappedSymbol(node.name)
         elif t is ir.Const:
-            term = _bin_const(node.value, node.width)
-        elif t is ir.Not:
-            term = f"(bvnot {text[id(node.a)]})"
-        elif t is ir.Neg:
-            term = f"(bvneg {text[id(node.a)]})"
-        elif t in (ir.ReduceAnd, ir.ReduceOr, ir.ReduceXor):
-            op = {ir.ReduceAnd: "bvand", ir.ReduceOr: "bvor", ir.ReduceXor: "bvxor"}[t]
+            term = f"#b{node.value:0{node.width}b}"
+        elif t is ir.Extract:
+            term = f"((_ extract {node.hi} {node.lo}) {text[id(node.a)]})"
+        elif t is ir.ZeroExt or t is ir.SignExt:
+            op = "zero_extend" if t is ir.ZeroExt else "sign_extend"
+            term = _extend(op, text[id(node.a)], node.width - node.a.width)
+        elif t is ir.Shl or t is ir.LShr:
+            w = max(node.a.width, node.b.width)
+            a, b = (_extend("zero_extend", text[id(k)], w - k.width) for k in (node.a, node.b))
+            term = ir.OPERATORS[t].smt % (a, b)
+            if w > node.a.width:
+                term = f"((_ extract {node.a.width - 1} 0) {term})"
+        else:  # a reduction
+            fold = ir.OPERATORS[t].smt
             inner = text[id(node.a)]
             term = f"((_ extract 0 0) {inner})"
             for i in range(1, node.a.width):
-                term = f"({op} {term} ((_ extract {i} {i}) {inner}))"
-        elif t in (ir.And, ir.Or, ir.Xor, ir.Add, ir.Sub, ir.Mul):
-            op = {
-                ir.And: "bvand", ir.Or: "bvor", ir.Xor: "bvxor",
-                ir.Add: "bvadd", ir.Sub: "bvsub", ir.Mul: "bvmul",
-            }[t]
-            term = f"({op} {text[id(node.a)]} {text[id(node.b)]})"
-        elif t in (ir.Shl, ir.LShr):
-            op = "bvshl" if t is ir.Shl else "bvlshr"
-            wa, wb = node.a.width, node.b.width
-            a, b = text[id(node.a)], text[id(node.b)]
-            w = max(wa, wb)
-            if wa < w:
-                a = f"((_ zero_extend {w - wa}) {a})"
-            if wb < w:
-                b = f"((_ zero_extend {w - wb}) {b})"
-            term = f"({op} {a} {b})"
-            if w > wa:
-                term = f"((_ extract {wa - 1} 0) {term})"
-        elif t is ir.Eq:
-            term = f"(ite (= {text[id(node.a)]} {text[id(node.b)]}) #b1 #b0)"
-        elif t is ir.Ult:
-            term = f"(ite (bvult {text[id(node.a)]} {text[id(node.b)]}) #b1 #b0)"
-        elif t is ir.Mux:
-            term = (
-                f"(ite (= {text[id(node.cond)]} #b1) {text[id(node.a)]} {text[id(node.b)]})"
-            )
-        elif t is ir.Extract:
-            term = f"((_ extract {node.hi} {node.lo}) {text[id(node.a)]})"
-        elif t is ir.Concat:
-            term = f"(concat {text[id(node.hi)]} {text[id(node.lo)]})"
-        elif t is ir.ZeroExt or t is ir.SignExt:
-            term = text[id(node.a)]
-            if node.width != node.a.width:
-                op = "zero_extend" if t is ir.ZeroExt else "sign_extend"
-                term = f"((_ {op} {node.width - node.a.width}) {term})"
-        else:
-            raise TypeError(f"not a BitVecExpr: {node!r}")
+                term = fold % (term, f"((_ extract {i} {i}) {inner})")
         text[id(node)] = term
     return text[id(expr)]
+
+
+def _extend(op, term, bits):
+    """`term` widened by `bits` with `op`, zero_extend or sign_extend."""
+    return f"((_ {op} {bits}) {term})" if bits else term
 
 
 def row_env(inputs, row):

@@ -68,12 +68,10 @@ class SynthesisProblem:
     design: ir.Design
     sketch_exprs: tuple  # of (output name, hole-bearing expr), aligned with design outputs
     holes: tuple  # of (name, width)
-    inputs: tuple  # of (name, width)
 
     def __post_init__(self):
         object.__setattr__(self, "sketch_exprs", tuple(self.sketch_exprs))
         object.__setattr__(self, "holes", tuple(self.holes))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
         design_outs = [(n, e.width) for n, e in self.design.outputs]
         sketch_outs = [(n, e.width) for n, e in self.sketch_exprs]
         if design_outs != sketch_outs:
@@ -94,6 +92,10 @@ class SynthesisProblem:
                     raise ValidationError(f"hole '{name}' not declared with width {width}")
 
     @property
+    def inputs(self):  # the sketch reads the design's inputs
+        return self.design.inputs
+
+    @property
     def hole_space(self):
         """Exact number of hole assignments: the product of 2^width."""
         return 1 << sum(w for _, w in self.holes)
@@ -103,9 +105,7 @@ def problem_from_sketch(design, sketch, library):
     exprs = templates.sketch_to_exprs(sketch, library)
     order = {name: i for i, (name, _) in enumerate(design.outputs)}
     exprs.sort(key=lambda item: order.get(item[0], len(order)))
-    return SynthesisProblem(
-        design, tuple(exprs), tuple(templates.sketch_holes(sketch)), tuple(design.inputs)
-    )
+    return SynthesisProblem(design, tuple(exprs), tuple(templates.sketch_holes(sketch)))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .errors import (
     VerilogSyntaxError,
     WidthMismatch,
 )
+from .minismt import decimal, decimal_text
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,9 @@ def _parse_based_literal(text, where):
     if width < 1:
         raise VerilogSyntaxError(f"literal width must be >= 1 in {text!r}", where)
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_c.lower()]
+    digits = digits.replace("_", "")
     try:
-        value = int(digits.replace("_", ""), base)
+        value = decimal(digits) if base == 10 else int(digits, base)
     except ValueError:
         raise VerilogSyntaxError(f"bad digits for base {base} in {text!r}", where)
     if value >= 1 << width:
@@ -572,7 +574,7 @@ class _Parser:
             return VNum(width, value, tok.line, tok.col)
         if tok.kind == "num":
             self.next()
-            return VNum(None, int(tok.text.replace("_", "")), tok.line, tok.col)
+            return VNum(None, decimal(tok.text.replace("_", "")), tok.line, tok.col)
         if tok.kind == "id":
             self.next()
             if self.at("op", "["):
@@ -735,7 +737,7 @@ class _Elaborator:
                 value = param_values.get(p.name, p.default)
                 if not 0 <= value < (1 << p.width):
                     raise ValidationError(
-                        f"parameter {p.name}={value} does not fit width {p.width}"
+                        f"parameter {p.name}={decimal_text(value)} does not fit width {p.width}"
                     )
                 self.leaves[p.name] = ir.Const(p.width, value)
         if param_values:
@@ -927,7 +929,7 @@ class _Elaborator:
                 if node.value < (1 << ctx):
                     natural = ctx
                 else:
-                    raise WidthMismatch(f"{where}: literal {node.value}", ctx, natural)
+                    raise WidthMismatch(f"{where}: literal {decimal_text(node.value)}", ctx, natural)
             return ir.Const(ctx, node.value)
         if t is VId:
             return _fit(self._signal(node.name), ctx, f"{where}: '{node.name}'")

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import techmap
-from techmap import cli, ir, library, synthesis
+from techmap import cli, ir, library, synthesis, verilog
 from techmap.library import data_path
 from techmap.synthesis import SolverConfig
 from techmap.templates import TemplateKind
@@ -457,3 +457,89 @@ def test_import_of_deep_model_is_located_user_error(tmp_path, capsys):
     assert run_cli("import", model, "-o", out) == 1
     assert capsys.readouterr().err == f"error: {model}: expression nested too deeply\n"
     assert not out.exists()
+
+
+# A 20,000-bit value has up to 6,021 decimal digits; `int` and `str` alone
+# convert at most 4,300 of them by default.
+WIDE_ONES = "20000'h" + "F" * 5000
+
+
+def test_simulate_shifts_a_wide_constant(tmp_path, capsys):
+    path = tmp_path / "shl.v"
+    path.write_text(
+        "module shl(input [3:0] A, output [19999:0] Z);\n  assign Z = 20000'h1 << A;\nendmodule\n"
+    )
+    assert run_cli("simulate", "--design", path, "--inputs", "A=3") == 0
+    assert capsys.readouterr().out == "Z=0x8\n"
+
+
+def test_map_pinned_reads_a_wide_constant(tmp_path):
+    path = tmp_path / "addw.v"
+    path.write_text(
+        "module addw(input a, input b, input c, input d, output y);\n"
+        "  wire [19999:0] w;\n  assign w = a + 20000'd1;\n  assign y = w[0] ^ b ^ c ^ d;\n"
+        "endmodule\n"
+    )
+    out = tmp_path / "out.v"
+    code = run_cli(
+        "map", "--design", path, "--template", "lut_single", "--pin-mode", "pinned", "-o", out
+    )
+    assert code == 0
+    assert "LUT4 #(.INIT(16'h9669))" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        f"module W #(parameter P = {WIDE_ONES}) (input A, output Z);\n  assign Z = A;\nendmodule\n",
+        f"module W (input A, output [19999:0] Z);\n  assign Z = {WIDE_ONES};\nendmodule\n",
+    ],
+    ids=["parameter", "assign"],
+)
+def test_import_writes_a_wide_value(tmp_path, source):
+    model = tmp_path / "w.v"
+    model.write_text(source)
+    out = tmp_path / "w.json"
+    assert run_cli("import", model, "-o", out) == 0
+    assert ir.from_json(out.read_text()) == verilog.import_primitive(source)
+
+
+A2 = {"op": "var", "name": "a", "width": 2}
+
+
+@pytest.mark.parametrize(
+    "expr, where, message",
+    [
+        (
+            {"op": "and", "args": [A2, {"op": "zext", "width": 1, "args": [A2]}]},
+            "$.outputs[0].expr.args[1]",
+            "width mismatch at ZeroExt: expected >= 2, got 1",
+        ),
+        (
+            {"op": "and", "args": [A2, {"op": "extract", "hi": 2, "lo": 0, "args": [A2]}]},
+            "$.outputs[0].expr.args[1]",
+            "Extract range [2:0] invalid for width 2",
+        ),
+        (
+            {"op": "and", "args": [A2, {"op": "var", "name": "b", "width": 1}]},
+            "$.outputs[0].expr",
+            "width mismatch at And: expected 2, got 1",
+        ),
+        (
+            {"op": "and", "args": [A2, {"op": "const", "width": 2, "value": "4"}]},
+            "$.outputs[0].expr.args[1]",
+            "Const value 4 out of range for width 2",
+        ),
+    ],
+    ids=["zext", "extract", "and widths", "const"],
+)
+def test_json_node_errors_are_located(tmp_path, capsys, expr, where, message):
+    design = {
+        "name": "bad",
+        "inputs": [{"name": "a", "width": 2}, {"name": "b", "width": 1}],
+        "outputs": [{"name": "y", "expr": expr}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(design))
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1,b=0") == 1
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"

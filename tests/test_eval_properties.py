@@ -175,7 +175,7 @@ def test_first_mismatch_returns_lowest_row():
     # lowest mismatching row too.
     design = ir.Design("t", inputs, (("y", lut_bit(ir.Const(16, want_table), inputs)),))
     sketch = (("y", lut_bit(ir.Hole("T", 16), inputs)),)
-    problem = synthesis.SynthesisProblem(design, sketch, (("T", 16),), inputs)
+    problem = synthesis.SynthesisProblem(design, sketch, (("T", 16),))
     assert synthesis.exhaustive_counterexample(problem, {"T": got_table}) == {"p": 1, "q": 1}
     assert synthesis.exhaustive_counterexample(problem, {"T": want_table}) is None
 

@@ -10,7 +10,7 @@ from techmap.errors import (
     ValidationError,
     WidthMismatch,
 )
-from techmap.semantics import eval_concrete
+from techmap.semantics import eval_concrete, lower_to_smt
 
 from util import VAR_POOL, adder4_design, rand_env, rand_expr
 
@@ -152,6 +152,56 @@ def test_str_spells_every_node_kind():
     )
 
 
+def test_lower_spells_every_node_kind():
+    # The texts were recorded before the writers read ir.OPERATORS.
+    a, b, s, h = ir.Var("a", 4), ir.Var("b", 4), ir.Var("s", 2), ir.Hole("h", 1)
+    spelled = [
+        (a, "a"),
+        (h, "h"),
+        (ir.Const(4, 9), "#b1001"),
+        (ir.Not(a), "(bvnot a)"),
+        (ir.Neg(a), "(bvneg a)"),
+        (ir.ReduceAnd(s), "(bvand ((_ extract 0 0) s) ((_ extract 1 1) s))"),
+        (ir.ReduceOr(s), "(bvor ((_ extract 0 0) s) ((_ extract 1 1) s))"),
+        (ir.ReduceXor(s), "(bvxor ((_ extract 0 0) s) ((_ extract 1 1) s))"),
+        (ir.And(a, b), "(bvand a b)"),
+        (ir.Or(a, b), "(bvor a b)"),
+        (ir.Xor(a, b), "(bvxor a b)"),
+        (ir.Add(a, b), "(bvadd a b)"),
+        (ir.Sub(a, b), "(bvsub a b)"),
+        (ir.Mul(a, b), "(bvmul a b)"),
+        (ir.Shl(a, s), "(bvshl a ((_ zero_extend 2) s))"),
+        (ir.LShr(s, a), "((_ extract 1 0) (bvlshr ((_ zero_extend 2) s) a))"),
+        (ir.Eq(a, b), "(ite (= a b) #b1 #b0)"),
+        (ir.Ult(a, b), "(ite (bvult a b) #b1 #b0)"),
+        (ir.Mux(h, a, b), "(ite (= h #b1) a b)"),
+        (ir.Extract(2, 1, a), "((_ extract 2 1) a)"),
+        (ir.Concat(s, h), "(concat s h)"),
+        (ir.ZeroExt(s, 4), "((_ zero_extend 2) s)"),
+        (ir.SignExt(s, 4), "((_ sign_extend 2) s)"),
+        (ir.ZeroExt(s, 2), "s"),
+        (ir.SignExt(s, 2), "s"),
+    ]
+    symbols = {"a": "a", "b": "b", "s": "s", "h": "h"}
+    assert [lower_to_smt(expr, symbols) for expr, _ in spelled] == [t for _, t in spelled]
+    assert {type(expr) for expr, _ in spelled} == set(ir.OPERATORS)
+
+
+def test_operators_has_one_row_per_node_class():
+    concrete = {
+        cls
+        for name, cls in vars(ir).items()
+        if isinstance(cls, type) and issubclass(cls, ir.BitVecExpr)
+        and cls is not ir.BitVecExpr and not name.startswith("_")
+    }
+    assert set(ir.OPERATORS) == concrete
+    names = [row.json for row in ir.OPERATORS.values()]
+    assert len(set(names)) == len(names)
+    assert ir.OPERATORS[ir.Extract].operands == ("a",)
+    assert ir.OPERATORS[ir.Extract].indices == ("hi", "lo")
+    assert ir.OPERATORS[ir.Mux].operands == ("cond", "a", "b")
+
+
 def test_str_of_deep_chain_does_not_recurse():
     expr = ir.Var("a", 1)
     for _ in range(5000):
@@ -198,6 +248,15 @@ def test_json_const_uses_decimal_strings():
     payload = ir.expr_to_dict(expr)
     assert payload["value"] == str(1 << 65)
     assert ir.from_json(ir.to_json(expr)) == expr
+
+
+def test_json_decimal_strings_past_the_int_digit_limit():
+    # `int` and `str` alone convert at most 4,300 decimal digits by default.
+    expr = ir.Const(20000, 10**5000 + 7)
+    assert ir.expr_to_dict(expr)["value"] == "1" + "0" * 4998 + "07"
+    assert ir.from_json(ir.to_json(expr)) == expr
+    design = ir.Design("wide", (("a", 1),), (("y", ir.Var("a", 1)),), (("P", 20000, 10**5000),))
+    assert ir.from_json(ir.to_json(design)) == design
 
 
 def test_json_errors_carry_location():

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from techmap import ir, semantics, synthesis
+from techmap import ir, minismt, semantics, synthesis
 from techmap.minismt import (
     MAX_WIDTH,
     Interpreter,
@@ -148,6 +149,44 @@ def test_widths_past_the_cap_are_input_errors(script):
     with pytest.raises(SmtInputError, match=f"width [0-9]+ is not in 1..{MAX_WIDTH}"):
         run_script(script)
     assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        f"(declare-const x (_ BitVec 1{'0' * 5000}))\n",
+        f"(declare-const x (_ BitVec 1{'0' * 1_000_000}))\n",
+        f"(declare-const x (_ BitVec 4))\n(assert (= ((_ extract 1{'0' * 5000} 0) x) x))\n",
+    ],
+    ids=["5000-digit width", "1 MB width", "5000-digit index"],
+)
+def test_numerals_past_the_int_digit_limit_are_input_errors(script):
+    start = time.perf_counter()
+    with pytest.raises(SmtInputError, match="bad numeral|width 1|extract"):
+        run_script(script)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_literal_values_past_the_int_digit_limit():
+    # N = 10^19728 has 19,729 digits and fits 65536 bits; `int` alone
+    # converts at most 4,300 decimal digits by default.
+    digits = "1" + "0" * 19728
+    assert minismt.literal(("_", "bv" + digits, str(MAX_WIDTH))) == (10**19728, MAX_WIDTH)
+    with pytest.raises(SmtInputError, match="bad numeral"):
+        minismt.numeral(digits + "x")
+
+
+@pytest.mark.parametrize("count", [1, 639, 640, 641, 1280, 1281, 5000])
+def test_decimal_conversions_have_no_digit_limit(count):
+    rng = random.Random(count)
+    text = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(count - 1))
+    value = minismt.decimal(text)
+    assert value == functools.reduce(lambda v, digit: 10 * v + int(digit), text, 0)
+    assert minismt.decimal_text(value) == text
+    for bad in ("", "x" + text, text + "_", "-" * 700 + text):
+        with pytest.raises(ValueError):
+            minismt.decimal(bad)
+    assert minismt.decimal(" 1_0 ") == int(" 1_0 ") == 10
 
 
 def test_widths_at_the_cap_are_accepted():

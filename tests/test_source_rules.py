@@ -97,7 +97,7 @@ def _callee(func):
 def test_expression_walks_do_not_recurse():
     # Expressions can be nested past the interpreter's recursion limit, so
     # the modules that walk them do so through `ir.postorder` or another
-    # loop. The JSON codec's own depth limit bounds the two exceptions.
+    # loop. The JSON parser's own depth limit bounds the one exception.
     walkers = {"ir.py", "semantics.py", "synthesis.py", "emit.py", "templates.py"}
     found = {
         f"{path.name}:{fn.name}"
@@ -108,7 +108,29 @@ def test_expression_walks_do_not_recurse():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and _callee(node.func) == fn.name
     }
-    assert sorted(found - {"ir.py:expr_from_dict", "ir.py:expr_to_dict"}) == []
+    assert sorted(found - {"ir.py:expr_from_dict"}) == []
+
+
+def test_only_ir_lists_facts_per_node_class():
+    # What each node class is called and how each notation spells it is
+    # `ir.OPERATORS`; a dict keyed by, or a tuple, list or set of, three or
+    # more `ir.<Class>` attributes in another module would be a second copy
+    # of that table.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "ir.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set))
+        and sum(
+            isinstance(item, ast.Attribute)
+            and isinstance(item.value, ast.Name)
+            and item.value.id == "ir"
+            and item.attr[:1].isupper()
+            for item in (node.keys if isinstance(node, ast.Dict) else node.elts)
+        ) >= 3
+    ]
+    assert found == []
 
 
 def test_functions_the_benchmark_tracer_wraps_exist():

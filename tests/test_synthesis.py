@@ -117,7 +117,7 @@ def test_brute_limits(lib):
     wide = ir.Design(
         "wide", tuple((f"i{k}", 1) for k in range(17)), (("y", ir.Var("i0", 1)),)
     )
-    problem = SynthesisProblem(wide, tuple(wide.outputs), (), tuple(wide.inputs))
+    problem = SynthesisProblem(wide, tuple(wide.outputs), ())
     with pytest.raises(LimitExceeded) as info:
         solve_brute_force(problem)
     assert info.value.which == "input bits"
@@ -137,7 +137,7 @@ def test_decode_assignment_orders_first_hole_least_significant():
 def test_problem_alignment_is_checked():
     design = and2_design()
     with pytest.raises(ValidationError):
-        SynthesisProblem(design, (("z", ir.Const(1, 0)),), (), tuple(design.inputs))
+        SynthesisProblem(design, (("z", ir.Const(1, 0)),), ())
 
 
 def test_problem_rejects_a_name_that_is_both_input_and_hole():
@@ -149,7 +149,7 @@ def test_problem_rejects_a_name_that_is_both_input_and_hole():
     )
     sketch = (("y", ir.Var("a", 1)), ("z", ir.Hole("a", 1)))
     with pytest.raises(ValidationError, match="both as input and hole"):
-        SynthesisProblem(design, sketch, (("a", 1),), tuple(design.inputs))
+        SynthesisProblem(design, sketch, (("a", 1),))
 
 
 def test_symbol_table_sanitizes_deterministically():
@@ -160,7 +160,7 @@ def test_symbol_table_sanitizes_deterministically():
     )
     problem = SynthesisProblem(
         design, (("y", ir.Var("1st$in", 1)),),
-        (("inst_0.INIT", 4),), tuple(design.inputs),
+        (("inst_0.INIT", 4),),
     )
     table = symbol_table(problem)
     assert table == symbol_table(problem)
@@ -278,6 +278,11 @@ def test_parse_model_rejects_garbage():
         parse_model("sat\n((h (_ (bv8) 4)))", {"h": ("h", 4)})  # nested index
 
 
+def test_parse_model_rejects_a_width_past_the_int_digit_limit():
+    with pytest.raises(SolverProtocolError, match="bad value"):
+        parse_model(f"sat\n((h (_ bv0 1{'0' * 5000})))", {"h": ("h", 4)})
+
+
 def test_initial_examples_deterministic_and_deduped(lib):
     problem, _ = pinned_problem(and2_design(), lib)
     first = initial_examples(problem, 0, 4)
@@ -316,7 +321,7 @@ def test_cegis_agrees_with_brute_on_infeasible(lib, solver_config):
 
 def test_cegis_zero_holes_needs_one_verify_call(lib, solver_config):
     design = and2_design()
-    problem = SynthesisProblem(design, tuple(design.outputs), (), tuple(design.inputs))
+    problem = SynthesisProblem(design, tuple(design.outputs), ())
     solution = solve_cegis(problem, solver_config)
     assert solution.assignment == {}
     assert solution.stats.solver_calls == 1
@@ -325,7 +330,7 @@ def test_cegis_zero_holes_needs_one_verify_call(lib, solver_config):
 def test_cegis_zero_holes_mismatch_is_infeasible(lib, solver_config):
     design = and2_design()
     wrong = tuple((n, ir.Or(ir.Var("a", 1), ir.Var("b", 1))) for n, _ in design.outputs)
-    problem = SynthesisProblem(design, wrong, (), tuple(design.inputs))
+    problem = SynthesisProblem(design, wrong, ())
     with pytest.raises(TemplateInfeasible):
         solve_cegis(problem, solver_config)
 

@@ -72,6 +72,25 @@ def test_unsized_based_literal_rejected():
         verilog.parse("module m(output y); assign y = 'b1; endmodule")
 
 
+@pytest.mark.parametrize("sized", [True, False])
+def test_decimal_literals_past_the_int_digit_limit(sized):
+    # `int` alone converts at most 4,300 decimal digits by default.
+    digits = "1" + "0" * 5000
+    literal = f"20000'd{digits}" if sized else digits
+    src = f"module m(input a, output [19999:0] y); assign y = {literal}; endmodule"
+    design = verilog.elaborate(verilog.parse(src), params={})
+    assert design.outputs == (("y", ir.Const(20000, 10**5000)),)
+    narrow = f"module m(input a, output y); assign y = {literal}; endmodule"
+    with pytest.raises(ValidationError, match=f"literal {digits}: expected 1"):
+        verilog.elaborate(verilog.parse(narrow), params={})
+
+
+def test_a_binding_too_wide_for_its_parameter_is_named_in_decimal():
+    cell = verilog.parse("module c #(parameter P = 4'h0) (input a, output y); assign y = P[a]; endmodule")
+    with pytest.raises(ValidationError, match=f"parameter P=1{'0' * 5000} does not fit width 4"):
+        verilog.elaborate(cell, params={"P": 10**5000})
+
+
 def test_unsupported_operators_are_named():
     with pytest.raises(UnsupportedConstruct):
         verilog.parse("module m(input a, input b, output y); assign y = a >= b; endmodule")
