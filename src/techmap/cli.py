@@ -74,7 +74,7 @@ def load_design(path):
             raise TechmapError(f"{path} does not contain a design")
         return obj
     ast = verilog.parse(text, filename=str(path))
-    return verilog.elaborate(ast, params={})
+    return verilog.elaborate(ast).bind({})
 
 
 def load_library_arg(path):

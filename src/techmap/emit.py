@@ -227,7 +227,7 @@ class EquivReport:
 
 def _import_netlist(netlist_source, library, filename=None):
     ast = verilog.parse(netlist_source, filename=filename, allow_instances=True)
-    return verilog.elaborate(ast, params={}, library=library)
+    return verilog.elaborate(ast, library).bind({})
 
 
 def check_equivalence(design, netlist_source, library, mode="exhaustive", solver=None):

@@ -436,7 +436,8 @@ class Design:
 
     A design to map has no parameters. A library primitive keeps its
     parameters as Vars that its outputs read, each with a default that is
-    a plain unsigned integer.
+    a plain unsigned integer; `bind` configures it into a module without
+    parameters.
     """
 
     name: str
@@ -465,6 +466,23 @@ class Design:
             env[n] = w
         for n, e in self.outputs:
             validate(e, env, allow_holes=False)
+
+    def bind(self, values):
+        """This module without parameters: each parameter reads as a Const of
+        its value in `values`, else of its default. A name that is not a
+        parameter raises UnknownVar, and a value too wide ValidationError."""
+        consts = {}
+        for n, w, default in self.params:
+            value = values.get(n, default)
+            if not 0 <= value < (1 << w):
+                raise ValidationError(f"parameter {n}={decimal_text(value)} does not fit width {w}")
+            consts[n] = Const(w, value)
+        unknown = sorted(values.keys() - consts.keys())
+        if unknown:
+            raise UnknownVar(unknown[0])
+        if not consts:
+            return self
+        return Design(self.name, self.inputs, [(n, substitute(e, consts)) for n, e in self.outputs])
 
     @property
     def input_widths(self):
@@ -589,12 +607,28 @@ def to_json(obj):
 
 def from_json(text):
     """Parse JSON text into an expression (object with 'op') or a Design."""
+    return read_json(text, "$", _expr_or_design)
+
+
+def _expr_or_design(obj):
+    if isinstance(obj, dict) and "op" in obj:
+        return expr_from_dict(obj)
+    return design_from_dict(obj)
+
+
+def read_json(text, where, decode=lambda obj: obj):
+    """`decode` of the value of JSON `text`.
+
+    Malformed text, a number too long for Python's int conversion, and
+    nesting too deep to read or to decode raise a ParseError at `where`.
+    """
     try:
-        obj = json.loads(text)
-        if isinstance(obj, dict) and "op" in obj:
-            return expr_from_dict(obj)
-        return design_from_dict(obj)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"line {exc.lineno} col {exc.colno}")
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, f"{where}:{exc.lineno}:{exc.colno}") from None
+        except ValueError:  # json reads an integer with int(), which caps its digits
+            raise ParseError("number has too many digits", where) from None
+        return decode(obj)
     except RecursionError:
-        raise ParseError("expression nested too deeply", "$") from None
+        raise ParseError("nested too deeply", where) from None

@@ -25,8 +25,6 @@ MANIFEST = "manifest.json"
 class Library:
     primitives: dict  # name -> ir.Design, its parameters kept
     descriptors: dict = field(default_factory=dict)  # name -> roles dict
-    # Relative file names, preserved so save_library round-trips bytes.
-    layout: tuple = ()
 
     def __post_init__(self):
         for name, roles in self.descriptors.items():
@@ -45,13 +43,7 @@ class Library:
 
 
 def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}")
-    except RecursionError:
-        raise ParseError("nested too deeply", str(path)) from None
+    return ir.read_json(path.read_text(encoding="utf-8"), str(path))
 
 
 def load_library(path):
@@ -63,7 +55,6 @@ def load_library(path):
         raise ParseError("manifest needs a 'primitives' array", str(root / MANIFEST))
     primitives = {}
     descriptors = {}
-    layout = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("semantics"), str):
             raise ParseError(f"primitives[{i}] needs a 'semantics' file", str(root / MANIFEST))
@@ -87,8 +78,7 @@ def load_library(path):
             if not isinstance(roles, dict):
                 raise ParseError("descriptor needs a 'roles' object", desc_file)
             descriptors[sem.name] = roles
-        layout.append((sem.name, sem_file, desc_file))
-    return Library(primitives, descriptors, tuple(layout))
+    return Library(primitives, descriptors)
 
 
 def _descriptor_json(name, roles):
@@ -96,28 +86,19 @@ def _descriptor_json(name, roles):
 
 
 def save_library(library, path):
-    """Write a library directory; the inverse of load_library, byte-stably."""
+    """Write a library directory, the primitives in library order and each
+    file named after its primitive; the inverse of load_library."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    layout = library.layout
-    if not layout:
-        layout = tuple(
-            (
-                name,
-                f"{name.lower()}.json",
-                f"{name.lower()}.desc.json" if name in library.descriptors else None,
-            )
-            for name in sorted(library.primitives)
-        )
     entries = []
-    for name, sem_file, desc_file in layout:
-        with open(root / sem_file, "w", encoding="utf-8") as fh:
-            fh.write(ir.to_json(library.primitives[name]))
-        entry = {"semantics": sem_file}
-        if desc_file is not None:
-            with open(root / desc_file, "w", encoding="utf-8") as fh:
+    for name, primitive in library.primitives.items():
+        entry = {"semantics": f"{name.lower()}.json"}
+        with open(root / entry["semantics"], "w", encoding="utf-8") as fh:
+            fh.write(ir.to_json(primitive))
+        if name in library.descriptors:
+            entry["descriptor"] = f"{name.lower()}.desc.json"
+            with open(root / entry["descriptor"], "w", encoding="utf-8") as fh:
                 fh.write(_descriptor_json(name, library.descriptors[name]))
-            entry["descriptor"] = desc_file
         entries.append(entry)
     with open(root / MANIFEST, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"primitives": entries}, indent=2) + "\n")

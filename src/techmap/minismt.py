@@ -600,10 +600,12 @@ def decimal(text):
 
 
 def decimal_text(value):
-    """str(value) for an int >= 0, also past the limit; like `decimal`, it converts
+    """str(value) for an int, also past the limit; like `decimal`, it converts
     a longer number as two halves."""
     if value.bit_length() <= 2000:  # at most 603 digits
         return str(value)
+    if value < 0:
+        return "-" + decimal_text(-value)
     half = value.bit_length() * 3 // 20  # about half its digits, as log10(2) > 0.3
     high, low = divmod(value, 10**half)
     return decimal_text(high) + decimal_text(low).zfill(half)
@@ -646,11 +648,6 @@ def _ite(bl, cond, a, b):
     return [bl.lit_mux(cond, x, y) for x, y in zip(a, b)]
 
 
-def _concat(bl, hi, lo):
-    _check_width(len(lo) + len(hi), "concat")
-    return lo + hi
-
-
 def _extend(a, n, bit):
     _check_width(len(a) + n, "extension")
     return a + [bit] * n
@@ -666,7 +663,8 @@ def _extract(bl, a, hi, lo):
 # operator: (operand sort, arity, bitvector operands share a width,
 #            blast(blaster, *operands, *indices))
 # An arity of None is one or more operands, each blasted with the ones before
-# as soon as it is read. ANY: the last two operands share a sort, and ite's
+# as soon as it is read; concat, whose blast is None, makes no gates and joins
+# them all once they are read. ANY: the last two operands share a sort, and ite's
 # condition before them is Boolean. An indexed operator `(_ name i ...)` is
 # keyed by its name and number of indices.
 _OPS = {
@@ -687,7 +685,7 @@ _OPS = {
     "bvshl": (BV, 2, True, lambda bl, a, b: bl.bv_shift(a, b, left=True)),
     "bvlshr": (BV, 2, True, lambda bl, a, b: bl.bv_shift(a, b, left=False)),
     "bvult": (BV, 2, True, Blaster.bv_ult),
-    "concat": (BV, None, False, _concat),
+    "concat": (BV, None, False, None),
     ("extract", 2): (BV, 1, False, _extract),
     ("zero_extend", 1): (BV, 1, False, lambda bl, a, n: _extend(a, n, -TRUE)),
     ("sign_extend", 1): (BV, 1, False, lambda bl, a, n: _extend(a, n, a[-1])),
@@ -840,13 +838,20 @@ class Interpreter:
             raise SmtInputError(f"{head!r} takes {arity or '1+'} operand(s), not {len(operands)}")
         if arity is None:
             acc = None
+            parts = []  # a concat's operands, most significant first
             for operand in operands:
                 value = self.term(operand)
                 if value.__class__ is not sort:
                     raise SmtInputError(f"an operand of the wrong sort in {term!r}")
                 if same_width and acc is not None and len(value) != len(acc):
                     raise SmtInputError(f"width mismatch ({len(acc)} vs {len(value)}) in {term!r}")
-                acc = value if acc is None else blast(bl, acc, value)
+                if blast is None:
+                    parts.append(value)
+                else:
+                    acc = value if acc is None else blast(bl, acc, value)
+            if blast is None:
+                _check_width(sum(map(len, parts)), "concat")
+                return [lit for part in reversed(parts) for lit in part]
             return acc
         values = [*map(self.term, operands)]
         if sort is ANY:

@@ -27,6 +27,7 @@ import itertools
 
 from . import ir
 from .errors import HolePresent, TooManyInputBits, UnknownVar, UnmappedSymbol, ValidationError
+from .minismt import decimal_text
 
 EXHAUSTIVE_INPUT_BITS = 16  # rows are walked one at a time, so 2^16 is the ceiling
 
@@ -93,6 +94,7 @@ def compile_exprs(exprs, inputs, holes=()):
 
 def _range_error(kind, name, width):
     def fail(value):
+        value = decimal_text(value)
         raise ValidationError(f"value {value} for {kind}'{name}' does not fit width {width}")
 
     return fail
@@ -305,29 +307,16 @@ def first_mismatch(fn, rows, want=None, args=(), record=None):
     return None
 
 
-def truth_table(design, param_binding=None):
+def truth_table(design):
     """Enumerate all input rows of a Design.
 
     Returns a list of (input tuple, output tuple) in ascending row order,
     inputs and outputs in declaration order. A primitive's parameters take
-    their defaults, except those that `param_binding` gives a value; a
-    binding for a name that is not a parameter raises UnknownVar.
+    their defaults: `design.bind` gives it other values.
     """
-    inputs = tuple(design.inputs)
-    binding = dict(param_binding or {})
-    params = []
-    values = []
-    for name, width, default in design.params:
-        value = binding.pop(name, default)
-        if not 0 <= value < (1 << width):
-            raise ValidationError(f"parameter {name}={value} does not fit width {width}")
-        params.append((name, width))
-        values.append(value)
-    if binding:
-        raise UnknownVar(next(iter(binding)))
-
-    rows = list(input_rows(inputs))
+    design = design.bind({})
+    rows = list(input_rows(design.inputs))
     outputs = []
-    fn = compile_exprs([e for _, e in design.outputs], inputs + tuple(params))
-    first_mismatch(fn, rows, args=values, record=outputs)
+    fn = compile_exprs([e for _, e in design.outputs], design.inputs)
+    first_mismatch(fn, rows, record=outputs)
     return list(zip(rows, outputs))

@@ -3,8 +3,7 @@
 Reads primitive models (and small designs) written with `assign` only and
 extracts their bitvector semantics as an `ir.Design`. Parameters stay
 symbolic, so a model elaborates once into a Design with parameters that
-serves every configuration; binding parameters instead folds them to
-constants and yields a Design without any.
+serves every configuration; `ir.Design.bind` configures it.
 
 Accepted constructs: module/endmodule, ANSI or non-ANSI port lists,
 input/output/wire with [msb:0] ranges, `parameter NAME = sized_literal`,
@@ -720,31 +719,14 @@ class _Elaborator:
         self.library = library
         self.widths = ast.declared_widths()
         self.filename = ast.filename
-        # name -> leaf expr for inputs and params (set by elaborate()).
-        self.leaves = {}
+        # name -> leaf Var, for the sources: inputs and params.
+        self.leaves = {p.name: ir.Var(p.name, p.width) for p in ast.ports if p.direction == "input"}
+        self.leaves.update((p.name, ir.Var(p.name, p.width)) for p in ast.params)
         # signal -> list of (hi, lo, build(), reads)
         self.pieces = {}
         self.sigmap = {}
 
-    def run(self, param_values):
-        for port in self.ast.ports:
-            if port.direction == "input":
-                self.leaves[port.name] = ir.Var(port.name, port.width)
-        for p in self.ast.params:
-            if param_values is None:
-                self.leaves[p.name] = ir.Var(p.name, p.width)
-            else:
-                value = param_values.get(p.name, p.default)
-                if not 0 <= value < (1 << p.width):
-                    raise ValidationError(
-                        f"parameter {p.name}={decimal_text(value)} does not fit width {p.width}"
-                    )
-                self.leaves[p.name] = ir.Const(p.width, value)
-        if param_values:
-            unknown = set(param_values) - {p.name for p in self.ast.params}
-            if unknown:
-                raise ValidationError(f"unknown parameter(s): {sorted(unknown)}")
-
+    def run(self):
         self._collect_pieces()
         order = self._topo_order()
         for name in order:
@@ -774,7 +756,7 @@ class _Elaborator:
 
         for stmt in self.ast.assigns:
             where = _where(self.filename, stmt.line, stmt.col)
-            if stmt.target not in self.widths or self._is_source(stmt.target):
+            if stmt.target not in self.widths or stmt.target in self.leaves:
                 raise ValidationError(f"{where}: cannot assign to '{stmt.target}'")
             ctx = (stmt.hi - stmt.lo + 1) if stmt.hi is not None else self.widths[stmt.target]
             reads = {name for name, _, _ in _ast_reads(stmt.rhs) if self._is_signal(name)}
@@ -787,14 +769,13 @@ class _Elaborator:
         for inst in self.ast.instances:
             where = _where(self.filename, inst.line, inst.col)
             prim = self._lookup_primitive(inst.primitive, where)
-            params = {n: d for n, _, d in prim.params}
             declared = {n: w for n, w, _ in prim.params}
             for pname, pwidth, pvalue in inst.params:
                 if pname not in declared:
                     raise ValidationError(f"{where}: {inst.primitive} has no parameter {pname}")
                 if pwidth != declared[pname] or pvalue >= 1 << declared[pname]:
                     raise WidthMismatch(f"{where}: parameter {pname}", declared[pname], pwidth)
-                params[pname] = pvalue
+            bound = dict(prim.bind({pname: pvalue for pname, _, pvalue in inst.params}).outputs)
             in_widths = prim.input_widths
             out_widths = prim.output_widths
             conn_in = {}
@@ -818,21 +799,16 @@ class _Elaborator:
 
             for port, conn in sinks:
                 target, hi, lo = self._as_lvalue(conn, where)
-                if target not in self.widths or self._is_source(target):
+                if target not in self.widths or target in self.leaves:
                     raise ValidationError(f"{where}: cannot drive '{target}'")
                 pwidth = out_widths[port]
                 twidth = (hi - lo + 1) if hi is not None else self.widths[target]
                 if twidth != pwidth:
                     raise WidthMismatch(f"{where}: connection to {port}", pwidth, twidth)
 
-                def build(prim=prim, port=port, conn_in=dict(conn_in), params=dict(params), w=where):
-                    binding = {}
-                    for pin, pin_w in prim.inputs:
-                        binding[pin] = self._lower_statement(conn_in[pin], pin_w, w)
-                    for pname, pw, _ in prim.params:
-                        binding[pname] = ir.Const(pw, params[pname])
-                    out_expr = dict(prim.outputs)[port]
-                    return ir.substitute(out_expr, binding)
+                def build(prim=prim, expr=bound[port], conn_in=dict(conn_in), w=where):
+                    pins = {p: self._lower_statement(conn_in[p], pw, w) for p, pw in prim.inputs}
+                    return ir.substitute(expr, pins)
 
                 add(target, hi, lo, build, set(reads), where)
 
@@ -853,12 +829,7 @@ class _Elaborator:
 
     def _is_signal(self, name):
         """True for driven signals (wires/outputs), false for inputs/params."""
-        return name in self.widths and not self._is_source(name)
-
-    def _is_source(self, name):
-        if any(p.name == name and p.direction == "input" for p in self.ast.ports):
-            return True
-        return any(p.name == name for p in self.ast.params)
+        return name in self.widths and name not in self.leaves
 
     # -- ordering ---------------------------------------------------------------
     def _topo_order(self):
@@ -866,7 +837,7 @@ class _Elaborator:
         for name, entries in self.pieces.items():
             deps[name] = set()
             for _, _, _, reads in entries:
-                deps[name] |= {r for r in reads if r in self.pieces or not self._is_source(r)}
+                deps[name] |= {r for r in reads if r in self.pieces or r not in self.leaves}
         order = []
         done = set()
         for root in sorted(self.pieces):
@@ -992,20 +963,19 @@ class _Elaborator:
         raise TypeError(f"not a Verilog expression: {node!r}")
 
 
-def elaborate(ast, params=None, library=None):
+def elaborate(ast, library=None):
     """Extract an ir.Design from an AST.
 
-    With `params=None` parameters stay symbolic: the Design keeps them, and
-    its outputs read them as Vars. With a (possibly empty) binding they fold
-    to constants and the Design has none. `library` enables the
-    instance-aware mode used when re-importing emitted netlists.
+    Parameters stay symbolic: the Design keeps them, and its outputs read
+    them as Vars. `library` enables the instance-aware mode used when
+    re-importing emitted netlists.
     """
     if ast.instances and library is None:
         raise UnsupportedConstruct("module instantiation", _where(ast.filename, 1, 1))
-    outputs = _Elaborator(ast, library).run(params)
+    outputs = _Elaborator(ast, library).run()
     inputs = tuple((p.name, p.width) for p in ast.ports if p.direction == "input")
-    kept = () if params is not None else tuple((p.name, p.width, p.default) for p in ast.params)
-    return ir.Design(ast.name, inputs, tuple(outputs), kept)
+    params = tuple((p.name, p.width, p.default) for p in ast.params)
+    return ir.Design(ast.name, inputs, tuple(outputs), params)
 
 
 def check_identifiers(design, where=None):

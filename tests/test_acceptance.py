@@ -166,7 +166,7 @@ def test_criterion_5_multiplier(mult_mapping):
 def test_criterion_6_importer_oracles():
     lut2 = LIB.primitives["LUT2"]
     for init in range(16):
-        for (a, b), (z,) in truth_table(lut2, param_binding={"INIT": init}):
+        for (a, b), (z,) in truth_table(lut2.bind({"INIT": init})):
             assert z == (init >> (a + 2 * b)) & 1
 
     carry = LIB.primitives["CARRY1"]

@@ -319,7 +319,7 @@ def _nots(depth):
             "not.json",
             '{"name": "d", "inputs": [{"name": "a", "width": 1}], '
             f'"outputs": [{{"name": "y", "expr": {_nots(800)}}}]}}',
-            "error: $: expression nested too deeply",
+            "error: $: nested too deeply",
         ),
     ],
     ids=["xor chain", "parentheses", "negations", "design json"],
@@ -348,6 +348,35 @@ def test_deeply_nested_library_entry_is_located_user_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"error: {libdir / 'lut2.json'}: nested too deeply" in err
+
+
+# A JSON number of more digits than Python's int conversion accepts.
+HUGE_NUMBER = "1" + "0" * 5000
+A2_TEXT = '{"op": "var", "name": "a", "width": 2}'
+
+
+def test_design_json_number_past_the_int_digit_limit_is_user_error(tmp_path, capsys):
+    path = tmp_path / "d.json"
+    extract = f'{{"op": "extract", "hi": {HUGE_NUMBER}, "lo": 0, "args": [{A2_TEXT}]}}'
+    path.write_text(
+        '{"name": "d", "inputs": [{"name": "a", "width": 2}], '
+        f'"outputs": [{{"name": "y", "expr": {extract}}}]}}'
+    )
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    assert capsys.readouterr().err == "error: $: number has too many digits\n"
+
+
+def test_library_json_number_past_the_int_digit_limit_is_user_error(tmp_path, capsys):
+    libdir = tmp_path / "lib"
+    library.save_library(library.default_library(), libdir)
+    text = (libdir / "lut2.json").read_text()
+    (libdir / "lut2.json").write_text(text.replace('"width": 1', f'"width": {HUGE_NUMBER}', 1))
+    code = run_cli(
+        "map", "--design", DESIGNS / "and2.v", "--library", libdir,
+        "--template", "lut_single", "-o", tmp_path / "x.v",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {libdir / 'lut2.json'}: number has too many digits\n"
 
 
 def test_long_wire_chain_elaborates(tmp_path, capsys):

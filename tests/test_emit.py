@@ -167,8 +167,8 @@ def test_printed_lut_netlists_reimport_as_equivalent(lib, table):
     report = emit.check_equivalence(design, corrupted, lib)
     assert not report.equivalent
     imported = verilog.elaborate(
-        verilog.parse(corrupted, allow_instances=True), params={}, library=lib
-    )
+        verilog.parse(corrupted, allow_instances=True), library=lib
+    ).bind({})
     cex = report.counterexample
     assert eval_design(design, cex) != eval_design(imported, cex)
 

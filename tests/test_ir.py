@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from techmap import ir
+from techmap import ir, verilog
 from techmap.errors import (
     HoleNotAllowed,
     ParseError,
@@ -10,7 +10,8 @@ from techmap.errors import (
     ValidationError,
     WidthMismatch,
 )
-from techmap.semantics import eval_concrete, lower_to_smt
+from techmap.library import data_path
+from techmap.semantics import eval_concrete, lower_to_smt, truth_table
 
 from util import VAR_POOL, adder4_design, rand_env, rand_expr
 
@@ -292,6 +293,40 @@ def test_design_parameters_are_checked_and_round_trip():
     for params in [(("P", 2, 4),), (("P", 2, 0), ("a", 1, 0)), (("P", 2, 0), ("y", 1, 0))]:
         with pytest.raises(ValidationError):
             ir.Design("cell", (("a", 2),), out, params)
+
+
+def test_bind_gives_each_parameter_its_value_or_its_default():
+    a, p, q = ir.Var("a", 2), ir.Var("P", 2), ir.Var("Q", 3)
+    cell = ir.Design("cell", (("a", 2),), (("y", ir.Concat(ir.Xor(a, p), q)),), (("P", 2, 1), ("Q", 3, 5)))
+
+    def bound(pv, qv):
+        y = ir.Concat(ir.Xor(a, ir.Const(2, pv)), ir.Const(3, qv))
+        return ir.Design("cell", (("a", 2),), (("y", y),))
+
+    assert cell.bind({"Q": 2}) == bound(1, 2)
+    assert cell.bind({}) == bound(1, 5)
+    assert cell.bind({"P": 3, "Q": 0}) == bound(3, 0)
+    assert cell.bind({}).params == ()
+    plain = bound(0, 0)
+    assert plain.bind({}) is plain
+
+
+def test_bind_rejects_a_name_that_is_not_a_parameter(lib):
+    # Both former binders: the elaborator's, and truth_table's on a shipped primitive.
+    model = verilog.elaborate(verilog.parse(data_path("models", "lut2.v").read_text()))
+    for design in (model, lib.primitives["LUT2"], adder4_design()):
+        with pytest.raises(UnknownVar, match="'NOPE'"):
+            design.bind({"NOPE": 0})
+
+
+def test_bind_names_a_value_too_wide_in_decimal(lib):
+    # 10^5000 has more digits than `str` converts by default; truth_table
+    # once raised ValueError formatting it.
+    message = f"parameter INIT=1{'0' * 5000} does not fit width 4"
+    with pytest.raises(ValidationError, match=message):
+        truth_table(lib.primitives["LUT2"].bind({"INIT": 10**5000}))
+    with pytest.raises(ValidationError, match="parameter INIT=16 does not fit width 4"):
+        lib.primitives["LUT2"].bind({"INIT": 16})
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])

@@ -26,6 +26,19 @@ def test_save_load_is_byte_identical(lib, tmp_path):
     assert again.descriptors == lib.descriptors
 
 
+def test_save_names_files_after_primitives_in_library_order(lib, tmp_path):
+    picked = Library(
+        {name: lib.primitives[name] for name in ("MULT8X8", "LUT2")},
+        {"MULT8X8": lib.descriptors["MULT8X8"]},
+    )
+    save_library(picked, tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["primitives"] == [
+        {"semantics": "mult8x8.json", "descriptor": "mult8x8.desc.json"},
+        {"semantics": "lut2.json"},
+    ]
+    assert load_library(tmp_path) == picked
+
+
 def test_duplicate_primitive_rejected(lib, tmp_path):
     save_library(lib, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -69,6 +82,6 @@ def test_shipped_library_matches_reimported_models(lib):
 
 def test_shipped_lut2_passes_truth_table_oracle(lib):
     for init in range(16):
-        rows = truth_table(lib.primitives["LUT2"], param_binding={"INIT": init})
+        rows = truth_table(lib.primitives["LUT2"].bind({"INIT": init}))
         for (a, b), (z,) in rows:
             assert z == (init >> (a + 2 * b)) & 1

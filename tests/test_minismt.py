@@ -189,6 +189,16 @@ def test_decimal_conversions_have_no_digit_limit(count):
     assert minismt.decimal(" 1_0 ") == int(" 1_0 ") == 10
 
 
+def test_a_concat_of_max_width_operands_is_read_in_linear_time():
+    operands = " x" * MAX_WIDTH
+    script = f"(declare-const x (_ BitVec 1))\n(assert (= (concat{operands}) (concat{operands})))\n"
+    start = time.perf_counter()
+    assert run_script(script + "(check-sat)\n") == "sat\n"
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(SmtInputError, match=f"concat width {MAX_WIDTH + 1} is not in"):
+        run_script(script.replace("(concat", "(concat x", 1))
+
+
 def test_widths_at_the_cap_are_accepted():
     script = (
         f"(declare-const x (_ BitVec {MAX_WIDTH}))\n(declare-const y (_ BitVec 1))\n"

@@ -70,6 +70,14 @@ def test_eval_errors():
         eval_concrete(ir.Var("a", 2), {"a": 4})
 
 
+@pytest.mark.parametrize("value", [10**5000, -(10**5000)], ids=["past the top", "negative"])
+def test_range_errors_name_a_value_past_the_int_digit_limit(value):
+    # `str` converts at most 4,300 digits by default.
+    text = ("-" if value < 0 else "") + "1" + "0" * 5000
+    with pytest.raises(ValidationError, match=f"value {text} for 'a' does not fit width 4"):
+        eval_concrete(ir.Var("a", 4), {"a": value})
+
+
 def test_eval_respects_width_randomized():
     rng = random.Random(99)
     for _ in range(500):
@@ -151,7 +159,7 @@ def test_truth_table_row_order_is_first_input_least_significant():
 
 
 def test_truth_table_matches_lut2_with_xor_init(lib):
-    rows = truth_table(lib.primitives["LUT2"], param_binding={"INIT": 6})
+    rows = truth_table(lib.primitives["LUT2"].bind({"INIT": 6}))
     assert [out for _, out in rows] == [(0,), (1,), (1,), (0,)]
 
 
@@ -176,6 +184,6 @@ def test_truth_table_limit():
 def test_truth_table_param_errors(lib):
     lut2 = lib.primitives["LUT2"]
     with pytest.raises(ValidationError):
-        truth_table(lut2, param_binding={"INIT": 16})
+        truth_table(lut2.bind({"INIT": 16}))
     with pytest.raises(UnknownVar):
-        truth_table(lut2, param_binding={"NOPE": 0})
+        truth_table(lut2.bind({"NOPE": 0}))

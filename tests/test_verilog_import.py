@@ -78,17 +78,17 @@ def test_decimal_literals_past_the_int_digit_limit(sized):
     digits = "1" + "0" * 5000
     literal = f"20000'd{digits}" if sized else digits
     src = f"module m(input a, output [19999:0] y); assign y = {literal}; endmodule"
-    design = verilog.elaborate(verilog.parse(src), params={})
+    design = verilog.elaborate(verilog.parse(src)).bind({})
     assert design.outputs == (("y", ir.Const(20000, 10**5000)),)
     narrow = f"module m(input a, output y); assign y = {literal}; endmodule"
     with pytest.raises(ValidationError, match=f"literal {digits}: expected 1"):
-        verilog.elaborate(verilog.parse(narrow), params={})
+        verilog.elaborate(verilog.parse(narrow)).bind({})
 
 
 def test_a_binding_too_wide_for_its_parameter_is_named_in_decimal():
     cell = verilog.parse("module c #(parameter P = 4'h0) (input a, output y); assign y = P[a]; endmodule")
     with pytest.raises(ValidationError, match=f"parameter P=1{'0' * 5000} does not fit width 4"):
-        verilog.elaborate(cell, params={"P": 10**5000})
+        verilog.elaborate(cell).bind({"P": 10**5000})
 
 
 def test_unsupported_operators_are_named():
@@ -148,7 +148,7 @@ def test_free_symbols_of_sketched_lut2(lib):
 
 
 def test_carry_cell_is_a_full_adder():
-    design = verilog.elaborate(verilog.parse(model("carry1.v")), params={})
+    design = verilog.elaborate(verilog.parse(model("carry1.v"))).bind({})
     rows = truth_table(design)
     for (a, b, cin), (s, cout) in rows:
         total = a + b + cin
@@ -157,14 +157,14 @@ def test_carry_cell_is_a_full_adder():
 
 def test_bound_parameter_out_of_range():
     with pytest.raises(ValidationError):
-        verilog.elaborate(verilog.parse(model("lut2.v")), params={"INIT": 16})
+        verilog.elaborate(verilog.parse(model("lut2.v"))).bind({"INIT": 16})
 
 
 def test_bound_equals_symbolic_plus_substitution():
     ast = verilog.parse(model("lut2.v"))
     symbolic = verilog.elaborate(ast)
     for init in range(16):
-        bound = verilog.elaborate(ast, params={"INIT": init})
+        bound = symbolic.bind({"INIT": init})
         via_subst = ir.substitute(
             dict(symbolic.outputs)["Z"], {"INIT": ir.Const(4, init)}
         )
@@ -213,7 +213,7 @@ def test_piecewise_assignment_composes():
       assign y[1] = a[0];
     endmodule
     """
-    design = verilog.elaborate(verilog.parse(src), params={})
+    design = verilog.elaborate(verilog.parse(src)).bind({})
     assert eval_concrete(dict(design.outputs)["y"], {"a": 0b01}) == 0b10
 
 
@@ -226,7 +226,7 @@ def test_operator_lowering():
       assign f = (a == b) ^ (a < b) ^ &a ^ |b ^ ^a ^ (a != b);
     endmodule
     """
-    design = verilog.elaborate(verilog.parse(src), params={})
+    design = verilog.elaborate(verilog.parse(src)).bind({})
     env = {"a": 0b0110, "b": 0b0011, "s": 1}
     t = (env["a"] + env["b"]) & 15
     y = ((t << 1) & 15) | (0b1111 & (~env["a"] & 15))
@@ -262,8 +262,8 @@ def test_deep_parentheses_elaborate_as_the_bare_operand():
     def module(rhs):
         return f"module m(input [3:0] a, output [3:0] y); assign y = {rhs}; endmodule"
 
-    deep = verilog.elaborate(verilog.parse(module("(" * 150 + "a" + ")" * 150)), params={})
-    assert deep == verilog.elaborate(verilog.parse(module("a")), params={})
+    deep = verilog.elaborate(verilog.parse(module("(" * 150 + "a" + ")" * 150))).bind({})
+    assert deep == verilog.elaborate(verilog.parse(module("a"))).bind({})
 
 
 def test_replication_and_repeated_wire_reads_share_nodes():
@@ -274,7 +274,7 @@ def test_replication_and_repeated_wire_reads_share_nodes():
       assign y = {inv, inv, inv, inv};
     endmodule
     """
-    design = verilog.elaborate(verilog.parse(src), params={})
+    design = verilog.elaborate(verilog.parse(src)).bind({})
     yexpr = dict(design.outputs)["y"]
     assert eval_concrete(yexpr, {"a": 0}) == 0b1111
     assert yexpr.hi.hi.hi is yexpr.lo  # one shared node for the wire
@@ -304,7 +304,7 @@ def test_dynamic_bit_select_of_wide_wire():
       assign y = data[idx];
     endmodule
     """
-    design = verilog.elaborate(verilog.parse(src), params={})
+    design = verilog.elaborate(verilog.parse(src)).bind({})
     for idx in range(8):
         assert eval_concrete(dict(design.outputs)["y"], {"data": 0b10110100, "idx": idx}) == (
             (0b10110100 >> idx) & 1
