@@ -67,7 +67,7 @@ def resolve_solver(path=None, args=None):
 
 
 def load_design(path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = library.read_text(path)
     if str(path).endswith(".json"):
         obj = ir.from_json(text)
         if not isinstance(obj, ir.Design) or obj.params:
@@ -89,7 +89,7 @@ def _report_path(out_path):
 
 
 def cmd_import(args):
-    source = Path(args.model).read_text(encoding="utf-8")
+    source = library.read_text(args.model)
     primitive = verilog.import_primitive(source, filename=str(args.model))
     if args.name is not None:
         primitive = dataclasses.replace(primitive, name=args.name)
@@ -163,7 +163,7 @@ def cmd_map(args):
 def cmd_verify(args):
     design = load_design(args.design)
     lib = load_library_arg(args.library)
-    netlist = Path(args.netlist).read_text(encoding="utf-8")
+    netlist = library.read_text(args.netlist)
     solver = None
     if args.mode == "solver":
         solver = resolve_solver(args.solver, tuple(args.solver_arg) if args.solver_arg else None)

@@ -14,7 +14,7 @@ primitive: a primitive is a Design with parameters. `design_to_dict` and
 Width rules, and next to them `OPERATORS`, the one table of what each node
 class is called in JSON and how the pretty printer, the SMT-LIB lowering
 and the Python evaluator compiler spell it:
-  Var/Const/Hole      carry their width (>= 1)
+  Var/Const/Hole      carry their width; every width is in 1..MAX_WIDTH
   Not/Neg             width of the operand
   ReduceAnd/Or/Xor    1
   And/Or/Xor/Add/Sub/Mul   operands must agree; result keeps that width,
@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     WidthMismatch,
 )
-from .minismt import decimal, decimal_text
+from .minismt import MAX_WIDTH, decimal, decimal_text
 
 
 class BitVecExpr:
@@ -72,6 +72,11 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
+def _check_width(width, what):
+    if not 1 <= width <= MAX_WIDTH:
+        raise ValidationError(f"{what} width {decimal_text(width)} is not in 1..{MAX_WIDTH}")
+
+
 @dataclass(frozen=True, slots=True)
 class Var(BitVecExpr):
     name: str
@@ -79,7 +84,7 @@ class Var(BitVecExpr):
 
     def __post_init__(self):
         _require(self.name != "", "Var name must be nonempty")
-        _require(self.width >= 1, f"Var '{self.name}' width must be >= 1")
+        _check_width(self.width, f"Var '{self.name}'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +93,7 @@ class Const(BitVecExpr):
     value: int
 
     def __post_init__(self):
-        _require(self.width >= 1, "Const width must be >= 1")
+        _check_width(self.width, "Const")
         if not 0 <= self.value < (1 << self.width):
             value = decimal_text(self.value)
             raise ValidationError(f"Const value {value} out of range for width {self.width}")
@@ -103,7 +108,7 @@ class Hole(BitVecExpr):
 
     def __post_init__(self):
         _require(self.name != "", "Hole name must be nonempty")
-        _require(self.width >= 1, f"Hole '{self.name}' width must be >= 1")
+        _check_width(self.width, f"Hole '{self.name}'")
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,6 +251,7 @@ class Concat(BitVecExpr):
 
     def __post_init__(self):
         object.__setattr__(self, "width", self.hi.width + self.lo.width)
+        _check_width(self.width, "Concat")
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,6 +262,7 @@ class _Extend(BitVecExpr):
     def __post_init__(self):
         if self.width < self.a.width:
             raise WidthMismatch(type(self).__name__, f">= {self.a.width}", self.width)
+        _check_width(self.width, type(self).__name__)
 
 
 class ZeroExt(_Extend):
@@ -456,10 +463,10 @@ class Design:
         names += [n for n, _ in self.outputs]
         _require(len(set(names)) == len(names), f"duplicate name in design '{self.name}'")
         env = {n: w for n, w in self.inputs}
-        for _, w in self.inputs:
-            _require(w >= 1, "input width must be >= 1")
+        for n, w in self.inputs:
+            _check_width(w, f"input {n}")
         for n, w, default in self.params:
-            _require(w >= 1, f"parameter {n} width must be >= 1")
+            _check_width(w, f"parameter {n}")
             if not 0 <= default < (1 << w):
                 value = decimal_text(default)
                 raise ValidationError(f"default {value} for parameter {n} exceeds width {w}")

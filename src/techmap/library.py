@@ -42,8 +42,16 @@ class Library:
                     )
 
 
+def read_text(path):
+    """The text of the UTF-8 file at `path`; other bytes raise a ParseError there."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text at byte {exc.start}", str(path)) from None
+
+
 def _read_json(path):
-    return ir.read_json(path.read_text(encoding="utf-8"), str(path))
+    return ir.read_json(read_text(path), str(path))
 
 
 def load_library(path):

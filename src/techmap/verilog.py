@@ -10,7 +10,13 @@ input/output/wire with [msb:0] ranges, `parameter NAME = sized_literal`,
 continuous assigns, operators ~ & | ^ + - * << >> == != < ?: (plus unary
 reductions & | ^), concatenation {a,b}, replication {n{x}}, bit/part
 selects, sized literals w'b/w'h/w'd, unsized decimals, // and /* */
-comments. Anything else raises UnsupportedConstruct.
+comments. Anything else raises UnsupportedConstruct, and a vector width,
+literal width or replication count over `minismt.MAX_WIDTH` a ParseError.
+
+Tokens, and the AST nodes that errors point at, keep an offset into the
+source text. `_Source.where` renders an offset for a message, as
+`file:line:col` (`<input>` with no file name): newlines end lines, and a
+column counts characters from 1.
 
 Expression sizing and values are deliberately simpler than Verilog-2005.
 The divergences:
@@ -28,6 +34,7 @@ width.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 
@@ -41,7 +48,7 @@ from .errors import (
     VerilogSyntaxError,
     WidthMismatch,
 )
-from .minismt import decimal, decimal_text
+from .minismt import MAX_WIDTH, decimal, decimal_text
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +73,13 @@ _UNSUPPORTED_OPS = {
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")  # the `id` token below
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<nl>\n)
-  | (?P<lcomment>//[^\n]*)
-  | (?P<bcomment>/\*.*?\*/)
+    (?P<skip>[ \t\r\n]+|//[^\n]*|/\*.*?\*/)
   | (?P<based>(?:\d+)?'[sS]?[bodhBODH][0-9a-fA-FxXzZ_?]+)
   | (?P<num>\d[\d_]*)
   | (?P<id>[A-Za-z_][A-Za-z0-9_$]*)
   | (?P<str>"[^"\n]*")
   | (?P<op><<<|>>>|===|!==|<<|>>|<=|>=|==|!=|&&|\|\||~\^|\^~|\*\*|[~&|^+\-*/%<>?:{}()\[\],;=.#@!])
+  | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -84,55 +89,38 @@ _TOKEN_RE = re.compile(
 class Token:
     kind: str  # 'kw', 'id', 'num', 'based', 'op', 'eof'
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source text
 
 
-def _lex(source, filename):
+class _Source:
+    """A file name and where its lines start: renders an offset as file:line:col."""
+
+    def __init__(self, text, filename):
+        self.filename = filename or "<input>"
+        self.line_starts = [0] + [m.end() for m in re.finditer("\n", text)]
+
+    def where(self, pos):
+        line = bisect.bisect_right(self.line_starts, pos)
+        return f"{self.filename}:{line}:{pos - self.line_starts[line - 1] + 1}"
+
+
+def _lex(verilog_text, source):
     tokens = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise VerilogSyntaxError(
-                f"unexpected character {source[pos]!r}", _where(filename, line, col)
-            )
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "lcomment"):
-            col += len(text)
-        elif kind == "bcomment":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                col = len(text) - text.rfind("\n")
-            else:
-                col += len(text)
-        else:
-            if kind == "str":
-                raise UnsupportedConstruct("string literal", _where(filename, line, col))
-            if kind == "id":
-                if text in _KEYWORDS:
-                    kind = "kw"
-                elif text in _UNSUPPORTED_KEYWORDS:
-                    raise UnsupportedConstruct(text, _where(filename, line, col))
-            if kind == "op" and text in _UNSUPPORTED_OPS:
-                raise UnsupportedConstruct(f"operator {text}", _where(filename, line, col))
-            tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(verilog_text):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "skip":
+            continue
+        if kind == "bad":
+            raise VerilogSyntaxError(f"unexpected character {text!r}", source.where(pos))
+        if kind == "str":
+            raise UnsupportedConstruct("string literal", source.where(pos))
+        if text in _UNSUPPORTED_KEYWORDS:
+            raise UnsupportedConstruct(text, source.where(pos))
+        if text in _UNSUPPORTED_OPS:
+            raise UnsupportedConstruct(f"operator {text}", source.where(pos))
+        tokens.append(Token("kw" if text in _KEYWORDS else kind, text, pos))
+    tokens.append(Token("eof", "", len(verilog_text)))
     return tokens
-
-
-def _where(filename, line, col):
-    return f"{filename or '<input>'}:{line}:{col}"
 
 
 def _parse_based_literal(text, where):
@@ -146,9 +134,10 @@ def _parse_based_literal(text, where):
         raise UnsupportedConstruct("x/z literal", where)
     if width_s is None:
         raise UnsupportedConstruct("unsized based literal", where)
-    width = int(width_s)
+    width = decimal(width_s)
     if width < 1:
         raise VerilogSyntaxError(f"literal width must be >= 1 in {text!r}", where)
+    _check_size(width, "literal width", where)
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_c.lower()]
     digits = digits.replace("_", "")
     try:
@@ -160,6 +149,16 @@ def _parse_based_literal(text, where):
     return width, value
 
 
+def _span(hi, lo):
+    return f"[{decimal_text(hi)}:{decimal_text(lo)}]"
+
+
+def _check_size(size, what, where):
+    """Reject a size the source states past MAX_WIDTH, before anything that large is built."""
+    if size > MAX_WIDTH:
+        raise ParseError(f"{what} {decimal_text(size)} is over the limit of {MAX_WIDTH}", where)
+
+
 # ---------------------------------------------------------------------------
 # Expression AST
 
@@ -167,23 +166,18 @@ def _parse_based_literal(text, where):
 class VNum:
     width: object  # int or None for unsized decimals
     value: int
-    line: int = 0
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class VId:
     name: str
-    line: int = 0
-    col: int = 0
+    pos: int
 
 
 @dataclass(frozen=True)
 class VUnary:
     op: str
     a: object
-    line: int = 0
-    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -191,8 +185,6 @@ class VBinary:
     op: str
     a: object
     b: object
-    line: int = 0
-    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,23 +192,17 @@ class VTernary:
     cond: object
     a: object
     b: object
-    line: int = 0
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class VConcat:
     parts: tuple
-    line: int = 0
-    col: int = 0
 
 
 @dataclass(frozen=True)
 class VRepl:
     count: int
     part: object
-    line: int = 0
-    col: int = 0
 
 
 @dataclass(frozen=True)
@@ -226,8 +212,7 @@ class VSelect:
     base: str
     index: object  # expression for bit select; int for part select lo
     hi: object  # None for bit select; int msb for part select
-    line: int = 0
-    col: int = 0
+    pos: int
 
 
 @dataclass(frozen=True)
@@ -256,8 +241,7 @@ class AssignStmt:
     hi: object  # None when the whole signal is assigned
     lo: object
     rhs: object
-    line: int = 0
-    col: int = 0
+    pos: int
 
 
 @dataclass(frozen=True)
@@ -266,8 +250,7 @@ class InstanceStmt:
     name: str
     params: tuple  # of (param name, width, value)
     conns: tuple  # of (port name, expr)
-    line: int = 0
-    col: int = 0
+    pos: int
 
 
 @dataclass(frozen=True)
@@ -277,8 +260,8 @@ class VerilogModuleAst:
     params: tuple
     wires: tuple
     assigns: tuple
-    instances: tuple = ()
-    filename: str = ""
+    instances: tuple
+    source: _Source
 
     def declared_widths(self):
         widths = {p.name: p.width for p in self.ports}
@@ -293,10 +276,10 @@ _BINARY_LEVEL = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in
 
 
 class _Parser:
-    def __init__(self, tokens, filename, allow_instances):
-        self.tokens = tokens
+    def __init__(self, text, filename, allow_instances):
+        self.source = _Source(text, filename)
+        self.tokens = _lex(text, self.source)
         self.i = 0
-        self.filename = filename
         self.allow_instances = allow_instances
 
     # -- token plumbing -----------------------------------------------------
@@ -323,7 +306,7 @@ class _Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def where(self, tok):
-        return _where(self.filename, tok.line, tok.col)
+        return self.source.where(tok.pos)
 
     # -- grammar ------------------------------------------------------------
     def parse_module(self):
@@ -358,10 +341,10 @@ class _Parser:
                 raise VerilogSyntaxError("missing 'endmodule'", self.where(tok))
             if self.at("kw", "wire"):
                 self.next()
-                wires.extend(self.parse_signal_decl(WireDecl))
+                wires.extend(self.parse_signal_decl())
             elif self.at("kw", "input") or self.at("kw", "output"):
                 direction = self.next().text
-                for decl in self.parse_signal_decl(WireDecl):
+                for decl in self.parse_signal_decl():
                     body_dirs[decl.name] = PortDecl(decl.name, direction, decl.width)
             elif self.at("kw", "parameter"):
                 self.next()
@@ -399,7 +382,7 @@ class _Parser:
             tuple(wires),
             tuple(assigns),
             tuple(instances),
-            self.filename or "",
+            self.source,
         )
         self.check_declarations(ast)
         return ast
@@ -444,20 +427,20 @@ class _Parser:
         self.expect("op", ":")
         lsb = self.parse_int_token()
         self.expect("op", "]")
-        if lsb != 0 or msb < 0:
-            raise UnsupportedConstruct(f"vector range [{msb}:{lsb}] (only [msb:0])", self.where(tok))
+        if lsb != 0:
+            raise UnsupportedConstruct(f"vector range {_span(msb, lsb)} (only [msb:0])", self.where(tok))
+        _check_size(msb + 1, "vector width", self.where(tok))
         return msb + 1
 
     def parse_int_token(self):
-        tok = self.expect("num")
-        return int(tok.text.replace("_", ""))
+        return decimal(self.expect("num").text.replace("_", ""))
 
-    def parse_signal_decl(self, cls):
+    def parse_signal_decl(self):
         width = self.parse_opt_range()
-        decls = [cls(self.expect("id").text, width)]
+        decls = [WireDecl(self.expect("id").text, width)]
         while self.at("op", ","):
             self.next()
-            decls.append(cls(self.expect("id").text, width))
+            decls.append(WireDecl(self.expect("id").text, width))
         self.expect("op", ";")
         return decls
 
@@ -489,7 +472,7 @@ class _Parser:
         self.expect("op", "=")
         rhs = self.parse_expr()
         self.expect("op", ";")
-        return AssignStmt(target, hi, lo, rhs, kw.line, kw.col)
+        return AssignStmt(target, hi, lo, rhs, kw.pos)
 
     def parse_instance(self):
         head = self.expect("id")
@@ -530,7 +513,7 @@ class _Parser:
                 break
         self.expect("op", ")")
         self.expect("op", ";")
-        return InstanceStmt(head.text, inst_name, tuple(params), tuple(conns), head.line, head.col)
+        return InstanceStmt(head.text, inst_name, tuple(params), tuple(conns), head.pos)
 
     # -- expressions, loosest binding first ---------------------------------
     def parse_expr(self):
@@ -540,7 +523,7 @@ class _Parser:
             a = self.parse_expr()
             self.expect("op", ":")
             b = self.parse_expr()
-            return VTernary(cond, a, b, tok.line, tok.col)
+            return VTernary(cond, a, b)
         return cond
 
     def parse_binary(self, min_level=0):
@@ -554,13 +537,13 @@ class _Parser:
                 return node
             self.next()
             rhs = self.parse_binary(level + 1)
-            node = VBinary(tok.text, node, rhs, tok.line, tok.col)
+            node = VBinary(tok.text, node, rhs)
 
     def parse_unary(self):
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("~", "-", "&", "|", "^"):
             self.next()
-            return VUnary(tok.text, self.parse_unary(), tok.line, tok.col)
+            return VUnary(tok.text, self.parse_unary())
         if tok.kind == "op" and tok.text == "+":
             raise UnsupportedConstruct("unary +", self.where(tok))
         return self.parse_primary()
@@ -570,10 +553,9 @@ class _Parser:
         if tok.kind == "based":
             self.next()
             width, value = _parse_based_literal(tok.text, self.where(tok))
-            return VNum(width, value, tok.line, tok.col)
+            return VNum(width, value)
         if tok.kind == "num":
-            self.next()
-            return VNum(None, decimal(tok.text.replace("_", "")), tok.line, tok.col)
+            return VNum(None, self.parse_int_token())
         if tok.kind == "id":
             self.next()
             if self.at("op", "["):
@@ -585,13 +567,13 @@ class _Parser:
                     self.expect("op", "]")
                     if hi < lo:
                         raise VerilogSyntaxError(
-                            f"part select [{hi}:{lo}] must be descending", self.where(tok)
+                            f"part select {_span(hi, lo)} must be descending", self.where(tok)
                         )
-                    return VSelect(tok.text, lo, hi, tok.line, tok.col)
+                    return VSelect(tok.text, lo, hi, tok.pos)
                 index = self.parse_expr()
                 self.expect("op", "]")
-                return VSelect(tok.text, index, None, tok.line, tok.col)
-            return VId(tok.text, tok.line, tok.col)
+                return VSelect(tok.text, index, None, tok.pos)
+            return VId(tok.text, tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.next()
             e = self.parse_expr()
@@ -608,13 +590,14 @@ class _Parser:
                 self.expect("op", "}")
                 if count < 1:
                     raise VerilogSyntaxError("replication count must be >= 1", self.where(tok))
-                return VRepl(count, part, tok.line, tok.col)
+                _check_size(count, "replication count", self.where(tok))
+                return VRepl(count, part)
             parts = [self.parse_expr()]
             while self.at("op", ","):
                 self.next()
                 parts.append(self.parse_expr())
             self.expect("op", "}")
-            return VConcat(tuple(parts), tok.line, tok.col)
+            return VConcat(tuple(parts))
         raise VerilogSyntaxError(f"unexpected {tok.text or 'end of input'!r}", self.where(tok))
 
     # -- declaration checking ------------------------------------------------
@@ -627,30 +610,30 @@ class _Parser:
                 declared.add(decl.name)
         for stmt in ast.assigns:
             if stmt.target not in declared:
-                raise UndeclaredIdentifier(stmt.target, _where(ast.filename, stmt.line, stmt.col))
-            for name, line, col in _ast_reads(stmt.rhs):
+                raise UndeclaredIdentifier(stmt.target, self.source.where(stmt.pos))
+            for name, pos in _ast_reads(stmt.rhs):
                 if name not in declared:
-                    raise UndeclaredIdentifier(name, _where(ast.filename, line, col))
+                    raise UndeclaredIdentifier(name, self.source.where(pos))
         inst_names = set()
         for inst in ast.instances:
             if inst.name in declared or inst.name in inst_names:
                 raise ValidationError(f"duplicate declaration of '{inst.name}'")
             inst_names.add(inst.name)
             for _, conn in inst.conns:
-                for name, line, col in _ast_reads(conn):
+                for name, pos in _ast_reads(conn):
                     if name not in declared:
-                        raise UndeclaredIdentifier(name, _where(ast.filename, line, col))
+                        raise UndeclaredIdentifier(name, self.source.where(pos))
 
 
 def _ast_reads(node):
-    """Yield (identifier, line, col) for every name an expression reads, left to right."""
+    """Yield (identifier, offset) for every name an expression reads, left to right."""
     stack = [node]
     while stack:
         node = stack.pop()
         if isinstance(node, VId):
-            yield node.name, node.line, node.col
+            yield node.name, node.pos
         elif isinstance(node, VSelect):
-            yield node.base, node.line, node.col
+            yield node.base, node.pos
             if node.hi is None:
                 stack.append(node.index)
         elif isinstance(node, VUnary):
@@ -667,7 +650,7 @@ def _ast_reads(node):
 
 def parse(source, filename=None, allow_instances=False):
     """Parse a module in the supported subset into a validated AST."""
-    parser = _Parser(_lex(source, filename), filename, allow_instances)
+    parser = _Parser(source, filename, allow_instances)
     try:
         return parser.parse_module()
     except RecursionError:
@@ -678,26 +661,26 @@ def parse(source, filename=None, allow_instances=False):
 # Elaboration
 
 
-def _natural_width(node, widths, where):
+def _natural_width(node, widths):
     t = type(node)
     if t is VNum:
         return node.width if node.width is not None else max(node.value.bit_length(), 1)
     if t is VId:
         return widths[node.name]
     if t is VUnary:
-        return 1 if node.op in ("&", "|", "^") else _natural_width(node.a, widths, where)
+        return 1 if node.op in ("&", "|", "^") else _natural_width(node.a, widths)
     if t is VBinary:
         if node.op in ("==", "!=", "<"):
             return 1
         if node.op in ("<<", ">>"):
-            return _natural_width(node.a, widths, where)
-        return max(_natural_width(node.a, widths, where), _natural_width(node.b, widths, where))
+            return _natural_width(node.a, widths)
+        return max(_natural_width(node.a, widths), _natural_width(node.b, widths))
     if t is VTernary:
-        return max(_natural_width(node.a, widths, where), _natural_width(node.b, widths, where))
+        return max(_natural_width(node.a, widths), _natural_width(node.b, widths))
     if t is VConcat:
-        return sum(_natural_width(p, widths, where) for p in node.parts)
+        return sum(_natural_width(p, widths) for p in node.parts)
     if t is VRepl:
-        return node.count * _natural_width(node.part, widths, where)
+        return node.count * _natural_width(node.part, widths)
     if t is VSelect:
         return 1 if node.hi is None else node.hi - node.index + 1
     raise TypeError(f"not a Verilog expression: {node!r}")
@@ -718,7 +701,6 @@ class _Elaborator:
         self.ast = ast
         self.library = library
         self.widths = ast.declared_widths()
-        self.filename = ast.filename
         # name -> leaf Var, for the sources: inputs and params.
         self.leaves = {p.name: ir.Var(p.name, p.width) for p in ast.ports if p.direction == "input"}
         self.leaves.update((p.name, ir.Var(p.name, p.width)) for p in ast.params)
@@ -747,7 +729,7 @@ class _Elaborator:
             if hi is None:
                 hi, lo = width - 1, 0
             if not 0 <= lo <= hi < width:
-                raise ValidationError(f"{where}: assignment to {target}[{hi}:{lo}] out of range")
+                raise ValidationError(f"{where}: assignment to {target}{_span(hi, lo)} out of range")
             entries = self.pieces.setdefault(target, [])
             for ohi, olo, _, _ in entries:
                 if hi >= olo and ohi >= lo:
@@ -755,11 +737,11 @@ class _Elaborator:
             entries.append((hi, lo, build, reads))
 
         for stmt in self.ast.assigns:
-            where = _where(self.filename, stmt.line, stmt.col)
-            if stmt.target not in self.widths or stmt.target in self.leaves:
+            where = self.ast.source.where(stmt.pos)
+            if stmt.target in self.leaves:
                 raise ValidationError(f"{where}: cannot assign to '{stmt.target}'")
             ctx = (stmt.hi - stmt.lo + 1) if stmt.hi is not None else self.widths[stmt.target]
-            reads = {name for name, _, _ in _ast_reads(stmt.rhs) if self._is_signal(name)}
+            reads = {name for name, _ in _ast_reads(stmt.rhs) if self._is_signal(name)}
             add(
                 stmt.target, stmt.hi, stmt.lo,
                 (lambda rhs=stmt.rhs, c=ctx, w=where: self._lower_statement(rhs, c, w)),
@@ -767,7 +749,7 @@ class _Elaborator:
             )
 
         for inst in self.ast.instances:
-            where = _where(self.filename, inst.line, inst.col)
+            where = self.ast.source.where(inst.pos)
             prim = self._lookup_primitive(inst.primitive, where)
             declared = {n: w for n, w, _ in prim.params}
             for pname, pwidth, pvalue in inst.params:
@@ -788,7 +770,7 @@ class _Elaborator:
                 seen_ports.add(port)
                 if port in in_widths:
                     conn_in[port] = conn
-                    reads |= {n for n, _, _ in _ast_reads(conn) if self._is_signal(n)}
+                    reads |= {n for n, _ in _ast_reads(conn) if self._is_signal(n)}
                 elif port in out_widths:
                     sinks.append((port, conn))
                 else:
@@ -799,7 +781,7 @@ class _Elaborator:
 
             for port, conn in sinks:
                 target, hi, lo = self._as_lvalue(conn, where)
-                if target not in self.widths or target in self.leaves:
+                if target in self.leaves:
                     raise ValidationError(f"{where}: cannot drive '{target}'")
                 pwidth = out_widths[port]
                 twidth = (hi - lo + 1) if hi is not None else self.widths[target]
@@ -813,7 +795,7 @@ class _Elaborator:
                 add(target, hi, lo, build, set(reads), where)
 
     def _lookup_primitive(self, name, where):
-        if self.library is None or name not in self.library.primitives:
+        if name not in self.library.primitives:
             raise UndeclaredIdentifier(name, where)
         return self.library.primitives[name]
 
@@ -835,9 +817,7 @@ class _Elaborator:
     def _topo_order(self):
         deps = {}
         for name, entries in self.pieces.items():
-            deps[name] = set()
-            for _, _, _, reads in entries:
-                deps[name] |= {r for r in reads if r in self.pieces or r not in self.leaves}
+            deps[name] = set().union(*(reads for _, _, _, reads in entries))
         order = []
         done = set()
         for root in sorted(self.pieces):
@@ -906,17 +886,14 @@ class _Elaborator:
             return _fit(self._signal(node.name), ctx, f"{where}: '{node.name}'")
         if t is VUnary:
             if node.op in ("&", "|", "^"):
-                operand = self._lower(node.a, _natural_width(node.a, self.widths, where), where)
+                operand = self._lower(node.a, _natural_width(node.a, self.widths), where)
                 cls = {"&": ir.ReduceAnd, "|": ir.ReduceOr, "^": ir.ReduceXor}[node.op]
                 return _fit(cls(operand), ctx, f"{where}: reduction")
             operand = self._lower(node.a, ctx, where)
             return ir.Not(operand) if node.op == "~" else ir.Neg(operand)
         if t is VBinary:
             if node.op in ("==", "!=", "<"):
-                w = max(
-                    _natural_width(node.a, self.widths, where),
-                    _natural_width(node.b, self.widths, where),
-                )
+                w = max(_natural_width(node.a, self.widths), _natural_width(node.b, self.widths))
                 a = self._lower(node.a, w, where)
                 b = self._lower(node.b, w, where)
                 cmp = ir.Ult(a, b) if node.op == "<" else ir.Eq(a, b)
@@ -925,7 +902,7 @@ class _Elaborator:
                 return _fit(cmp, ctx, f"{where}: comparison")
             if node.op in ("<<", ">>"):
                 a = self._lower(node.a, ctx, where)
-                amount = self._lower(node.b, _natural_width(node.b, self.widths, where), where)
+                amount = self._lower(node.b, _natural_width(node.b, self.widths), where)
                 cls = ir.Shl if node.op == "<<" else ir.LShr
                 return cls(a, amount)
             a = self._lower(node.a, ctx, where)
@@ -933,32 +910,32 @@ class _Elaborator:
             cls = {"&": ir.And, "|": ir.Or, "^": ir.Xor, "+": ir.Add, "-": ir.Sub, "*": ir.Mul}[node.op]
             return cls(a, b)
         if t is VTernary:
-            cond = self._lower(node.cond, _natural_width(node.cond, self.widths, where), where)
+            cond = self._lower(node.cond, _natural_width(node.cond, self.widths), where)
             if cond.width != 1:
                 cond = ir.ReduceOr(cond)
             return ir.Mux(cond, self._lower(node.a, ctx, where), self._lower(node.b, ctx, where))
         if t is VConcat:
-            parts = [
-                self._lower(p, _natural_width(p, self.widths, where), where) for p in node.parts
-            ]
+            parts = [self._lower(p, _natural_width(p, self.widths), where) for p in node.parts]
             return _fit(ir.concat(parts), ctx, f"{where}: concatenation")
         if t is VRepl:
-            part = self._lower(node.part, _natural_width(node.part, self.widths, where), where)
+            part = self._lower(node.part, _natural_width(node.part, self.widths), where)
             return _fit(ir.concat([part] * node.count), ctx, f"{where}: replication")
         if t is VSelect:
             base = self._signal(node.base)
             if node.hi is not None:
                 hi, lo = node.hi, node.index
                 if hi >= base.width:
-                    raise WidthMismatch(f"{where}: select {node.base}[{hi}:{lo}]", base.width, hi + 1)
+                    select = f"{where}: select {node.base}{_span(hi, lo)}"
+                    raise WidthMismatch(select, base.width, decimal_text(hi + 1))
                 return _fit(ir.Extract(hi, lo, base), ctx, f"{where}: part select")
             if isinstance(node.index, VNum):
                 bit = node.index.value
                 if bit >= base.width:
-                    raise WidthMismatch(f"{where}: select {node.base}[{bit}]", base.width, bit + 1)
+                    select = f"{where}: select {node.base}[{decimal_text(bit)}]"
+                    raise WidthMismatch(select, base.width, decimal_text(bit + 1))
                 return _fit(ir.Extract(bit, bit, base), ctx, f"{where}: bit select")
             # Dynamic bit select reads bit i by shifting it down to position 0.
-            index = self._lower(node.index, _natural_width(node.index, self.widths, where), where)
+            index = self._lower(node.index, _natural_width(node.index, self.widths), where)
             return _fit(ir.Extract(0, 0, ir.LShr(base, index)), ctx, f"{where}: bit select")
         raise TypeError(f"not a Verilog expression: {node!r}")
 
@@ -971,7 +948,7 @@ def elaborate(ast, library=None):
     re-importing emitted netlists.
     """
     if ast.instances and library is None:
-        raise UnsupportedConstruct("module instantiation", _where(ast.filename, 1, 1))
+        raise UnsupportedConstruct("module instantiation", ast.source.where(ast.instances[0].pos))
     outputs = _Elaborator(ast, library).run()
     inputs = tuple((p.name, p.width) for p in ast.ports if p.direction == "input")
     params = tuple((p.name, p.width, p.default) for p in ast.params)

@@ -379,6 +379,56 @@ def test_library_json_number_past_the_int_digit_limit_is_user_error(tmp_path, ca
     assert capsys.readouterr().err == f"error: {libdir / 'lut2.json'}: number has too many digits\n"
 
 
+def test_verilog_number_past_the_int_digit_limit_is_located_user_error(tmp_path, capsys):
+    path = tmp_path / "bit.v"
+    path.write_text(_module(f"a[{'9' * 5000}]"))
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: width mismatch at {path}:2:3: select a[9999") and "internal" not in err
+
+
+def test_design_json_input_past_max_width_is_user_error(tmp_path, capsys):
+    wide = {"op": "var", "name": "a", "width": 65537}
+    design = {
+        "name": "d",
+        "inputs": [{"name": "a", "width": 65537}],
+        "outputs": [{"name": "y", "expr": {"op": "extract", "hi": 0, "lo": 0, "args": [wide]}}],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(design))
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    err = capsys.readouterr().err
+    assert err == "error: $.outputs[0].expr.args[0]: Var 'a' width 65537 is not in 1..65536\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("simulate", "--design", "{bad}", "--inputs", "a=1"),
+        ("import", "{bad}", "-o", "{tmp}/x.json"),
+        ("verify", "--design", DESIGNS / "and2.v", "--netlist", "{bad}"),
+    ],
+    ids=["simulate", "import", "verify"],
+)
+def test_verilog_file_that_is_not_utf8_is_located_user_error(tmp_path, capsys, args):
+    bad = tmp_path / "bad.v"
+    bad.write_bytes(b"module m(input a, output y);\n  assign y = a; // \xff\nendmodule\n")
+    assert run_cli(*(str(a).format(bad=bad, tmp=tmp_path) for a in args)) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text at byte 48\n"
+
+
+def test_library_file_that_is_not_utf8_is_located_user_error(tmp_path, capsys):
+    libdir = tmp_path / "lib"
+    library.save_library(library.default_library(), libdir)
+    (libdir / "manifest.json").write_bytes(b'{"primitives": []}\xff')
+    code = run_cli(
+        "map", "--design", DESIGNS / "and2.v", "--library", libdir,
+        "--template", "lut_single", "-o", tmp_path / "x.v",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {libdir / 'manifest.json'}: not UTF-8 text at byte 18\n"
+
+
 def test_long_wire_chain_elaborates(tmp_path, capsys):
     # Each wire reads the next, so ordering the definitions walks a chain
     # of 1200 wires.

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from techmap import ir, library, verilog
-from techmap.errors import TechmapError
+from techmap.errors import ParseError, TechmapError
 
 TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=200)
 
@@ -35,6 +35,9 @@ def module(body):
         f"  wire [3:0] w;\n  {body}\nendmodule\n"
     )
 
+
+# More digits than `int` and `str` convert by default.
+NINES = "9" * 5000
 
 verilog_text = st.one_of(TEXT, token_soup, token_soup.map(module))
 
@@ -70,6 +73,12 @@ DEEP_DESIGN = (
 def elaborate_both(text):
     try:
         verilog.elaborate(verilog.parse(text, filename="m.v")).bind({})
+    except ParseError as exc:
+        # A location names a line of the text and a column at most one past its end.
+        if str(exc.where).startswith("m.v:"):
+            _, line, col = exc.where.split(":")
+            lines = text.split("\n")
+            assert 1 <= int(line) <= len(lines) and 1 <= int(col) <= len(lines[int(line) - 1]) + 1
     except TechmapError:
         pass
 
@@ -79,6 +88,12 @@ def elaborate_both(text):
 @example(module("assign y = " + " ^ ".join(["a"] * 1000) + ";"))
 @example(module("assign y = " + "(" * 3000 + "a" + ")" * 3000 + ";"))
 @example(module("assign y = " + "~" * 3000 + "a;"))
+@example(module(f"wire [{NINES}:0] v;"))
+@example(module(f"assign y = {{{NINES}{{a}}}};"))
+@example(module(f"assign y[{NINES}] = b;"))
+@example(module(f"assign y = a[{NINES}:0];"))
+@example(module(f"assign y = {NINES}'h1;"))
+@example(module(f"assign y = a[{NINES}];"))
 def test_verilog_raises_only_techmap_errors(text):
     elaborate_both(text)
 

@@ -11,6 +11,7 @@ from techmap.errors import (
     WidthMismatch,
 )
 from techmap.library import data_path
+from techmap.minismt import MAX_WIDTH
 from techmap.semantics import eval_concrete, lower_to_smt, truth_table
 
 from util import VAR_POOL, adder4_design, rand_env, rand_expr
@@ -327,6 +328,30 @@ def test_bind_names_a_value_too_wide_in_decimal(lib):
         truth_table(lib.primitives["LUT2"].bind({"INIT": 10**5000}))
     with pytest.raises(ValidationError, match="parameter INIT=16 does not fit width 4"):
         lib.primitives["LUT2"].bind({"INIT": 16})
+
+
+TOO_WIDE = MAX_WIDTH + 1
+WIDEST = ir.Var("w", MAX_WIDTH)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ir.Var("a", 0), "Var 'a' width 0 is not in 1..65536"),
+        (lambda: ir.Var("a", TOO_WIDE), "Var 'a' width 65537 is not in 1..65536"),
+        (lambda: ir.Const(TOO_WIDE, 0), "Const width 65537 is not in"),
+        (lambda: ir.Hole("h", TOO_WIDE), "Hole 'h' width 65537 is not in"),
+        (lambda: ir.Concat(WIDEST, ir.Var("b", 1)), "Concat width 65537 is not in"),
+        (lambda: ir.ZeroExt(WIDEST, TOO_WIDE), "ZeroExt width 65537 is not in"),
+        (lambda: ir.SignExt(WIDEST, 10**40), f"SignExt width {10**40} is not in"),
+        (lambda: ir.Design("d", (("a", TOO_WIDE),), ()), "input a width 65537 is not in"),
+        (lambda: ir.Design("d", (), (), (("P", TOO_WIDE, 0),)), "parameter P width 65537 is not in"),
+    ],
+    ids=["var 0", "var", "const", "hole", "concat", "zext", "sext", "input", "parameter"],
+)
+def test_every_width_is_at_most_max_width(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("count", [1, 2, 5])

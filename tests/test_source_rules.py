@@ -133,6 +133,23 @@ def test_only_ir_lists_facts_per_node_class():
     assert found == []
 
 
+def test_verilog_reads_decimal_digits_through_minismt_decimal():
+    # `int` converts at most 4,300 decimal digits by default, so the Verilog
+    # reader passes decimal digits to `minismt.decimal` and calls `int` only
+    # with an explicit base, which may not be 10 or 0.
+    path = Path(techmap.__file__).parent / "verilog.py"
+    calls = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    ]
+    assert calls
+    for call in calls:
+        assert len(call.args) == 2 and not call.keywords, ast.unparse(call)
+        base = call.args[1]
+        assert not isinstance(base, ast.Constant) or base.value in (2, 8, 16), ast.unparse(call)
+
+
 def test_functions_the_benchmark_tracer_wraps_exist():
     # perfbench/tracing.py wraps techmap functions by name; a renamed one
     # would only fail a traced benchmark run. Read its lists without

@@ -5,6 +5,7 @@ import pytest
 from techmap import ir, verilog
 from techmap.errors import (
     CombinationalCycle,
+    ParseError,
     UndeclaredIdentifier,
     UnsupportedConstruct,
     ValidationError,
@@ -46,6 +47,30 @@ def test_syntax_error_has_position():
     assert "m.v:2:" in str(info.value)
 
 
+HEADER = "module m(input a, output y);"
+
+
+@pytest.mark.parametrize(
+    "filename, source, message",
+    [
+        ("t.v", f"{HEADER}\n\tassign y = a @;\nendmodule\n", "t.v:2:15: expected ';', found '@'"),
+        ("c.v", f"{HEADER}\r\n  assign y = a @;\r\nendmodule\r\n", "c.v:2:16: expected ';', found '@'"),
+        (
+            "b.v",
+            f"{HEADER} /* one\n two */ assign y = a @;\nendmodule\n",
+            "b.v:2:22: expected ';', found '@'",
+        ),
+        ("e.v", f"{HEADER}\n  assign y = a;\n", "e.v:3:1: missing 'endmodule'"),
+        (None, f"{HEADER}\n  assign y = q;\nendmodule\n", "<input>:2:14: undeclared identifier 'q'"),
+    ],
+    ids=["tab", "crlf", "block comment", "end of input", "no file name"],
+)
+def test_errors_are_located_by_line_and_column(filename, source, message):
+    with pytest.raises(ParseError) as info:
+        verilog.parse(source, filename=filename)
+    assert str(info.value) == message
+
+
 def test_undeclared_identifier():
     with pytest.raises(UndeclaredIdentifier):
         verilog.parse("module m(input a, output y); assign y = a & nope; endmodule")
@@ -83,6 +108,28 @@ def test_decimal_literals_past_the_int_digit_limit(sized):
     narrow = f"module m(input a, output y); assign y = {literal}; endmodule"
     with pytest.raises(ValidationError, match=f"literal {digits}: expected 1"):
         verilog.elaborate(verilog.parse(narrow)).bind({})
+
+
+@pytest.mark.parametrize(
+    "body, where, message",
+    [
+        ("wire [65536:0] w;", "2:8", "vector width 65537"),
+        ("assign y = {65537{a}};", "2:14", "replication count 65537"),
+        ("assign y = {100000000{a}};", "2:14", "replication count 100000000"),
+        ("assign y = 65537'h1;", "2:14", "literal width 65537"),
+    ],
+    ids=["range", "replication", "huge replication", "literal"],
+)
+def test_sizes_past_max_width_are_rejected_at_their_token(body, where, message):
+    src = f"module m(input a, output y);\n  {body}\nendmodule\n"
+    with pytest.raises(ParseError) as info:
+        verilog.parse(src, filename="m.v")
+    assert str(info.value) == f"m.v:{where}: {message} is over the limit of 65536"
+
+
+def test_sizes_of_max_width_elaborate():
+    src = "module m(input [65535:0] a, output y); assign y = {65536{a[65535]}} == a; endmodule"
+    assert verilog.elaborate(verilog.parse(src)).inputs == (("a", 65536),)
 
 
 def test_a_binding_too_wide_for_its_parameter_is_named_in_decimal():
