@@ -26,7 +26,7 @@ from .errors import (
     SolverError,
     TechmapError,
 )
-from .templates import TemplateKind, TemplateOptions
+from .templates import TemplateKind
 
 SOLVER_ENV_VAR = "TECHMAP_SOLVER"
 
@@ -122,12 +122,11 @@ def cmd_map(args):
                 kinds.append(TemplateKind(name.strip()))
             except ValueError:
                 raise _UsageError(f"unknown template kind '{name.strip()}'")
-    options = TemplateOptions(pin_mode=args.pin_mode)
 
     failures = []
     for kind in kinds:
         try:
-            sketch = templates.instantiate(kind, design, lib, options)
+            sketch = templates.instantiate(kind, design, lib, args.pin_mode)
             problem = synthesis.problem_from_sketch(design, sketch, lib)
             solution = _solve(problem, args)
         except (NoCompatiblePrimitive, SignatureMismatch, Infeasible,

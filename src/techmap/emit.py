@@ -57,10 +57,7 @@ def _hole_value(hole, assignment):
 
 def _resolve_binding(binding, assignment):
     if isinstance(binding, templates.BindingHole):
-        cands = binding.candidates
-        if len(cands) == 1:
-            return cands[0]
-        return cands[min(_hole_value(binding.hole, assignment), len(cands) - 1)]
+        return binding.pick(_hole_value(binding.hole, assignment))
     return binding
 
 
@@ -126,8 +123,7 @@ def resolve(sketch, solution):
     instances = []
     for inst in sketch.instances:
         params = tuple(
-            (pname, pwidth, _hole_value(value.hole, assignment)
-             if isinstance(value, templates.ParamHole) else value)
+            (pname, pwidth, _hole_value(value.hole, assignment))
             for pname, pwidth, value in inst.params
         )
         inst_pins = [(port, tuple(map(bit_ref, sources))) for port, sources in pins[inst.name]]

@@ -570,7 +570,8 @@ def design_to_dict(design):
 
 def design_from_dict(obj, where="$"):
     """Inverse of design_to_dict. A missing "params" array reads as no
-    parameters; malformed input raises a ParseError located by its JSON path."""
+    parameters; malformed input raises a ParseError, and a design that breaks
+    a rule of `Design` a ValidationError, located by its JSON path."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     inputs = tuple(
@@ -585,7 +586,11 @@ def design_from_dict(obj, where="$"):
         (_field(o, "name", str, w), expr_from_dict(o.get("expr"), f"{w}.expr"))
         for o, w in _entries(obj, "outputs", where)
     )
-    return Design(_field(obj, "name", str, where), inputs, outputs, params)
+    name = _field(obj, "name", str, where)
+    try:
+        return Design(name, inputs, outputs, params)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _entries(obj, key, where, missing=None):

@@ -79,6 +79,7 @@ import re
 import sys
 
 MAX_WIDTH = 1 << 16  # bits; checked before a bitvector is allocated
+MAX_DIGITS = 19729  # decimal digits of 2^MAX_WIDTH - 1; no MAX_WIDTH-bit value needs more
 
 
 class SmtInputError(Exception):
@@ -584,8 +585,8 @@ _DIGITS = {"#b": (re.compile(r"[01]+"), 2, 1), "#x": (re.compile(r"[0-9a-fA-F]+"
 
 def numeral(text):
     """The value of an SMT-LIB numeral (ASCII digits), as every index and width is
-    written; none that is accepted needs more digits than 2^MAX_WIDTH - 1, 19,729."""
-    if isinstance(text, str) and len(text) <= 19729 and text.isascii() and text.isdigit():
+    written; none that is accepted needs more than MAX_DIGITS digits."""
+    if isinstance(text, str) and len(text) <= MAX_DIGITS and text.isascii() and text.isdigit():
         return decimal(text)
     raise SmtInputError(f"bad numeral {text!r}")
 

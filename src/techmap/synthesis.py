@@ -103,9 +103,7 @@ class SynthesisProblem:
 
 def problem_from_sketch(design, sketch, library):
     exprs = templates.sketch_to_exprs(sketch, library)
-    order = {name: i for i, (name, _) in enumerate(design.outputs)}
-    exprs.sort(key=lambda item: order.get(item[0], len(order)))
-    return SynthesisProblem(design, tuple(exprs), tuple(templates.sketch_holes(sketch)))
+    return SynthesisProblem(design, tuple(exprs), sketch.holes)
 
 
 @dataclass(frozen=True)

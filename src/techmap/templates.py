@@ -3,14 +3,20 @@
 A sketch is a pattern of primitive instances with two kinds of unknowns:
 parameter holes (e.g. a LUT INIT) and pin-binding holes, which pick one of
 a finite candidate list of 1-bit sources for an instance input pin. Pin
-freedom is encoded uniformly as a selector hole driving a mux chain, with
-out-of-range selector values clamping to the last candidate, so both kinds
-of unknowns are solved by the same machinery.
+freedom is encoded uniformly as a selector hole driving a mux chain, so
+both kinds of unknowns are solved by the same machinery. A binding hole has
+two or more candidates, and `BindingHole.pick` is its one selector rule:
+value i picks candidate i, and a value past the end picks the last.
 
-A group of pins is bound over a list of candidate signals. With the
-default pin mode each pin gets a selector hole over the signals, then
-constant 0, then constant 1. In pinned mode pin j gets signal j and spare
-pins get constant 0; more signals than pins is a signature mismatch.
+A group of pins is bound over a list of candidate signals, as the pin mode
+argument of `instantiate` says. With 'holes', the default, each pin gets a
+selector hole over the signals, then constant 0, then constant 1. With
+'pinned' pin j gets signal j and spare pins get constant 0; more signals
+than pins is a signature mismatch.
+
+`Sketch.holes` is the one list of a sketch's holes, as (name, width) pairs:
+instance order, then parameter holes before pin selector holes within an
+instance, pins and bits in order.
 
 Four template families are provided: a single LUT, one LUT per output bit,
 a ripple carry chain, and a wide multiplier. Carry and multiplier cells
@@ -21,7 +27,7 @@ since roles cannot be inferred from port names alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import ir
 from .errors import NoCompatiblePrimitive, SignatureMismatch, ValidationError
@@ -66,12 +72,16 @@ class BindingHole:
     candidates: tuple
 
     def __post_init__(self):
-        if not self.candidates:
-            raise ValidationError(f"binding hole '{self.hole}' has no candidates")
+        if len(self.candidates) < 2:
+            raise ValidationError(f"binding hole '{self.hole}' needs two or more candidates")
 
     @property
     def selector_width(self):
-        return max((len(self.candidates) - 1).bit_length(), 1)
+        return (len(self.candidates) - 1).bit_length()
+
+    def pick(self, value):
+        """The candidate that selector `value` picks; past the end, the last."""
+        return self.candidates[min(value, len(self.candidates) - 1)]
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ class ParamHole:
 class SketchInstance:
     name: str
     primitive: str
-    params: tuple  # of (param name, width, ParamHole | int)
+    params: tuple  # of (param name, width, ParamHole)
     pins: tuple  # of (port name, tuple of one binding per bit)
     outputs: tuple  # of (port name, width)
 
@@ -98,16 +108,17 @@ class Sketch:
     output_map: tuple  # of (output name, tuple of NetBit | ConstBit per bit)
     net_names: tuple = ()  # of ((instance, port), wire name) naming hints
     module_name: str = "mapped"
+    holes: tuple = field(init=False, repr=False, compare=False)  # of (name, width)
 
     def __post_init__(self):
         input_widths = dict(self.inputs)
         seen_instances = {}
-        holes = set()
+        holes = {}
 
-        def note_hole(name):
+        def note_hole(name, width):
             if name in holes:
                 raise ValidationError(f"duplicate hole id '{name}'")
-            holes.add(name)
+            holes[name] = width
 
         def check_source(src, position):
             if isinstance(src, SignalBit):
@@ -129,15 +140,14 @@ class Sketch:
             if inst.name in seen_instances:
                 raise ValidationError(f"duplicate instance '{inst.name}'")
             for pname, pwidth, value in inst.params:
-                if isinstance(value, ParamHole):
-                    note_hole(value.hole)
-                elif not 0 <= value < (1 << pwidth):
-                    raise ValidationError(f"{inst.name}.{pname}={value} does not fit width {pwidth}")
+                if not isinstance(value, ParamHole):
+                    raise ValidationError(f"{inst.name}.{pname} must be a parameter hole")
+                note_hole(value.hole, pwidth)
             for port, bindings in inst.pins:
                 for b, binding in enumerate(bindings):
                     position = f"{inst.name}.{port}[{b}]"
                     if isinstance(binding, BindingHole):
-                        note_hole(binding.hole)
+                        note_hole(binding.hole, binding.selector_width)
                         for cand in binding.candidates:
                             check_source(cand, position)
                     else:
@@ -154,24 +164,7 @@ class Sketch:
         for name, width in self.outputs:
             if mapped.get(name) != width:
                 raise ValidationError(f"output '{name}' is not fully mapped")
-
-
-@dataclass(frozen=True)
-class TemplateOptions:
-    """Construction choices.
-
-    pin_mode 'holes' leaves pin bindings to the solver; 'pinned' binds
-    design input bits to pins positionally (padding with constant 0),
-    which shrinks the search to parameter holes only. `primitive` forces
-    a specific library cell instead of the deterministic default.
-    """
-
-    pin_mode: str = "holes"
-    primitive: str = None
-
-    def __post_init__(self):
-        if self.pin_mode not in ("holes", "pinned"):
-            raise ValidationError(f"pin_mode must be 'holes' or 'pinned', not {self.pin_mode!r}")
+        object.__setattr__(self, "holes", tuple(holes.items()))
 
 
 def _lut_width(sem):
@@ -186,12 +179,7 @@ def _lut_width(sem):
     return k
 
 
-def _pick_lut(library, kind, options, needed_bits):
-    if options.primitive is not None:
-        sem = library.primitives.get(options.primitive)
-        if sem is None or _lut_width(sem) is None:
-            raise NoCompatiblePrimitive(kind.value, f"'{options.primitive}' is not a LUT-shaped cell")
-        return sem
+def _pick_lut(library, kind, needed_bits):
     luts = sorted(
         (k, name) for name, sem in library.primitives.items() if (k := _lut_width(sem)) is not None
     )
@@ -201,22 +189,18 @@ def _pick_lut(library, kind, options, needed_bits):
     return library.primitives[name]
 
 
-def _descriptor_cell(library, kind, options, required_roles):
-    names = [options.primitive] if options.primitive is not None else sorted(library.descriptors)
-    for name in names:
-        desc = library.descriptors.get(name)
-        if desc is None or name not in library.primitives:
-            continue
-        if all(role in desc for role in required_roles):
+def _descriptor_cell(library, kind, required_roles):
+    for name, desc in sorted(library.descriptors.items()):
+        if required_roles <= desc.keys():
             return library.primitives[name], desc
     raise NoCompatiblePrimitive(
         kind.value, f"no primitive with a descriptor declaring roles {sorted(required_roles)}"
     )
 
 
-def _bind(inst, cell, ports, signals, options):
+def _bind(inst, cell, ports, signals, pin_mode):
     """Pins of `ports` of instance `inst` (a `cell`) over candidate `signals`."""
-    if options.pin_mode == "pinned":
+    if pin_mode == "pinned":
         if len(signals) > len(ports):
             raise SignatureMismatch(
                 f"{len(signals)} candidate bits do not fit the {len(ports)} pins of {cell}"
@@ -234,15 +218,15 @@ def _instance(name, sem, pins):
     return SketchInstance(name, sem.name, params, tuple(pins), outputs)
 
 
-def _lut_single(design, library, options):
+def _lut_single(design, library, pin_mode):
     outputs = tuple(design.output_widths.items())
     if len(outputs) != 1 or outputs[0][1] != 1:
         raise SignatureMismatch("lut_single needs exactly one 1-bit design output")
     signals = [SignalBit(name, bit) for name, width in design.inputs for bit in range(width)]
-    return _lut_row(TemplateKind.LUT_SINGLE, design, library, options, len(signals), [signals])
+    return _lut_row(TemplateKind.LUT_SINGLE, design, library, pin_mode, len(signals), [signals])
 
 
-def _bitwise(design, library, options):
+def _bitwise(design, library, pin_mode):
     if len(design.outputs) != 1:
         raise SignatureMismatch("bitwise_per_bit needs exactly one design output")
     signal_sets = [
@@ -250,16 +234,16 @@ def _bitwise(design, library, options):
         for i in range(design.outputs[0][1].width)
     ]
     return _lut_row(
-        TemplateKind.BITWISE_PER_BIT, design, library, options, len(design.inputs), signal_sets
+        TemplateKind.BITWISE_PER_BIT, design, library, pin_mode, len(design.inputs), signal_sets
     )
 
 
-def _lut_row(kind, design, library, options, needed_bits, signal_sets):
+def _lut_row(kind, design, library, pin_mode, needed_bits, signal_sets):
     """One LUT per bit of the design's one output; bit i's pins bind over signal_sets[i]."""
-    sem = _pick_lut(library, kind, options, needed_bits)
+    sem = _pick_lut(library, kind, needed_bits)
     ports = [p for p, _ in sem.inputs]
     instances = tuple(
-        _instance(f"inst_{i}", sem, _bind(f"inst_{i}", sem.name, ports, signals, options))
+        _instance(f"inst_{i}", sem, _bind(f"inst_{i}", sem.name, ports, signals, pin_mode))
         for i, signals in enumerate(signal_sets)
     )
     sources = tuple(NetBit(inst.name, sem.outputs[0][0]) for inst in instances)
@@ -269,10 +253,10 @@ def _lut_row(kind, design, library, options, needed_bits, signal_sets):
     )
 
 
-def _carry_chain(design, library, options):
+def _carry_chain(design, library, pin_mode):
     inputs, outputs = design.inputs, tuple(design.output_widths.items())
     sem, desc = _descriptor_cell(
-        library, TemplateKind.CARRY_CHAIN, options, {"sum", "cout", "cin", "operands"}
+        library, TemplateKind.CARRY_CHAIN, {"sum", "cout", "cin", "operands"}
     )
     sum_port, cout_port, cin_port = desc["sum"], desc["cout"], desc["cin"]
 
@@ -294,9 +278,9 @@ def _carry_chain(design, library, options):
     for i in range(n):
         name = f"inst_{i}"
         operands = [SignalBit(inputs[0][0], i), SignalBit(inputs[1][0], i)]
-        pins = _bind(name, sem.name, desc["operands"][:2], operands, options)
+        pins = _bind(name, sem.name, desc["operands"][:2], operands, pin_mode)
         if i == 0:
-            pins += _bind(name, sem.name, [cin_port], carry_in, options)
+            pins += _bind(name, sem.name, [cin_port], carry_in, pin_mode)
         else:
             pins.append((cin_port, (NetBit(f"inst_{i - 1}", cout_port),)))
             net_names.append(((f"inst_{i - 1}", cout_port), f"c{i - 1}"))
@@ -311,11 +295,9 @@ def _carry_chain(design, library, options):
     )
 
 
-def _multiplier(design, library, options):
+def _multiplier(design, library, pin_mode):
     inputs, outputs = design.inputs, tuple(design.output_widths.items())
-    sem, desc = _descriptor_cell(
-        library, TemplateKind.MULTIPLIER, options, {"operands", "product"}
-    )
+    sem, desc = _descriptor_cell(library, TemplateKind.MULTIPLIER, {"operands", "product"})
     product_port = desc["product"]
     if len(inputs) != 2:
         raise SignatureMismatch("multiplier needs exactly two operand inputs")
@@ -352,30 +334,18 @@ _BUILDERS = {
 }
 
 
-def instantiate(kind, design, library, options=None):
-    """Build a sketch of the given kind for a design signature."""
+def instantiate(kind, design, library, pin_mode="holes"):
+    """Build a sketch of the given kind for a design signature.
+
+    pin_mode 'holes' leaves pin bindings to the solver; 'pinned' binds
+    design input bits to pins positionally, which leaves only parameter
+    holes to search.
+    """
     if kind not in _BUILDERS:
         raise ValueError(f"unknown template kind {kind!r}")
-    return _BUILDERS[kind](design, library, options or TemplateOptions())
-
-
-def sketch_holes(sketch):
-    """The sketch's holes as an ordered (name, width) list.
-
-    Instance order, then parameter holes before pin selector holes within
-    an instance. Binding holes with a single candidate need no selector
-    and contribute nothing.
-    """
-    holes = []
-    for inst in sketch.instances:
-        for _, pwidth, value in inst.params:
-            if isinstance(value, ParamHole):
-                holes.append((value.hole, pwidth))
-        for _, bindings in inst.pins:
-            for binding in bindings:
-                if isinstance(binding, BindingHole) and len(binding.candidates) > 1:
-                    holes.append((binding.hole, binding.selector_width))
-    return holes
+    if pin_mode not in ("holes", "pinned"):
+        raise ValidationError(f"pin_mode must be 'holes' or 'pinned', not {pin_mode!r}")
+    return _BUILDERS[kind](design, library, pin_mode)
 
 
 def _source_expr(src, input_widths, net_exprs):
@@ -385,22 +355,18 @@ def _source_expr(src, input_widths, net_exprs):
         width = input_widths[src.name]
         var = ir.Var(src.name, width)
         return var if width == 1 else ir.Extract(src.bit, src.bit, var)
-    if isinstance(src, NetBit):
-        expr = net_exprs[(src.instance, src.port)]
-        return expr if expr.width == 1 else ir.Extract(src.bit, src.bit, expr)
-    raise ValidationError(f"bad pin source {src!r}")
+    expr = net_exprs[(src.instance, src.port)]
+    return expr if expr.width == 1 else ir.Extract(src.bit, src.bit, expr)
 
 
 def _binding_expr(binding, input_widths, net_exprs):
     if not isinstance(binding, BindingHole):
         return _source_expr(binding, input_widths, net_exprs)
     cands = binding.candidates
-    if len(cands) == 1:
-        return _source_expr(cands[0], input_widths, net_exprs)
     width = binding.selector_width
     sel = ir.Hole(binding.hole, width)
-    # Mux chain: selector i picks candidate i; anything past the end
-    # falls through to the last candidate.
+    # Mux chain, the rule of `BindingHole.pick`: selector i picks
+    # candidate i; anything past the end falls through to the last.
     acc = _source_expr(cands[-1], input_widths, net_exprs)
     for i in range(len(cands) - 2, -1, -1):
         acc = ir.Mux(ir.Eq(sel, ir.Const(width, i)), _source_expr(cands[i], input_widths, net_exprs), acc)
@@ -420,12 +386,7 @@ def sketch_to_exprs(sketch, library):
         prim = library.primitives.get(inst.primitive)
         if prim is None:
             raise ValidationError(f"sketch references unknown primitive '{inst.primitive}'")
-        binding = {}
-        for pname, pwidth, value in inst.params:
-            if isinstance(value, ParamHole):
-                binding[pname] = ir.Hole(value.hole, pwidth)
-            else:
-                binding[pname] = ir.Const(pwidth, value)
+        binding = {pname: ir.Hole(value.hole, pwidth) for pname, pwidth, value in inst.params}
         for port, bindings in inst.pins:
             bits = [_binding_expr(b, input_widths, net_exprs) for b in bindings]
             binding[port] = ir.concat(reversed(bits))

@@ -11,7 +11,9 @@ continuous assigns, operators ~ & | ^ + - * << >> == != < ?: (plus unary
 reductions & | ^), concatenation {a,b}, replication {n{x}}, bit/part
 selects, sized literals w'b/w'h/w'd, unsized decimals, // and /* */
 comments. Anything else raises UnsupportedConstruct, and a vector width,
-literal width or replication count over `minismt.MAX_WIDTH` a ParseError.
+literal width, replication count or expression width over
+`minismt.MAX_WIDTH`, or a decimal number of more than `minismt.MAX_DIGITS`
+digits, a ParseError.
 
 Tokens, and the AST nodes that errors point at, keep an offset into the
 source text. `_Source.where` renders an offset for a message, as
@@ -48,7 +50,7 @@ from .errors import (
     VerilogSyntaxError,
     WidthMismatch,
 )
-from .minismt import MAX_WIDTH, decimal, decimal_text
+from .minismt import MAX_DIGITS, MAX_WIDTH, decimal, decimal_text
 
 
 # ---------------------------------------------------------------------------
@@ -134,14 +136,14 @@ def _parse_based_literal(text, where):
         raise UnsupportedConstruct("x/z literal", where)
     if width_s is None:
         raise UnsupportedConstruct("unsized based literal", where)
-    width = decimal(width_s)
+    width = _decimal(width_s, where)
     if width < 1:
         raise VerilogSyntaxError(f"literal width must be >= 1 in {text!r}", where)
     _check_size(width, "literal width", where)
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_c.lower()]
     digits = digits.replace("_", "")
     try:
-        value = decimal(digits) if base == 10 else int(digits, base)
+        value = _decimal(digits, where) if base == 10 else int(digits, base)
     except ValueError:
         raise VerilogSyntaxError(f"bad digits for base {base} in {text!r}", where)
     if value >= 1 << width:
@@ -153,8 +155,19 @@ def _span(hi, lo):
     return f"[{decimal_text(hi)}:{decimal_text(lo)}]"
 
 
+def _decimal(digits, where):
+    """The value of decimal `digits`, refusing first more digits than any
+    MAX_WIDTH-bit value has; the message does not quote them."""
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(
+            f"decimal number of {len(digits)} digits is over the limit of {MAX_DIGITS}", where
+        )
+    return decimal(digits)
+
+
 def _check_size(size, what, where):
-    """Reject a size the source states past MAX_WIDTH, before anything that large is built."""
+    """Reject a size past MAX_WIDTH, stated by the source or implied by an
+    expression, before anything that large is built."""
     if size > MAX_WIDTH:
         raise ParseError(f"{what} {decimal_text(size)} is over the limit of {MAX_WIDTH}", where)
 
@@ -433,7 +446,8 @@ class _Parser:
         return msb + 1
 
     def parse_int_token(self):
-        return decimal(self.expect("num").text.replace("_", ""))
+        tok = self.expect("num")
+        return _decimal(tok.text.replace("_", ""), self.where(tok))
 
     def parse_signal_decl(self):
         width = self.parse_opt_range()
@@ -873,6 +887,7 @@ class _Elaborator:
             raise ParseError("expression nested too deeply", where) from None
 
     def _lower(self, node, ctx, where):
+        _check_size(ctx, "expression width", where)
         t = type(node)
         if t is VNum:
             natural = node.width if node.width is not None else max(node.value.bit_length(), 1)
@@ -916,9 +931,11 @@ class _Elaborator:
             return ir.Mux(cond, self._lower(node.a, ctx, where), self._lower(node.b, ctx, where))
         if t is VConcat:
             parts = [self._lower(p, _natural_width(p, self.widths), where) for p in node.parts]
+            _check_size(sum(p.width for p in parts), "concatenation width", where)
             return _fit(ir.concat(parts), ctx, f"{where}: concatenation")
         if t is VRepl:
             part = self._lower(node.part, _natural_width(node.part, self.widths), where)
+            _check_size(part.width * node.count, "replication width", where)
             return _fit(ir.concat([part] * node.count), ctx, f"{where}: replication")
         if t is VSelect:
             base = self._signal(node.base)

@@ -22,7 +22,7 @@ from techmap.synthesis import (
     solve_brute_force,
     solve_cegis,
 )
-from techmap.templates import TemplateKind, TemplateOptions, instantiate
+from techmap.templates import TemplateKind, instantiate
 
 from util import (
     adder4_design,
@@ -30,6 +30,7 @@ from util import (
     func2_design,
     majority3_design,
     mul4_design,
+    only,
     rand_env,
     rand_expr,
     table4_design,
@@ -42,12 +43,11 @@ LIB = default_library()
 @pytest.fixture(scope="module")
 def lut2_mappings():
     """All 16 two-input functions mapped onto LUT2 by enumeration."""
-    options = TemplateOptions(pin_mode="pinned")
     started = time.perf_counter()
     mappings = []
     for m in range(16):
         design = func2_design(m)
-        sketch = instantiate(TemplateKind.LUT_SINGLE, design, LIB, options)
+        sketch = instantiate(TemplateKind.LUT_SINGLE, design, LIB, "pinned")
         problem = problem_from_sketch(design, sketch, LIB)
         solution = solve_brute_force(problem)
         assert synthesis.exhaustive_counterexample(problem, solution.assignment) is None
@@ -112,9 +112,7 @@ def test_criterion_2_backend_agreement(lut2_mappings, solver_config):
         assert synthesis.exhaustive_counterexample(problem, solution.assignment) is None
 
     majority = majority3_design()
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, majority, LIB, TemplateOptions(primitive="LUT2")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, majority, only(LIB, "LUT2"))
     problem = problem_from_sketch(majority, sketch, LIB)
     with pytest.raises(TemplateInfeasible):
         solve_cegis(problem, solver_config)
@@ -219,7 +217,7 @@ def test_criterion_7_round_trip_soundness(lut2_mappings, lut4_mappings, adder_ma
         assert report.equivalent, f"round trip failed for {design.name}"
 
     and2 = and2_design()
-    sketch = instantiate(TemplateKind.LUT_SINGLE, and2, LIB, TemplateOptions(pin_mode="pinned"))
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2, LIB, "pinned")
     solution = solve_brute_force(problem_from_sketch(and2, sketch, LIB))
     text = emit.print_verilog(emit.resolve(sketch, solution))
     corrupted = text.replace("4'h8", "4'h9")

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import techmap
-from techmap import cli, ir, library, synthesis, verilog
+from techmap import cli, ir, library, minismt, synthesis, verilog
 from techmap.library import data_path
 from techmap.synthesis import SolverConfig
 from techmap.templates import TemplateKind
@@ -399,6 +400,61 @@ def test_design_json_input_past_max_width_is_user_error(tmp_path, capsys):
     assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
     err = capsys.readouterr().err
     assert err == "error: $.outputs[0].expr.args[0]: Var 'a' width 65537 is not in 1..65536\n"
+
+
+@pytest.mark.parametrize(
+    "design, message",
+    [
+        (
+            {"name": "d", "inputs": [{"name": "a", "width": 65537}],
+             "outputs": [{"name": "y", "expr": {"op": "const", "width": 1, "value": "0"}}]},
+            "input a width 65537 is not in 1..65536",
+        ),
+        (
+            {"name": "d", "inputs": [{"name": "a", "width": 1}, {"name": "a", "width": 1}],
+             "outputs": [{"name": "y", "expr": {"op": "var", "name": "a", "width": 1}}]},
+            "duplicate name in design 'd'",
+        ),
+    ],
+    ids=["unread wide input", "duplicate port"],
+)
+def test_design_json_error_as_a_whole_names_its_path(tmp_path, capsys, design, message):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(design))
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    assert capsys.readouterr().err == f"error: $: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("assign y = {65536{a}} == a;", "expression width 262144"),
+        ("assign y = {65536{a}};", "replication width 262144"),
+        (f"assign y = a == {minismt.decimal_text(1 << 65536)};", "expression width 65537"),
+    ],
+    ids=["comparison", "replication", "unsized literal"],
+)
+def test_verilog_expression_past_max_width_is_located_user_error(tmp_path, capsys, body, message):
+    path = tmp_path / "m.v"
+    path.write_text(f"module m(input [3:0] a, output [3:0] y);\n  {body}\nendmodule\n")
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2:3: {message} is over the limit of 65536\n"
+
+
+@pytest.mark.parametrize(
+    "rhs, where",
+    [("9" * 1_000_000, "2:14"), ("20'd" + "9" * 100_000, "2:14")],
+    ids=["unsized", "sized"],
+)
+def test_decimal_number_too_long_for_any_width_is_refused_quickly(tmp_path, capsys, rhs, where):
+    path = tmp_path / "m.v"
+    path.write_text(_module(rhs))
+    start = time.perf_counter()
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert len(err) < 300 and err.startswith(f"error: {path}:{where}: decimal number of ")
 
 
 @pytest.mark.parametrize(

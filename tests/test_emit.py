@@ -10,15 +10,7 @@ from techmap.errors import MissingHole, SignatureMismatch, TooManyInputBits
 from techmap.library import data_path
 from techmap.semantics import eval_design
 from techmap.synthesis import problem_from_sketch, solve_brute_force, solve_cegis
-from techmap.templates import (
-    BindingHole,
-    ConstBit,
-    SignalBit,
-    TemplateKind,
-    TemplateOptions,
-    instantiate,
-    sketch_holes,
-)
+from techmap.templates import TemplateKind, instantiate, sketch_to_exprs
 
 from util import (
     MINISMT, adder4_design, and2_design, majority3_design, mul4_design, probe_solver,
@@ -58,9 +50,7 @@ def test_resolve_missing_hole(lib):
 
 
 def test_print_and2_netlist_exact_instance_line(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "pinned")
     solution = solve_brute_force(problem_from_sketch(and2_design(), sketch, lib))
     text = emit.print_verilog(emit.resolve(sketch, solution))
     assert "LUT2 #(.INIT(4'h8)) inst_0 (.A(a), .B(b), .Z(y));" in text
@@ -68,9 +58,7 @@ def test_print_and2_netlist_exact_instance_line(lib):
 
 
 def test_printing_is_deterministic(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "pinned")
     solution = solve_brute_force(problem_from_sketch(and2_design(), sketch, lib))
     netlist = emit.resolve(sketch, solution)
     assert emit.print_verilog(netlist) == emit.print_verilog(netlist)
@@ -125,9 +113,7 @@ def test_mult_netlist_uses_wire_and_assign(lib):
 
 
 def test_corrupted_init_yields_counterexample(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "pinned")
     solution = solve_brute_force(problem_from_sketch(and2_design(), sketch, lib))
     text = emit.print_verilog(emit.resolve(sketch, solution))
     corrupted = text.replace("4'h8", "4'h9")
@@ -155,8 +141,7 @@ def test_printed_lut_netlists_reimport_as_equivalent(lib, table):
         idx = ir.Concat(ir.Var(f"i{j}", 1), idx)
     y = ir.Extract(0, 0, ir.LShr(ir.Const(1 << k, m), idx))
     design = ir.Design("t", tuple((f"i{j}", 1) for j in range(k)), (("y", y),))
-    options = TemplateOptions(pin_mode="pinned")
-    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib, options)
+    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib, "pinned")
     solution = solve_brute_force(problem_from_sketch(design, sketch, lib))
     text = emit.print_verilog(emit.resolve(sketch, solution))
     assert emit.check_equivalence(design, text, lib).equivalent
@@ -195,9 +180,7 @@ def test_exhaustive_limit(lib):
 
 
 def test_solver_mode_equivalence(lib, solver_config):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "pinned")
     solution = solve_brute_force(problem_from_sketch(and2_design(), sketch, lib))
     text = emit.print_verilog(emit.resolve(sketch, solution))
     report = emit.check_equivalence(and2_design(), text, lib, mode="solver", solver=solver_config)
@@ -245,9 +228,10 @@ _NETLIST_CASES = {
 
 def _pinned_netlist_text(lib, case):
     kind, design, pin_mode, overrides = _NETLIST_CASES[case]
-    sketch = instantiate(kind, design, lib, TemplateOptions(pin_mode=pin_mode))
-    holes = sketch_holes(sketch)
-    assignment = {name: (5 * k + 3) % (1 << width) for k, (name, width) in enumerate(holes)}
+    sketch = instantiate(kind, design, lib, pin_mode)
+    assignment = {
+        name: (5 * k + 3) % (1 << width) for k, (name, width) in enumerate(sketch.holes)
+    }
     assignment.update(overrides)
     return emit.print_verilog(emit.resolve(sketch, assignment))
 
@@ -275,3 +259,23 @@ def test_printed_netlists_are_pinned(lib, case):
     # recorded before `resolve` decided direct-or-wire from two maps.
     text = _pinned_netlist_text(lib, case)
     assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == _NETLIST_PINS[case]
+
+
+@pytest.mark.parametrize("case", list(_NETLIST_CASES))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_netlists_match_the_sketch_for_every_hole_assignment(lib, case, data):
+    # `resolve` picks pin sources with `BindingHole.pick` and the sketch's
+    # expressions pick them with a mux chain: under any hole values,
+    # selectors past the last candidate included, the re-imported netlist
+    # and the sketch agree on every input row.
+    kind, design, pin_mode, _ = _NETLIST_CASES[case]
+    sketch = instantiate(kind, design, lib, pin_mode)
+    assignment = {
+        name: data.draw(st.integers(0, (1 << width) - 1), label=name)
+        for name, width in sketch.holes
+    }
+    text = emit.print_verilog(emit.resolve(sketch, assignment))
+    imported = verilog.elaborate(verilog.parse(text, allow_instances=True), library=lib).bind({})
+    problem = synthesis.SynthesisProblem(imported, sketch_to_exprs(sketch, lib), sketch.holes)
+    assert synthesis.exhaustive_counterexample(problem, assignment) is None

@@ -176,6 +176,11 @@ def test_literal_values_past_the_int_digit_limit():
         minismt.numeral(digits + "x")
 
 
+def test_max_digits_is_the_length_of_the_largest_max_width_value():
+    assert len(minismt.decimal_text((1 << MAX_WIDTH) - 1)) == minismt.MAX_DIGITS
+    assert len(minismt.decimal_text(1 << MAX_WIDTH)) == minismt.MAX_DIGITS
+
+
 @pytest.mark.parametrize("count", [1, 639, 640, 641, 1280, 1281, 5000])
 def test_decimal_conversions_have_no_digit_limit(count):
     rng = random.Random(count)

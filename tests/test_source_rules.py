@@ -133,6 +133,19 @@ def test_only_ir_lists_facts_per_node_class():
     assert found == []
 
 
+def test_only_templates_reads_binding_candidates():
+    # A binding hole's candidates and the rule that picks one stay in
+    # `templates`; other modules ask `BindingHole.pick`.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "templates.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "candidates"
+    ]
+    assert found == []
+
+
 def test_verilog_reads_decimal_digits_through_minismt_decimal():
     # `int` converts at most 4,300 decimal digits by default, so the Verilog
     # reader passes decimal digits to `minismt.decimal` and calls `int` only

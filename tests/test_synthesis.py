@@ -34,7 +34,7 @@ from techmap.synthesis import (
     solve_cegis,
     symbol_table,
 )
-from techmap.templates import TemplateKind, TemplateOptions, instantiate
+from techmap.templates import TemplateKind, instantiate
 
 from util import (
     MINISMT,
@@ -42,20 +42,19 @@ from util import (
     and2_design,
     func2_design,
     majority3_design,
+    only,
     table4_design,
     xor2_design,
 )
 
 
-def pinned_problem(design, lib, primitive=None):
-    options = TemplateOptions(pin_mode="pinned", primitive=primitive)
-    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib, options)
+def pinned_problem(design, lib):
+    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib, "pinned")
     return problem_from_sketch(design, sketch, lib), sketch
 
 
-def holes_problem(design, lib, primitive=None):
-    options = TemplateOptions(primitive=primitive)
-    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib, options)
+def holes_problem(design, lib):
+    sketch = instantiate(TemplateKind.LUT_SINGLE, design, lib)
     return problem_from_sketch(design, sketch, lib), sketch
 
 
@@ -73,7 +72,7 @@ def test_brute_finds_xor_init(lib):
 
 
 def test_brute_majority_on_lut2_is_infeasible(lib):
-    problem, _ = holes_problem(majority3_design(), lib, primitive="LUT2")
+    problem, _ = holes_problem(majority3_design(), only(lib, "LUT2"))
     assert problem.hole_space == 1 << 10
     with pytest.raises(Infeasible):
         solve_brute_force(problem)
@@ -109,7 +108,7 @@ def test_brute_is_deterministic(lib):
 
 
 def test_brute_limits(lib):
-    problem, _ = holes_problem(majority3_design(), lib, primitive="LUT4")
+    problem, _ = holes_problem(majority3_design(), only(lib, "LUT4"))
     with pytest.raises(LimitExceeded) as info:
         solve_brute_force(problem)
     assert info.value.which == "hole space"
@@ -312,7 +311,7 @@ def test_cegis_and2_with_binding_holes(lib, solver_config):
 
 
 def test_cegis_agrees_with_brute_on_infeasible(lib, solver_config):
-    problem, _ = holes_problem(majority3_design(), lib, primitive="LUT2")
+    problem, _ = holes_problem(majority3_design(), only(lib, "LUT2"))
     with pytest.raises(TemplateInfeasible):
         solve_cegis(problem, solver_config)
     with pytest.raises(Infeasible):
@@ -446,7 +445,7 @@ def started(monkeypatch):
 
 
 def _lut4_problem(lib):
-    return holes_problem(table4_design(0x6ac5), lib, primitive="LUT4")[0]
+    return holes_problem(table4_design(0x6ac5), only(lib, "LUT4"))[0]
 
 
 def _adder4_problem(lib):
@@ -535,7 +534,7 @@ def test_live_solver_is_reaped_after_return(lib, started):
 
 
 def test_live_solver_is_reaped_after_infeasible(lib, started):
-    problem, _ = holes_problem(majority3_design(), lib, primitive="LUT2")
+    problem, _ = holes_problem(majority3_design(), only(lib, "LUT2"))
     with pytest.raises(TemplateInfeasible):
         solve_cegis(problem, BUNDLED_SOLVER)
     _assert_all_reaped(started)

@@ -15,13 +15,11 @@ from techmap.templates import (
     Sketch,
     SketchInstance,
     TemplateKind,
-    TemplateOptions,
     instantiate,
-    sketch_holes,
     sketch_to_exprs,
 )
 
-from util import adder4_design, and2_design, majority3_design, mul4_design
+from util import adder4_design, and2_design, majority3_design, mul4_design, only
 
 
 def test_lut_single_counts(lib):
@@ -36,14 +34,28 @@ def test_lut_single_counts(lib):
             SignalBit("a", 0), SignalBit("b", 0), ConstBit(0), ConstBit(1)
         )
     assert inst.params == (("INIT", 4, ParamHole("inst_0.INIT")),)
-    assert sketch_holes(sketch) == [
+    assert sketch.holes == (
         ("inst_0.INIT", 4), ("inst_0.A.sel", 2), ("inst_0.B.sel", 2)
-    ]
+    )
 
 
 def test_four_candidates_need_two_selector_bits():
     hole = BindingHole("h", (ConstBit(0), ConstBit(1), SignalBit("a", 0), ConstBit(0)))
     assert hole.selector_width == 2
+
+
+def test_a_binding_hole_needs_two_or_more_candidates():
+    for candidates in ((), (ConstBit(0),)):
+        with pytest.raises(ValidationError, match="two or more candidates"):
+            BindingHole("h", candidates)
+    hole = BindingHole("h", (ConstBit(0), ConstBit(1)))
+    assert hole.selector_width == 1
+    assert [hole.pick(v) for v in range(3)] == [ConstBit(0), ConstBit(1), ConstBit(1)]
+
+
+def test_unknown_pin_mode_is_refused(lib):
+    with pytest.raises(ValidationError, match="pin_mode must be 'holes' or 'pinned'"):
+        instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "free")
 
 
 def test_lut_single_needs_single_bit_output(lib):
@@ -60,14 +72,10 @@ def test_lut_single_picks_smallest_fitting_lut(lib):
 
 
 def test_lut_single_primitive_override(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(primitive="LUT6")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), only(lib, "LUT6"))
     assert sketch.instances[0].primitive == "LUT6"
     with pytest.raises(NoCompatiblePrimitive):
-        instantiate(
-            TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(primitive="CARRY1")
-        )
+        instantiate(TemplateKind.LUT_SINGLE, and2_design(), only(lib, "CARRY1"))
 
 
 def test_no_compatible_primitive():
@@ -77,19 +85,14 @@ def test_no_compatible_primitive():
 
 
 def test_pinned_mode_binds_positionally(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "pinned")
     inst = sketch.instances[0]
     assert inst.pins == (("A", (SignalBit("a", 0),)), ("B", (SignalBit("b", 0),)))
-    assert sketch_holes(sketch) == [("inst_0.INIT", 4)]
+    assert sketch.holes == (("inst_0.INIT", 4),)
 
 
 def test_pinned_mode_pads_spare_pins_with_zero(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib,
-        TemplateOptions(pin_mode="pinned", primitive="LUT4"),
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), only(lib, "LUT4"), "pinned")
     pins = dict(sketch.instances[0].pins)
     assert pins["C"] == (ConstBit(0),)
     assert pins["D"] == (ConstBit(0),)
@@ -97,16 +100,11 @@ def test_pinned_mode_pads_spare_pins_with_zero(lib):
 
 def test_pinned_mode_rejects_excess_bits(lib):
     with pytest.raises(SignatureMismatch):
-        instantiate(
-            TemplateKind.LUT_SINGLE, majority3_design(), lib,
-            TemplateOptions(pin_mode="pinned", primitive="LUT2"),
-        )
+        instantiate(TemplateKind.LUT_SINGLE, majority3_design(), only(lib, "LUT2"), "pinned")
 
 
 def test_sketch_to_exprs_pinned_lut2(lib):
-    sketch = instantiate(
-        TemplateKind.LUT_SINGLE, and2_design(), lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.LUT_SINGLE, and2_design(), lib, "pinned")
     [(name, expr)] = sketch_to_exprs(sketch, lib)
     assert name == "y"
     expected = ir.Extract(
@@ -138,8 +136,7 @@ def test_carry_chain_structure(lib):
 
 
 def test_carry_chain_pinned_mode_binds_operands_and_carry_in(lib):
-    pinned = TemplateOptions(pin_mode="pinned")
-    sketch = instantiate(TemplateKind.CARRY_CHAIN, adder4_design(), lib, pinned)
+    sketch = instantiate(TemplateKind.CARRY_CHAIN, adder4_design(), lib, "pinned")
     assert [inst.pins for inst in sketch.instances] == [
         (
             ("A", (SignalBit("a", i),)),
@@ -148,11 +145,11 @@ def test_carry_chain_pinned_mode_binds_operands_and_carry_in(lib):
         )
         for i in range(4)
     ]
-    assert sketch_holes(sketch) == []
+    assert sketch.holes == ()
     no_cin = ir.Design(
         "add2", (("a", 2), ("b", 2)), (("s", ir.Add(ir.Var("a", 2), ir.Var("b", 2))),)
     )
-    sketch = instantiate(TemplateKind.CARRY_CHAIN, no_cin, lib, pinned)
+    sketch = instantiate(TemplateKind.CARRY_CHAIN, no_cin, lib, "pinned")
     assert dict(sketch.instances[0].pins)["CIN"] == (ConstBit(0),)
 
 
@@ -162,7 +159,7 @@ def test_carry_chain_free_vars_are_design_inputs(lib):
     for _, expr in sketch_to_exprs(sketch, lib):
         vars_used, holes = ir.free_symbols(expr)
         assert set(vars_used) <= {n for n, _ in design.inputs}
-        assert set(holes) <= {n for n, _ in sketch_holes(sketch)}
+        assert set(holes) <= {n for n, _ in sketch.holes}
 
 
 def test_carry_chain_signature_checks(lib):
@@ -184,7 +181,7 @@ def test_multiplier_positional_binding(lib):
     assert pins["A"][:4] == tuple(SignalBit("a", b) for b in range(4))
     assert pins["A"][4:] == (ConstBit(0),) * 4
     assert dict(sketch.output_map)["p"] == tuple(NetBit("inst_0", "P", b) for b in range(8))
-    assert sketch_holes(sketch) == []
+    assert sketch.holes == ()
 
 
 def test_multiplier_needs_two_operands(lib):
@@ -197,8 +194,7 @@ def test_bitwise_per_bit(lib):
     design = ir.Design("and4", (("a", 4), ("b", 4)), (("y", ir.And(a, b)),))
     sketch = instantiate(TemplateKind.BITWISE_PER_BIT, design, lib)
     assert len(sketch.instances) == 4
-    holes = sketch_holes(sketch)
-    assert [h for h, _ in holes if h.endswith(".INIT")] == [
+    assert [h for h, _ in sketch.holes if h.endswith(".INIT")] == [
         f"inst_{i}.INIT" for i in range(4)
     ]
     pins = dict(sketch.instances[2].pins)
@@ -213,9 +209,7 @@ def test_bitwise_per_bit_pinned_mode_binds_that_bit_of_each_input(lib):
         "mix", (("a", 2), ("b", 2), ("c", 1)),
         (("y", ir.Xor(ir.Var("a", 2), ir.Var("b", 2))),),
     )
-    sketch = instantiate(
-        TemplateKind.BITWISE_PER_BIT, design, lib, TemplateOptions(pin_mode="pinned")
-    )
+    sketch = instantiate(TemplateKind.BITWISE_PER_BIT, design, lib, "pinned")
     assert [inst.primitive for inst in sketch.instances] == ["LUT4", "LUT4"]
     assert sketch.instances[0].pins == (
         ("A", (SignalBit("a", 0),)), ("B", (SignalBit("b", 0),)),
@@ -226,13 +220,13 @@ def test_bitwise_per_bit_pinned_mode_binds_that_bit_of_each_input(lib):
         ("A", (SignalBit("a", 1),)), ("B", (SignalBit("b", 1),)),
         ("C", (ConstBit(0),)), ("D", (ConstBit(0),)),
     )
-    assert sketch_holes(sketch) == [("inst_0.INIT", 16), ("inst_1.INIT", 16)]
+    assert sketch.holes == (("inst_0.INIT", 16), ("inst_1.INIT", 16))
 
 
 def test_hole_substitution_validates_and_uses_only_inputs(lib):
     design = adder4_design()
     sketch = instantiate(TemplateKind.CARRY_CHAIN, design, lib)
-    holes = dict(sketch_holes(sketch))
+    holes = dict(sketch.holes)
     env = {n: w for n, w in design.inputs}
     for _, expr in sketch_to_exprs(sketch, lib):
         assert ir.validate(expr, env, allow_holes=True) == expr.width
@@ -247,7 +241,7 @@ def test_out_of_range_selector_clamps_to_last_candidate(lib):
     # Stage-0 CIN has 3 candidates and a 2-bit selector; value 3 clamps to
     # the last candidate, so it must behave exactly like value 2.
     exprs = sketch_to_exprs(sketch, lib)
-    holes = dict(sketch_holes(sketch))
+    holes = dict(sketch.holes)
     rng = random.Random(11)
     for _ in range(20):
         env = {"a": rng.getrandbits(4), "b": rng.getrandbits(4), "cin": rng.getrandbits(1)}

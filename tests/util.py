@@ -1,6 +1,7 @@
 """Shared builders for the test suite: designs, random expressions, solver."""
 
 from techmap import ir, synthesis
+from techmap.library import Library
 
 MINISMT = synthesis.BUNDLED_SOLVER
 
@@ -12,6 +13,12 @@ def probe_solver(config):
     except synthesis.SolverSpawnError:
         return False
     return out.strip().splitlines()[0] in ("sat", "unsat")
+
+
+def only(library, name):
+    """`library` cut down to its primitive `name`, and that cell's descriptor if it has one."""
+    descriptors = {name: library.descriptors[name]} if name in library.descriptors else {}
+    return Library({name: library.primitives[name]}, descriptors)
 
 
 def and2_design():
