@@ -41,10 +41,26 @@ clause database, to find nothing: the solver builds no reference cycles,
 and reference counting alone frees every state that a `(reset)` drops.
 
 Commands: set-option, set-logic, declare-const and zero-arity declare-fun
-of a (_ BitVec w) sort, assert, check-sat, get-value, get-info
-:all-statistics (decisions, conflicts, propagations, variables and clauses,
-learnt ones included, of the last check-sat's search since the last reset,
-else of the formula), echo of one string, reset and exit.
+of a (_ BitVec w) sort, zero-arity define-fun of a (_ BitVec w) sort,
+assert, check-sat, get-value, get-info :all-statistics (decisions,
+conflicts, propagations, variables and clauses, learnt ones included, of
+the last check-sat's search since the last reset, else of the formula),
+echo of one string, reset and exit.
+
+A define-fun names a term that `synthesis` would otherwise spell out at
+every use. Its body may read only symbols declared or defined before it,
+and is stored unblasted. It is blasted, through the term cache like any
+term, the first time a term reads the name, and only then is its width
+checked against the sort. Laziness keeps a script's CNF the one it would
+have with every name spelled out: the body is blasted at the moment of the
+depth-first walk where its first spelled-out copy would have been, so every
+gate gets the same variable number and every clause the same place, and
+the search and the models stay the same. Blasting each body when it is
+defined would number its gates in definition order instead. Where the
+spelled-out script repeats a term's text under two names, as a node that
+reads only holes is repeated in each CEGIS example, the second name's body
+is blasted again, but the gate caches hand back the gates of the first, so
+that makes no new variable or clause.
 
 Terms are checked against one table, `_OPS`, before they are blasted: it
 gives each operator its operand sort, its arity (n+ is n or more, folded
@@ -98,14 +114,18 @@ def _check_width(width, what):
 _SIMPLE_SYMBOL = re.compile(r'[^ \t\r\n();"|]+')
 # A string literal or a quoted symbol keeps its delimiters, so `|(|` stays
 # an atom; a lone `"` or `|` is one whose closing delimiter is missing.
+# Whitespace matches no alternative, so `findall` steps over it; a comment
+# matches with an empty group.
 _TOKEN = re.compile(
-    r'[ \t\r\n]+|;[^\n]*|([()]|"[^"]*"|\|[^|]*\||' + _SIMPLE_SYMBOL.pattern + r'|["|])'
+    r';[^\n]*|([()]|"[^"]*"|\|[^|]*\||' + _SIMPLE_SYMBOL.pattern + r'|["|])'
 )
 _UNTERMINATED = {'"': "unterminated string literal", "|": "unterminated quoted symbol"}
 
 
 def tokenize(text):
-    tokens = [tok for tok in _TOKEN.findall(text) if tok]
+    tokens = _TOKEN.findall(text)
+    if ";" in text:
+        tokens = [tok for tok in tokens if tok]
     if '"' in tokens or "|" in tokens:
         raise SmtInputError(_UNTERMINATED[next(t for t in tokens if t in _UNTERMINATED)])
     return tokens
@@ -705,6 +725,7 @@ class Interpreter:
     def reset(self):
         self.blaster = Blaster()
         self.symbols = {}  # name -> vector
+        self.definitions = {}  # name -> (width, body term), blasted when first read
         self.term_cache = {"true": TRUE, "false": -TRUE}  # term -> its blasted value
         self.last_model = None
         self.searched = None  # the SatSolver the last check-sat searched
@@ -736,6 +757,8 @@ class Interpreter:
             print(form[1].strip('"'), file=self.out)
         elif head in ("declare-const", "declare-fun"):
             self.declare(form)
+        elif head == "define-fun":
+            self.define(form)
         elif head == "assert":
             if len(form) != 2:
                 raise SmtInputError("assert takes one term")
@@ -777,16 +800,45 @@ class Interpreter:
         if form[0] == "declare-const" and len(form) != 3:
             raise SmtInputError("declare-const takes a name and a sort")
         name, sort = form[1], form[-1]
+        self.symbols[name] = [self.blaster.sat.new_var() for _ in range(self._sort(name, sort))]
+        self.last_model = None  # it has no value for the new symbol
+
+    def define(self, form):
+        """`(define-fun name () (_ BitVec w) body)`: store the body, unblasted.
+
+        The body is blasted the first time a term reads the name, so at the
+        point of the depth-first walk where the spelled-out body would have
+        been: the gates, variable numbers and clauses are those of the
+        script with every use of the name spelled out.
+        """
+        if len(form) != 5 or form[2] != ():
+            raise SmtInputError("only zero-arity define-fun is supported")
+        name, sort, body = form[1], form[3], form[4]
+        width = self._sort(name, sort)
+        stack = [body]  # the terms of `body` still to check
+        while stack:
+            term = stack.pop()
+            if term.__class__ is str:
+                if not (
+                    term in self.symbols or term in self.definitions
+                    or term in ("true", "false") or literal(term) is not None
+                ):
+                    raise SmtInputError(f"unknown symbol {term!r} in the body of {name!r}")
+            elif term and term[0] != "_":
+                stack += term[1:]  # an operator's operands; (_ ...) is a literal
+        self.definitions[name] = (width, body)
+
+    def _sort(self, name, sort):
+        """The width of a new symbol `name` of `sort`, which must be (_ BitVec w)."""
         if not isinstance(name, str):
             raise SmtInputError(f"bad symbol {name!r}")
         if not (isinstance(sort, tuple) and len(sort) == 3 and sort[:2] == ("_", "BitVec")):
             raise SmtInputError(f"unsupported sort {sort!r}")
         width = numeral(sort[2])
         _check_width(width, "BitVec")
-        if name in self.symbols:
+        if name in self.symbols or name in self.definitions:
             raise SmtInputError(f"symbol {name!r} redeclared")
-        self.symbols[name] = [self.blaster.sat.new_var() for _ in range(width)]
-        self.last_model = None  # it has no value for the new symbol
+        return width
 
     def get_value(self, form):
         if self.last_model is None:
@@ -820,8 +872,15 @@ class Interpreter:
             if read is not None:
                 return bl.bv_const(*read)
             vec = self.symbols.get(term)
-            if vec is None:
+            if vec is not None:
+                return vec
+            defined = self.definitions.get(term)
+            if defined is None:
                 raise SmtInputError(f"unknown symbol or constant {term!r}")
+            width, body = defined
+            vec = self.term(body)
+            if vec.__class__ is not BV or len(vec) != width:
+                raise SmtInputError(f"the body of {term!r} is not a {width}-bit bitvector")
             return vec
         if not term:
             raise SmtInputError("empty term")

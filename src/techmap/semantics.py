@@ -188,7 +188,26 @@ _TERMS = {
 }
 
 
-def lower_to_smt(expr, symbol_map):
+def shared_nodes(exprs):
+    """The operator nodes under `exprs` that more than one parent reads, as a map
+    from id(node) to its index in `ir.postorder(exprs)`.
+
+    Each root counts as read once, by whatever holds it, and each operand
+    slot of a node as one read. No leaf (Var, Hole or Const) is listed: it
+    is spelled about as briefly as a name for it would be.
+    """
+    order = ir.postorder(exprs)
+    reads = {}
+    for node in itertools.chain(exprs, *map(ir._children, order)):
+        reads[id(node)] = reads.get(id(node), 0) + 1
+    return {
+        id(node): k
+        for k, node in enumerate(order)
+        if reads[id(node)] > 1 and ir._children(node)
+    }
+
+
+def lower_to_smt(expr, symbol_map, names=None, definitions=None):
     """Render an expression as an SMT-LIB v2 QF_BV term.
 
     Every Var and Hole is rendered as the text `symbol_map` gives its name
@@ -197,15 +216,21 @@ def lower_to_smt(expr, symbol_map):
     Most nodes are their `ir.OPERATORS` template over their operands'
     terms. Reductions fold theirs over extracted bits, and shifts equalize
     operand widths by zero-extension before truncating back to the operand
-    width.
+    width. `expr` may also be a tuple of expressions: they are lowered in
+    one pass, and a list of their terms comes back.
 
     Each distinct node is lowered once, after its operands, in one pass over
     `ir.postorder`, so no recursion limit applies however deep the
-    expression is. A node used in several places is still spelled out at
-    each use: the text has no `let`.
+    expression is. A node is spelled out at each use, unless `names` maps
+    its id to an SMT-LIB symbol: then its term goes once into the list
+    `definitions`, as a `(define-fun <symbol> () (_ BitVec w) <term>)` line
+    placed after the lines of the named nodes it reads, and the symbol is
+    its term at every use.
     """
+    exprs = expr if isinstance(expr, tuple) else (expr,)
+    names = names or {}
     text = {}  # id(node) -> its term
-    for node in ir.postorder([expr]):
+    for node in ir.postorder(exprs):
         t = type(node)
         template = _TERMS.get(t)
         if template is not None:
@@ -241,8 +266,13 @@ def lower_to_smt(expr, symbol_map):
             term = f"((_ extract 0 0) {inner})"
             for i in range(1, node.a.width):
                 term = fold % (term, f"((_ extract {i} {i}) {inner})")
+        name = names.get(id(node))
+        if name is not None:
+            definitions.append(f"(define-fun {name} () (_ BitVec {node.width}) {term})")
+            term = name
         text[id(node)] = term
-    return text[id(expr)]
+    terms = [text[id(e)] for e in exprs]
+    return terms if isinstance(expr, tuple) else terms[0]
 
 
 def _extend(op, term, bits):

@@ -11,7 +11,11 @@ ascending order, so the first match and the first counterexample are the
 lowest ones.
 A query lowers the design and the sketch, unchanged, under a symbol
 binding: the synth query binds each example's inputs to literals, the
-verify query binds the holes to the candidate's.
+verify query binds the holes to the candidate's. Each binding is lowered in
+one pass, and a node that more than one parent reads
+(`SynthesisProblem.shared`) is written once, as a zero-arity `define-fun`,
+and read by its name, so a query grows with the number of distinct nodes,
+not with the number of paths to them. A CEGIS run lowers each example once.
 Every query is one whole QF_BV script, so any SMT-LIB v2 solver works.
 There is one transport: a `_Solver` starts each solver process with one
 `subprocess.Popen` call and talks to it only through `_exchange`. A solver
@@ -19,11 +23,11 @@ gets a fresh process per script, with the script on stdin, except the
 bundled `minismt` (`BUNDLED_SOLVER`), which is live: `solve_cegis` keeps
 two of its processes for the whole run, each started with `python -S` at
 its first query: one answers the synth queries and one the verify queries.
-Each synth script is the last one with the new example's assertions added,
-so the synth process is sent only those and the script's closing commands;
-the verify process gets `(reset)` and the whole script. Since `minismt`'s
-check-sat does not depend on an earlier one, the replies are the bytes a
-fresh process would print for each whole script. A query unanswered after
+Each synth script is the last one with the new example's definitions and
+assertions added, so the synth process is sent only those and the script's
+closing commands; the verify process gets `(reset)` and the whole script.
+Since `minismt`'s check-sat does not depend on an earlier one, the replies
+are the bytes a fresh process would print for each whole script. A query unanswered after
 QUERY_TIMEOUT_S kills its solver and raises SolverUnknown.
 Every question goes through `query`, the one place a solver's answer is
 read: unsat gives None, sat gives the model, read with `minismt`'s
@@ -36,6 +40,7 @@ and `exhaustive_counterexample`: CEGIS verifies with the first, and
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import re
 import subprocess
@@ -94,6 +99,16 @@ class SynthesisProblem:
     @property
     def inputs(self):  # the sketch reads the design's inputs
         return self.design.inputs
+
+    @functools.cached_property
+    def roots(self):
+        """The design's outputs and then the sketch's, as the queries lower them."""
+        return tuple(e for _, e in self.design.outputs + self.sketch_exprs)
+
+    @functools.cached_property
+    def shared(self):
+        """`semantics.shared_nodes` of `roots`: the nodes a query names once."""
+        return semantics.shared_nodes(self.roots)
 
     @property
     def hole_space(self):
@@ -226,21 +241,31 @@ def symbol_table(problem):
     return table
 
 
-def emit_synth_query(problem, examples):
-    """Script asking for hole values consistent with every example env."""
+def emit_synth_query(problem, examples, memo=None):
+    """Script asking for hole values consistent with every example env.
+
+    `memo` is a list that a caller keeps for one problem across calls, such
+    as a CEGIS run: it holds each example's env and lowered lines, so an
+    example that a later script repeats at the same place is lowered once.
+    """
     table = symbol_table(problem)
-    asserts = []
-    for env in examples:
-        asserts += _equalities(problem, _bind(table, problem.inputs, env))
-    return _script(table, problem.holes, asserts)
+    memo = [] if memo is None else memo
+    lines = []
+    for k, env in enumerate(examples):
+        if k == len(memo) or memo[k][0] != env:
+            del memo[k:]
+            defines, equalities = _lower(problem, _bind(table, problem.inputs, env), f"$e{k}.")
+            memo.append((dict(env), defines + [f"(assert {e})" for e in equalities]))
+        lines += memo[k][1]
+    return _script(table, problem.holes, lines)
 
 
 def emit_verify_query(problem, assignment):
     """Script searching for an input where the filled sketch disagrees."""
     table = symbol_table(problem)
-    equalities = _equalities(problem, _bind(table, problem.holes, assignment))
+    defines, equalities = _lower(problem, _bind(table, problem.holes, assignment), "$v.")
     agree = equalities[0] if len(equalities) == 1 else f"(and {' '.join(equalities)})"
-    return _script(table, problem.inputs, [f"(not {agree})"])
+    return _script(table, problem.inputs, defines + [f"(assert (not {agree}))"])
 
 
 def _bind(table, symbols, values):
@@ -251,24 +276,28 @@ def _bind(table, symbols, values):
     return bound
 
 
-def _equalities(problem, symbols):
-    """`(= design sketch)` for each output, lowered under `symbols`."""
-    return [
-        f"(= {semantics.lower_to_smt(d, symbols)} {semantics.lower_to_smt(s, symbols)})"
-        for (_, d), (_, s) in zip(problem.design.outputs, problem.sketch_exprs)
-    ]
+def _lower(problem, symbols, prefix):
+    """`(define-fun ...)` lines for the problem's shared nodes and `(= design sketch)`
+    for each output, lowered under `symbols` in one pass.
+
+    Each shared node is named `prefix` and its index, which no symbol
+    table name can be: those hold only letters, digits and `_`.
+    """
+    names = {key: f"{prefix}{k}" for key, k in problem.shared.items()}
+    defines = []
+    terms = semantics.lower_to_smt(problem.roots, symbols, names, defines)
+    outputs = len(problem.design.outputs)
+    return defines, [f"(= {d} {s})" for d, s in zip(terms[:outputs], terms[outputs:])]
 
 
-def _script(table, unknowns, asserts):
-    """Declare the (name, width) `unknowns`, assert `asserts`, and ask for the unknowns."""
-    lines = ["(set-option :produce-models true)", "(set-logic QF_BV)"]
-    for name, width in unknowns:
-        lines.append(f"(declare-const {table[name]} (_ BitVec {width}))")
-    lines += (f"(assert {a})" for a in asserts)
-    lines.append("(check-sat)")
+def _script(table, unknowns, lines):
+    """Declare the (name, width) `unknowns`, then `lines`, then ask for the unknowns."""
+    head = ["(set-option :produce-models true)", "(set-logic QF_BV)"]
+    head += (f"(declare-const {table[name]} (_ BitVec {width}))" for name, width in unknowns)
+    tail = ["(check-sat)"]
     if unknowns:
-        lines.append("(get-value (" + " ".join(table[n] for n, _ in unknowns) + "))")
-    return "\n".join(lines) + "\n"
+        tail.append("(get-value (" + " ".join(table[n] for n, _ in unknowns) + "))")
+    return "\n".join(head + lines + tail) + "\n"
 
 
 QUERY_TIMEOUT_S = 600.0  # wall-clock bound on the answer to one query
@@ -569,9 +598,10 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
             return finish({}, 0)
 
         examples = initial_examples(problem, seed, init_examples)
+        memo = []  # each example's lines, lowered once for the run
         for iteration in range(1, max_iters + 1):
             calls += 1
-            model = query(synth, emit_synth_query(problem, examples), hole_syms)
+            model = query(synth, emit_synth_query(problem, examples, memo), hole_syms)
             if model is None:
                 raise TemplateInfeasible(
                     f"no hole assignment matches {len(examples)} example(s)"

@@ -128,7 +128,7 @@ def _lex(verilog_text, source):
 def _parse_based_literal(text, where):
     m = re.fullmatch(r"(\d+)?'([sS]?)([bodhBODH])([0-9a-fA-FxXzZ_?]+)", text)
     if m is None:
-        raise VerilogSyntaxError(f"malformed literal {text!r}", where)
+        raise VerilogSyntaxError(f"malformed literal {_quoted(text)}", where)
     width_s, signed, base_c, digits = m.groups()
     if signed:
         raise UnsupportedConstruct("signed literal", where)
@@ -138,17 +138,27 @@ def _parse_based_literal(text, where):
         raise UnsupportedConstruct("unsized based literal", where)
     width = _decimal(width_s, where)
     if width < 1:
-        raise VerilogSyntaxError(f"literal width must be >= 1 in {text!r}", where)
+        raise VerilogSyntaxError(f"literal width must be >= 1 in {_quoted(text)}", where)
     _check_size(width, "literal width", where)
     base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_c.lower()]
     digits = digits.replace("_", "")
     try:
         value = _decimal(digits, where) if base == 10 else int(digits, base)
     except ValueError:
-        raise VerilogSyntaxError(f"bad digits for base {base} in {text!r}", where)
+        raise VerilogSyntaxError(f"bad digits for base {base} in {_quoted(text)}", where)
     if value >= 1 << width:
-        raise ValidationError(f"literal {text} value does not fit its width")
+        raise ParseError(f"literal {_quoted(text)} value does not fit its width", where)
     return width, value
+
+
+_QUOTED = 40  # characters of a literal that a message quotes
+
+
+def _quoted(text):
+    """`text` quoted for a message: whole when short, else its start and its length."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
 
 
 def _span(hi, lo):
@@ -169,7 +179,10 @@ def _check_size(size, what, where):
     """Reject a size past MAX_WIDTH, stated by the source or implied by an
     expression, before anything that large is built."""
     if size > MAX_WIDTH:
-        raise ParseError(f"{what} {decimal_text(size)} is over the limit of {MAX_WIDTH}", where)
+        digits = decimal_text(size)
+        if len(digits) > _QUOTED:
+            digits = f"of {len(digits)} digits"
+        raise ParseError(f"{what} {digits} is over the limit of {MAX_WIDTH}", where)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,26 @@ def test_design_json_error_as_a_whole_names_its_path(tmp_path, capsys, design, m
 
 
 @pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("20'h" + "F" * 100_000, "literal \"20'h" + "F" * 36 + "\"... (100004 characters)"
+         " value does not fit its width"),
+        ("4'b" + "1" * 70_000, "literal \"4'b" + "1" * 37 + "\"... (70003 characters)"
+         " value does not fit its width"),
+        ("9" * 19_729 + "'h1", "literal width of 19729 digits is over the limit of 65536"),
+    ],
+    ids=["hex", "binary", "size"],
+)
+def test_oversized_verilog_literal_is_a_short_located_error(tmp_path, capsys, literal, message):
+    path = tmp_path / "m.v"
+    path.write_text(f"module m(input a, output [19:0] y);\n  assign y = {literal};\nendmodule\n")
+    assert run_cli("simulate", "--design", path, "--inputs", "a=1") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2:14: {message}\n"
+    assert len(err) - len(str(path)) < 300
+
+
+@pytest.mark.parametrize(
     "body, message",
     [
         ("assign y = {65536{a}} == a;", "expression width 262144"),

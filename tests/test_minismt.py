@@ -102,6 +102,27 @@ def test_errors():
         run_script("(echo (x))\n")
     with pytest.raises(SmtInputError):  # the last model has no value for `a`
         run_script("(check-sat)\n(declare-const a (_ BitVec 1))\n(get-value (a))\n")
+    # define-fun: its sort, its name and the symbols its body reads are
+    # checked when the command is read, its width when the body is blasted.
+    for script in (
+        "(define-fun f ((x (_ BitVec 1))) (_ BitVec 1) x)",
+        "(define-fun f () Bool true)",
+        f"(define-fun f () (_ BitVec {MAX_WIDTH + 1}) #b0)",
+        "(define-fun f () (_ BitVec 1))",
+        "(define-fun (f) () (_ BitVec 1) #b0)",
+        "(define-fun f () (_ BitVec 1) #b0)\n(define-fun f () (_ BitVec 1) #b0)",
+        "(declare-const f (_ BitVec 1))\n(define-fun f () (_ BitVec 1) #b0)",
+        "(define-fun f () (_ BitVec 1) #b0)\n(declare-const f (_ BitVec 1))",
+        "(define-fun f () (_ BitVec 1) (bvnot g))\n(declare-const g (_ BitVec 1))",
+        "(define-fun f () (_ BitVec 1) (bvnot f))",
+        "(define-fun f () (_ BitVec 2) #b1)\n(assert (= f #b01))",
+        "(define-fun f () (_ BitVec 1) (= #b0 #b1))\n(assert (= f #b1))",
+        "(define-fun f () (_ BitVec 1) #b1)\n(reset)\n(assert (= f #b1))",
+    ):
+        with pytest.raises(SmtInputError):
+            run_script(script + "\n")
+    # A body of the wrong width that nothing reads is never blasted.
+    assert run_script("(define-fun f () (_ BitVec 2) #b1)\n(check-sat)\n") == "sat\n"
     # Each of these reads, if at all, as a term equal to itself.
     for term in (
         "#x0x1", "#x+f", "(_ bv5 2)", "(_ bv1 foo)", "((_ extract a 0) x)",
@@ -109,6 +130,77 @@ def test_errors():
     ):
         with pytest.raises(SmtInputError):
             run_script(f"(declare-const x (_ BitVec 4))\n(assert (= {term} {term}))\n")
+
+
+def test_define_fun_names_its_body():
+    out = run_script(
+        "(declare-const h (_ BitVec 4))\n"
+        "(define-fun s () (_ BitVec 4) (bvadd h #b0011))\n"
+        "(define-fun t () (_ BitVec 4) (bvxor s s))\n"
+        "(assert (= (bvor s t) #b1000))\n(check-sat)\n(get-value (h))\n"
+        "(reset)\n(define-fun s () (_ BitVec 1) #b1)\n(assert (= s #b1))\n(check-sat)\n"
+    )
+    assert out == "sat\n((h #b0101))\nsat\n"
+
+
+def _dag(rng, count):
+    """`count` random expressions over VAR_POOL that reuse each other's nodes.
+
+    Each is an operator over two expressions drawn from `rand_expr` and the
+    ones before it, so later expressions read earlier ones, often twice.
+    """
+    pool = [rand_expr(rng, rng.randint(1, 8), 2) for _ in range(3)]
+    for _ in range(count):
+        a, b = rng.choice(pool), rng.choice(pool)
+        op = rng.choice(["concat", "binop", "mux", "ult"])
+        if op == "concat" and a.width + b.width <= 16:
+            node = ir.Concat(a, b)
+        elif op == "mux" and a.width == 1:
+            node = ir.Mux(a, b, b if rng.random() < 0.5 else ir.Not(b))
+        elif op == "ult":
+            node = ir.Ult(a, ir.Extract(a.width - 1, 0, ir.ZeroExt(b, a.width + b.width)))
+        else:
+            cls = rng.choice([ir.And, ir.Xor, ir.Add, ir.Mul])
+            node = cls(a, ir.Not(a) if rng.random() < 0.3 else a)
+        pool.append(node)
+    return pool[-count:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 6))
+def test_shared_script_blasts_to_the_same_cnf(seed, count):
+    # The script that names its shared nodes and the one that spells them
+    # out give the same variables and clauses, before and after the search,
+    # and the same replies.
+    rng = random.Random(seed)
+    roots = tuple(_dag(rng, count))
+    env = rand_env(rng)
+    table = {name: name for name, _ in VAR_POOL}
+    shared = semantics.shared_nodes(roots)
+    negated = [rng.random() < 0.3 for _ in roots]
+    scripts = []
+    for names in ({}, {key: f"$s.{k}" for key, k in shared.items()}):
+        defines = []
+        terms = semantics.lower_to_smt(roots, table, names, defines)
+        lines = [f"(declare-const {name} (_ BitVec {w}))" for name, w in VAR_POOL]
+        lines += defines
+        for expr, term, negate in zip(roots, terms, negated):
+            equal = f"(= {term} #b{semantics.eval_concrete(expr, env):0{expr.width}b})"
+            lines.append(f"(assert {f'(not {equal})' if negate else equal})")
+        scripts.append(lines)
+    assert scripts[0][:len(VAR_POOL)] == scripts[1][:len(VAR_POOL)]
+    states = []
+    for lines in scripts:
+        out = io.StringIO()
+        interp = Interpreter(out)
+        interp.run(parse_forms(tokenize("\n".join(lines))))
+        before = (interp.blaster.sat.nvars, repr(interp.blaster.sat.clauses))
+        interp.command(("check-sat",))
+        if out.getvalue() == "sat\n":
+            interp.command(("get-value", tuple(table)))
+        after = (interp.searched.nvars, repr(interp.searched.clauses))
+        states.append((before, after, out.getvalue()))
+    assert states[0] == states[1]
 
 
 def test_subprocess_protocol():
@@ -496,6 +588,10 @@ _COMMANDS = st.one_of(
     st.builds("(declare-const {} {})".format, _SYMBOLS, _SORTS),
     st.builds(
         "(declare-fun {} {} {})".format, _SYMBOLS, st.sampled_from(["()", "(x)", "x"]), _SORTS
+    ),
+    st.builds(
+        "(define-fun {} {} {} {})".format,
+        _SYMBOLS, st.sampled_from(["()", "((x (_ BitVec 1)))", "x"]), _SORTS, _terms(2),
     ),
     st.builds("(assert {})".format, _terms(3)),
     st.builds(lambda terms: f"(assert {' '.join(terms)})", st.lists(_terms(1), max_size=2)),

@@ -10,7 +10,7 @@ from techmap.errors import (
     UnmappedSymbol,
     ValidationError,
 )
-from techmap.semantics import eval_concrete, eval_design, lower_to_smt, truth_table
+from techmap.semantics import eval_concrete, eval_design, lower_to_smt, shared_nodes, truth_table
 
 from util import VAR_POOL, adder4_design, rand_env, rand_expr, xor2_design
 
@@ -124,6 +124,23 @@ def test_lower_spells_a_shared_node_at_each_use():
     assert term == "(bvxor (bvadd a #b01) (bvnot (bvadd a #b01)))"
     term = lower_to_smt(ir.SignExt(ir.Concat(a, shared), 6), {"a": "a"})
     assert term == "((_ sign_extend 2) (concat a (bvadd a #b01)))"
+
+
+def test_lower_names_the_shared_nodes_it_is_given():
+    a = ir.Var("a", 2)
+    shared = ir.Add(a, ir.Const(2, 1))
+    outer = ir.Xor(shared, ir.Not(shared))
+    # Postorder: a, the constant, the sum, its negation, the xor.
+    assert shared_nodes((outer,)) == {id(shared): 2}
+    assert shared_nodes((outer, outer)) == {id(shared): 2, id(outer): 4}
+    assert shared_nodes((ir.And(a, a),)) == {}  # a leaf is never named
+    defines = []
+    term = lower_to_smt(outer, {"a": "a"}, {id(shared): "$s.2"}, defines)
+    assert term == "(bvxor $s.2 (bvnot $s.2))"
+    assert defines == ["(define-fun $s.2 () (_ BitVec 2) (bvadd a #b01))"]
+    assert lower_to_smt((outer, shared), {"a": "a"}) == [
+        "(bvxor (bvadd a #b01) (bvnot (bvadd a #b01)))", "(bvadd a #b01)"
+    ]
 
 
 def test_lower_deep_chain_does_not_recurse():

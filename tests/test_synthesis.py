@@ -213,8 +213,8 @@ def _lut4_8ea1_problem(lib):
             lambda lib: emit_synth_query(
                 p := _adder4_problem(lib), initial_examples(p, 3, 4)
             ),
-            45437,
-            "5091962943113b9364ed742e84c45958084071183ba75122a2355cb57e363c32",
+            12089,
+            "bba789a8ce3c2e29b05ba9f06b8c0921bd11333ba3186a5f2cdadc789ebefefd",
         ),
         (
             lambda lib: emit_verify_query(
@@ -228,8 +228,8 @@ def _lut4_8ea1_problem(lib):
             lambda lib: emit_verify_query(
                 p := _adder4_problem(lib), {name: 1 for name, _ in p.holes}
             ),
-            9647,
-            "4e2100fa1a00df8bca3c19a53342930c110cd23a9cfac0d8591973907cc86b79",
+            2713,
+            "77fa2cd76ddc7296a280684c66bb1f4395e8f076459335309f4403b6aadfd286",
         ),
     ],
     ids=["lut4 synth", "adder4 synth", "lut4 verify", "adder4 verify"],
@@ -237,10 +237,58 @@ def _lut4_8ea1_problem(lib):
 def test_query_scripts_are_pinned(lib, build, size, digest):
     # LUT4 table 0x8EA1 with binding holes, and the adder4 carry chain,
     # whose verify query has two outputs and so takes the (not (and ...))
-    # form. The values were recorded from scripts built by substituting
-    # constants into copies of the DAG.
+    # form. The LUT sketch shares no operator node, so its scripts are
+    # those recorded from scripts built by substituting constants into
+    # copies of the DAG; the carry chain's name their shared nodes.
     script = build(lib)
     assert (len(script), hashlib.sha256(script.encode()).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize(
+    "build, size, digest",
+    [
+        (
+            lambda p: emit_synth_query(p, initial_examples(p, 3, 4)),
+            45437,
+            "5091962943113b9364ed742e84c45958084071183ba75122a2355cb57e363c32",
+        ),
+        (
+            lambda p: emit_verify_query(p, {name: 1 for name, _ in p.holes}),
+            9647,
+            "4e2100fa1a00df8bca3c19a53342930c110cd23a9cfac0d8591973907cc86b79",
+        ),
+    ],
+    ids=["adder4 synth", "adder4 verify"],
+)
+def test_spelled_out_scripts_keep_their_pins(lib, monkeypatch, build, size, digest):
+    # With no node named, every shared node is spelled out at each use, as
+    # before queries named them: the scripts are the ones recorded then.
+    monkeypatch.setattr(SynthesisProblem, "shared", property(lambda problem: {}))
+    script = build(_adder4_problem(lib))
+    assert "define-fun" not in script
+    assert (len(script), hashlib.sha256(script.encode()).hexdigest()) == (size, digest)
+
+
+def test_synth_memo_lowers_each_example_once(lib, monkeypatch):
+    problem = _adder4_problem(lib)
+    examples = initial_examples(problem, 3, 4)
+    lowered = []
+    lower = synthesis.semantics.lower_to_smt
+    monkeypatch.setattr(
+        synthesis.semantics, "lower_to_smt",
+        lambda expr, *args: lowered.append(expr) or lower(expr, *args),
+    )
+    memo = []
+    first = emit_synth_query(problem, examples[:2], memo)
+    calls = len(lowered)
+    whole = emit_synth_query(problem, examples, memo)
+    assert len(lowered) == 2 * calls  # two more examples, the first two kept
+    assert whole.startswith(first.partition("(check-sat)\n")[0])
+    assert whole == emit_synth_query(problem, examples)
+    # An example that differs at its place is lowered again, with the rest.
+    changed = [examples[0], examples[2]]
+    assert emit_synth_query(problem, changed, memo) == emit_synth_query(problem, changed)
+    assert [env for env, _ in memo] == changed
 
 
 def test_parse_model_forms():
