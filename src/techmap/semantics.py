@@ -13,12 +13,20 @@ functions through a small cache keyed by node identity. Unlike a tree walk,
 the compiled code computes every node, both branches of a Mux included. So
 a Var missing from the environment raises UnknownVar, and an out-of-range
 value ValidationError, even when it only feeds the branch a Mux does not
-take.
+take. The exception is a slice: a value rebuilt from adjacent slices of
+another is read as one slice of it, and the parts get no statement.
 
-`first_mismatch` is the one exhaustive row loop. Brute-force enumeration,
-the exhaustive counterexample search and exhaustive equivalence checking
-walk rows through it, and so does `truth_table`, all up to the same
-`EXHAUSTIVE_INPUT_BITS` input bits.
+The exhaustive loops are written by the same generator, from the same
+statements. Its table form records every row's outputs; its scan form
+walks hole assignments and, for each, rows, both in ascending order, until
+a row disagrees with a table. Brute-force enumeration, the exhaustive
+counterexample search, exhaustive equivalence checking and `truth_table`
+all run inside that generated code, up to the same `EXHAUSTIVE_INPUT_BITS`
+input bits. The loops decode rows and hole assignments from their index by
+shift and mask, so the values they make need no range check; a value from
+a caller is checked where it comes in: each call of the evaluate form
+checks its arguments, and `hole_index` checks a caller's hole assignment
+once, before the scan walks a row.
 """
 
 from __future__ import annotations
@@ -26,70 +34,170 @@ from __future__ import annotations
 import itertools
 
 from . import ir
-from .errors import HolePresent, TooManyInputBits, UnknownVar, UnmappedSymbol, ValidationError
+from .errors import (
+    HolePresent,
+    TooManyInputBits,
+    UnknownVar,
+    UnmappedSymbol,
+    ValidationError,
+    WidthMismatch,
+)
 from .minismt import decimal_text
 
-EXHAUSTIVE_INPUT_BITS = 16  # rows are walked one at a time, so 2^16 is the ceiling
+# The generated loops walk rows one at a time, and the table form holds a
+# list of every row's value per output, so 2^16 rows is the ceiling.
+EXHAUSTIVE_INPUT_BITS = 16
 
 
-def compile_exprs(exprs, inputs, holes=()):
+def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
     """Compile an expression DAG, once, into one Python function.
 
-    `inputs` and `holes` are ordered (name, width) sequences. The function
-    takes one value per input and then one per hole as positional
-    arguments, and returns a tuple with one unsigned integer per
-    expression. Each call raises ValidationError when a value does not fit
-    the width of a Var or Hole node that reads it. Compiling raises
-    UnknownVar for a Var that is not an input and HolePresent for a Hole
-    not among `holes`.
+    `inputs` and `holes` are ordered (name, width) sequences. Compiling
+    raises UnknownVar for a Var that is not an input and HolePresent for a
+    Hole not among `holes`. `form` picks the function:
+
+    - "evaluate" takes one value per input and then one per hole as
+      positional arguments, and returns a tuple with one unsigned integer
+      per expression. Each call raises ValidationError when a value does
+      not fit the width of a Var or Hole node that reads it.
+    - "table" takes a hole index and returns, per expression, the list of
+      its values on every row.
+    - "scan" takes `want`, a table as the table form returns one, and an
+      iterable of hole indices. It tries them in order, and walks each one's rows in
+      ascending order until one mismatches `want`; it returns
+      (index, None) for the first index that matches on every row, else
+      (None, the lowest mismatching row of the last index tried).
+
+    The loop forms decode rows and hole indices as `row_env` does, the
+    first symbol in the least-significant bits, by shift and mask, so the
+    decoded values are in range; they take hole indices below the hole
+    space. They walk at most EXHAUSTIVE_INPUT_BITS input bits, else
+    compiling raises TooManyInputBits, and they want each Var and Hole node
+    as wide as its symbol, else compiling raises WidthMismatch. A statement
+    that reads no row runs once per hole index, and one that reads neither
+    rows nor holes once per call.
 
     The code has one statement per operator node, so shared nodes are
-    computed once per call, and every node is computed, both Mux branches
-    included. It holds only generated identifiers and integer literals:
-    symbol names and error messages reach it through the function's
-    namespace, so any name the IR accepts is safe.
+    computed once per call or row, and every node is computed, both Mux
+    branches included. The exception is a slice: an Extract of a known slice of a
+    value, or a Concat of two adjacent slices of one value, is itself a
+    slice of that value, and only a slice that a statement or a result
+    reads gets one, `value >> lo & mask`. The code holds only generated
+    identifiers and integer literals: symbol names and error messages reach
+    it through the function's namespace, so any name the IR accepts is safe.
     """
+    if form not in ("evaluate", "table", "scan"):
+        raise ValueError(f"form must be 'evaluate', 'table' or 'scan', not {form!r}")
     exprs = tuple(exprs)
+    loop = form != "evaluate"
     signature = []
-    params = {}  # (is hole, name) -> parameter identifier
+    params = {}  # (is hole, name) -> (parameter identifier, bit offset, width)
+    bits = {}  # is hole -> total width of those symbols
     for prefix, symbols in (("a", inputs), ("h", holes)):
-        for k, (name, _) in enumerate(symbols):
+        is_hole = prefix == "h"
+        bits[is_hole] = 0
+        for k, (name, width) in enumerate(symbols):
             signature.append(f"{prefix}{k}")
-            params.setdefault((prefix == "h", name), signature[-1])
+            params.setdefault((is_hole, name), (signature[-1], bits[is_hole], width))
+            bits[is_hole] += width
+    if loop and bits[False] > EXHAUSTIVE_INPUT_BITS:
+        raise TooManyInputBits(bits[False], EXHAUSTIVE_INPUT_BITS)
     namespace = {}
     checks = {}  # (parameter, width) -> range check line
-    body = []
-    ref = {}  # id(node) -> identifier or literal holding its value
+    # Statements by level: 0 reads neither rows nor holes, 1 holes only, 2 rows.
+    lines = ([], [], [])
+    # id(node) -> (level, base text, base width, lo): the node is base[lo +: width],
+    # the base being below 2^(base width).
+    slices = {}
+    made = {}  # (base text, lo, width) -> identifier of that slice
+
+    def define(level, value):
+        name = f"v{sum(map(len, lines))}"
+        lines[level].append(f"{name} = {value}")
+        return name
+
+    def read(node):
+        """The text of `node`'s value; a slice gets a statement the first time."""
+        level, base, bound, lo = slices[id(node)]
+        width = node.width
+        if lo == 0 and width >= bound:
+            return base
+        key = (base, lo, width)
+        if key not in made:
+            value = f"{base} >> {lo:#x}" if lo else base
+            if lo + width < bound:
+                value += f" & {(1 << width) - 1:#x}"
+            made[key] = define(level, value)
+        return made[key]
+
     for node in ir.postorder(exprs):
         t = type(node)
         if t is ir.Var or t is ir.Hole:
             is_hole = t is ir.Hole
-            arg = params.get((is_hole, node.name))
-            if arg is None:
+            found = params.get((is_hole, node.name))
+            if found is None:
                 raise HolePresent(node.name) if is_hole else UnknownVar(node.name)
+            arg, offset, width = found
+            if loop:
+                if node.width != width:
+                    raise WidthMismatch(f"{t.__name__} '{node.name}'", width, node.width)
+                level, index = (1, "h") if is_hole else (2, "r")
+                slices[id(node)] = (level, index, bits[is_hole], offset)
+                continue
             if (arg, node.width) not in checks:
                 fail = f"_e{len(checks)}"
                 namespace[fail] = _range_error("hole " if is_hole else "", node.name, node.width)
-                checks[arg, node.width] = (
-                    f"    if not 0 <= {arg} <= {(1 << node.width) - 1:#x}: {fail}({arg})"
-                )
-            ref[id(node)] = arg
+                top = (1 << node.width) - 1
+                checks[arg, node.width] = f"if not 0 <= {arg} <= {top:#x}: {fail}({arg})"
+            slices[id(node)] = (2, arg, node.width, 0)
         elif t is ir.Const:
-            ref[id(node)] = hex(node.value)
+            slices[id(node)] = (0, hex(node.value), node.width, 0)
+        elif t is ir.Extract:
+            level, base, bound, lo = slices[id(node.a)]
+            slices[id(node)] = (level, base, bound, lo + node.lo)
         else:
-            operands = [ref[id(k)] for k in ir._children(node)]
-            text = _operation(node, operands)
-            if text == operands[0]:
-                ref[id(node)] = text  # an extension or extract that keeps the value
-            else:
-                ref[id(node)] = f"v{len(body)}"
-                body.append(f"    v{len(body)} = {text}")
-    lines = [f"def evaluate({', '.join(signature)}):"]
-    lines += checks.values()
-    lines += body
-    lines.append(f"    return ({''.join(ref[id(e)] + ', ' for e in exprs)})")
-    exec(compile("\n".join(lines) + "\n", "<compiled expression>", "exec"), namespace)
-    return namespace["evaluate"]
+            kids = ir._children(node)
+            if t is ir.Concat:
+                high, low = slices[id(node.hi)], slices[id(node.lo)]
+                if high[:3] == low[:3] and high[3] == low[3] + node.lo.width:
+                    slices[id(node)] = low
+                    continue
+            operands = [read(k) for k in kids]
+            level = max(slices[id(k)][0] for k in kids)
+            value = _operation(node, operands)
+            if value != operands[0]:  # else an extension that keeps the value
+                value = define(level, value)
+            slices[id(node)] = (level, value, node.width, 0)
+    results = [read(e) for e in exprs]
+    fixed, per_hole, per_row = lines
+    rows = 1 << bits[False]
+    if form == "evaluate":
+        code = [f"def evaluate({', '.join(signature)}):"]
+        code += _block(1, [*checks.values(), *fixed, *per_hole, *per_row])
+        code += _block(1, [f"return ({''.join(x + ', ' for x in results)})"])
+    elif form == "table":
+        columns = "".join(f"t{k}, " for k in range(len(results)))
+        code = ["def table(h):"]
+        code += _block(1, [f"t{k} = [0] * {rows:#x}" for k in range(len(results))])
+        code += _block(1, [*fixed, *per_hole, f"for r in range({rows:#x}):"])
+        code += _block(2, per_row + [f"t{k}[r] = {x}" for k, x in enumerate(results)] or ["pass"])
+        code += _block(1, [f"return ({columns})"])
+    else:
+        columns = "".join(f"w{k}, " for k in range(len(results)))
+        mismatch = " or ".join(f"{x} != w{k}[r]" for k, x in enumerate(results))
+        code = ["def scan(want, indices):"]
+        code += _block(1, [f"({columns}) = want", *fixed, "r = None", "for h in indices:"])
+        code += _block(2, [*per_hole, f"for r in range({rows:#x}):"])
+        test = [f"if {mismatch}:", "    break"] if results else []
+        code += _block(3, per_row + test or ["pass"])
+        code += _block(2, ["else:", "    return h, None"])
+        code += _block(1, ["return None, r"])
+    exec(compile("\n".join(code) + "\n", "<compiled expression>", "exec"), namespace)
+    return namespace[form]
+
+
+def _block(depth, statements):
+    return [" " * 4 * depth + s for s in statements]
 
 
 def _range_error(kind, name, width):
@@ -107,10 +215,6 @@ def _operation(node, operands):
     t = type(node)
     a = operands[0]
     mask = (1 << node.width) - 1
-    if t is ir.Extract:
-        if node.lo == 0:
-            return a if node.width == node.a.width else f"{a} & {mask:#x}"
-        return f"{a} >> {node.lo:#x} & {mask:#x}"
     if t is ir.ZeroExt:
         return a
     if t is ir.SignExt:
@@ -294,47 +398,25 @@ def row_env(inputs, row):
     return env
 
 
-def ascending(symbols):
-    """Every value tuple over ordered (name, width) symbols, by index.
+def hole_index(holes, assignment):
+    """The index that a loop form decodes into `assignment`, over the ordered
+    (name, width) `holes`, as `row_env` decodes it.
 
-    Index k gives the first symbol the least-significant bits of k, as in
-    `row_env`; each tuple holds one value per symbol, in order.
+    Raises HolePresent for a hole that `assignment` leaves out, and
+    ValidationError, with the message a compiled function gives, for a
+    value that does not fit its hole.
     """
-    ranges = [range(1 << width) for _, width in reversed(symbols)]
-    return (values[::-1] for values in itertools.product(*ranges))
-
-
-def input_rows(inputs):
-    """The rows of the ordered (name, width) `inputs`, as `ascending` gives them.
-
-    Raises TooManyInputBits when the inputs total more than
-    EXHAUSTIVE_INPUT_BITS bits.
-    """
-    total = sum(width for _, width in inputs)
-    if total > EXHAUSTIVE_INPUT_BITS:
-        raise TooManyInputBits(total, EXHAUSTIVE_INPUT_BITS)
-    return ascending(inputs)
-
-
-def first_mismatch(fn, rows, want=None, args=(), record=None):
-    """The index of the first row on which `fn` disagrees with `want`, else None.
-
-    This is the one exhaustive row loop. `rows` are input value tuples in
-    ascending row order, from `input_rows`; a caller that walks them many
-    times passes them as a list. Each row is evaluated as
-    fn(*row values, *args). `want` gives the expected output tuple of each
-    row: a function of the row values, a sequence indexed by row, or None
-    to compare nothing. When `record` is a list, fn's output on every
-    visited row is appended to it.
-    """
-    table = not callable(want)
-    for row, values in enumerate(rows):
-        got = fn(*values, *args)
-        if record is not None:
-            record.append(got)
-        if want is not None and got != (want[row] if table else want(*values)):
-            return row
-    return None
+    index = shift = 0
+    for name, width in holes:
+        try:
+            value = assignment[name]
+        except KeyError:
+            raise HolePresent(name) from None
+        if not 0 <= value < 1 << width:
+            _range_error("hole ", name, width)(value)
+        index |= value << shift
+        shift += width
+    return index
 
 
 def truth_table(design):
@@ -345,8 +427,8 @@ def truth_table(design):
     their defaults: `design.bind` gives it other values.
     """
     design = design.bind({})
-    rows = list(input_rows(design.inputs))
-    outputs = []
-    fn = compile_exprs([e for _, e in design.outputs], design.inputs)
-    first_mismatch(fn, rows, record=outputs)
-    return list(zip(rows, outputs))
+    columns = compile_exprs([e for _, e in design.outputs], design.inputs, form="table")(0)
+    return [
+        (tuple(row_env(design.inputs, row).values()), tuple(c[row] for c in columns))
+        for row in range(1 << sum(width for _, width in design.inputs))
+    ]

@@ -5,10 +5,10 @@ sketch's holes make every output agree with the design on every input?
 Enumeration is the trustworthy oracle for small hole spaces; CEGIS asks an
 external SMT-LIB solver and scales to spaces enumeration cannot touch.
 Enumeration and the exhaustive re-check of a solution compile the design
-and the sketch once each and compare them row by row through
-`semantics.first_mismatch`; hole assignments and rows both go in
-ascending order, so the first match and the first counterexample are the
-lowest ones.
+once into a table of every row's outputs, and the sketch once into a scan
+against that table (`semantics.compile_exprs`); the scan's generated code
+walks hole assignments and, for each, rows, both in ascending order, so
+the first match and the first counterexample are the lowest ones.
 A query lowers the design and the sketch, unchanged, under a symbol
 binding: the synth query binds each example's inputs to literals, the
 verify query binds the holes to the candidate's. Each binding is lowered in
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from . import ir, minismt, semantics, templates
 from .errors import (
     BudgetExceeded,
-    HolePresent,
     Infeasible,
     LimitExceeded,
     MissingSymbol,
@@ -153,30 +152,24 @@ def solve_brute_force(problem):
     if space > BRUTE_HOLE_SPACE:
         raise LimitExceeded("hole space", space, BRUTE_HOLE_SPACE)
     try:
-        rows = list(semantics.input_rows(problem.inputs))
+        design, sketch = _compile(problem)
     except TooManyInputBits as exc:
         raise LimitExceeded("input bits", exc.total, exc.limit) from None
-    design, sketch = _compile(problem)
-    want = []
-    semantics.first_mismatch(design, rows, record=want)
-    for index, values in enumerate(semantics.ascending(problem.holes)):
-        if semantics.first_mismatch(sketch, rows, want, args=values) is None:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            assignment = dict(zip((name for name, _ in problem.holes), values))
-            return Solution(assignment, "brute", SolveStats(index + 1, 0, wall_ms))
-    raise Infeasible(f"no assignment among {space} implements '{problem.design.name}'")
+    index, _ = sketch(design(0), range(space))
+    if index is None:
+        raise Infeasible(f"no assignment among {space} implements '{problem.design.name}'")
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    assignment = semantics.row_env(problem.holes, index)
+    return Solution(assignment, "brute", SolveStats(index + 1, 0, wall_ms))
 
 
 def _compile(problem):
-    """Design and sketch outputs as functions of the input values.
-
-    The sketch's function takes the hole values after the input values.
-    """
+    """The design's table form and the sketch's scan form, from `semantics.compile_exprs`."""
+    design = [e for _, e in problem.design.outputs]
+    sketch = [e for _, e in problem.sketch_exprs]
     return (
-        semantics.compile_exprs([e for _, e in problem.design.outputs], problem.inputs),
-        semantics.compile_exprs(
-            [e for _, e in problem.sketch_exprs], problem.inputs, problem.holes
-        ),
+        semantics.compile_exprs(design, problem.inputs, form="table"),
+        semantics.compile_exprs(sketch, problem.inputs, problem.holes, form="scan"),
     )
 
 
@@ -640,13 +633,10 @@ def exhaustive_counterexample(problem, assignment):
     """Check a candidate assignment on every input row; None when sound.
 
     More than `semantics.EXHAUSTIVE_INPUT_BITS` input bits raise
-    TooManyInputBits.
+    TooManyInputBits. The assignment's values are checked once, before any
+    row, by `semantics.hole_index`.
     """
-    rows = semantics.input_rows(problem.inputs)
-    try:
-        values = [assignment[name] for name, _ in problem.holes]
-    except KeyError as exc:
-        raise HolePresent(exc.args[0]) from None
     design, sketch = _compile(problem)
-    row = semantics.first_mismatch(sketch, rows, design, args=values)
+    index = semantics.hole_index(problem.holes, assignment)
+    _, row = sketch(design(0), (index,))
     return None if row is None else semantics.row_env(problem.inputs, row)

@@ -1,7 +1,9 @@
-"""Properties of the compiled evaluator and of the one exhaustive row loop.
+"""Properties of the compiled evaluator and of its row loops.
 
 The compiled evaluator is checked against an independent meaning of the
-same term: the bundled solver, run in-process on its SMT-LIB lowering.
+same term: the bundled solver, run in-process on its SMT-LIB lowering. The
+scan and table forms are checked against `eval_concrete` called on every
+hole assignment and row.
 """
 
 import io
@@ -13,16 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from techmap import ir, semantics, synthesis
-from techmap.errors import HolePresent, TooManyInputBits, UnknownVar, ValidationError
-from techmap.minismt import Interpreter, parse_forms, tokenize
-from techmap.semantics import (
-    compile_exprs,
-    eval_concrete,
-    eval_design,
-    first_mismatch,
-    input_rows,
-    truth_table,
+from techmap.errors import (
+    HolePresent,
+    LimitExceeded,
+    TooManyInputBits,
+    UnknownVar,
+    ValidationError,
+    WidthMismatch,
 )
+from techmap.minismt import Interpreter, parse_forms, tokenize
+from techmap.semantics import compile_exprs, eval_concrete, eval_design, row_env, truth_table
 
 from util import VAR_POOL, rand_expr
 
@@ -154,34 +156,160 @@ def lut_bit(table, inputs):
     return ir.Extract(0, 0, ir.LShr(table, index))
 
 
-def test_first_mismatch_returns_lowest_row():
+def test_scan_returns_lowest_row():
     inputs = (("p", 1), ("q", 3))
     want_table = 0b1011_0110_0101_1001
     bad_rows = (3, 7, 12)
     got_table = want_table ^ sum(1 << row for row in bad_rows)
-    want = compile_exprs([lut_bit(ir.Const(16, want_table), inputs)], inputs)
-    got = compile_exprs([lut_bit(ir.Const(16, got_table), inputs)], inputs)
-    rows = list(input_rows(inputs))
-    assert rows == [tuple(semantics.row_env(inputs, row).values()) for row in range(16)]
-    assert first_mismatch(got, rows, want) == 3
-    assert first_mismatch(want, rows, want) is None
+    want = compile_exprs([lut_bit(ir.Const(16, want_table), inputs)], inputs, form="table")(0)
+    assert want == ([(want_table >> row) & 1 for row in range(16)],)
+    decoded = compile_exprs([ir.Var("p", 1), ir.Var("q", 3)], inputs, form="table")(0)
+    assert list(zip(*decoded)) == [tuple(row_env(inputs, row).values()) for row in range(16)]
+    got = compile_exprs([lut_bit(ir.Const(16, got_table), inputs)], inputs, form="scan")
+    assert got(want, [0]) == (None, 3)
+    same = compile_exprs([lut_bit(ir.Const(16, want_table), inputs)], inputs, form="scan")
+    assert same(want, [0]) == (0, None)
 
-    outputs = []
-    assert first_mismatch(want, input_rows(inputs), record=outputs) is None
-    assert outputs == [((want_table >> row) & 1,) for row in range(16)]
-    assert first_mismatch(got, rows, outputs) == 3
-
-    # The same sketch with its table as a hole: the counterexample is the
-    # lowest mismatching row too.
+    # The same sketch with its table as a hole: the first matching index is
+    # the table, and a wrong table's counterexample is its lowest
+    # mismatching row.
+    holed = compile_exprs([lut_bit(ir.Hole("T", 16), inputs)], inputs, [("T", 16)], form="scan")
+    assert holed(want, range(1 << 16)) == (want_table, None)
+    assert holed(want, [got_table]) == (None, 3)
     design = ir.Design("t", inputs, (("y", lut_bit(ir.Const(16, want_table), inputs)),))
     sketch = (("y", lut_bit(ir.Hole("T", 16), inputs)),)
     problem = synthesis.SynthesisProblem(design, sketch, (("T", 16),))
     assert synthesis.exhaustive_counterexample(problem, {"T": got_table}) == {"p": 1, "q": 1}
     assert synthesis.exhaustive_counterexample(problem, {"T": want_table}) is None
+    # A caller's hole value is checked once, before any row.
+    with pytest.raises(ValidationError, match="value 65536 for hole 'T' does not fit width 16"):
+        synthesis.exhaustive_counterexample(problem, {"T": 1 << 16})
+    with pytest.raises(ValidationError, match="value -1 for hole 'T'"):
+        synthesis.exhaustive_counterexample(problem, {"T": -1})
+    with pytest.raises(HolePresent):
+        synthesis.exhaustive_counterexample(problem, {})
 
 
-def test_input_rows_limit():
-    with pytest.raises(TooManyInputBits) as info:
-        input_rows((("a", 9), ("b", 8)))
-    assert (info.value.total, info.value.limit) == (17, semantics.EXHAUSTIVE_INPUT_BITS)
-    assert next(input_rows((("a", 8), ("b", 8)))) == (0, 0)
+def test_loop_forms_input_bit_limit():
+    wide = (("a", 9), ("b", 8))
+    for form in ("table", "scan"):
+        with pytest.raises(TooManyInputBits) as info:
+            compile_exprs([ir.Var("a", 9)], wide, form=form)
+        assert (info.value.total, info.value.limit) == (17, semantics.EXHAUSTIVE_INPUT_BITS)
+    (column,) = compile_exprs([ir.Var("b", 8)], (("a", 8), ("b", 8)), form="table")(0)
+    assert (len(column), column[0], column[-1]) == (1 << 16, 0, 255)
+    design = ir.Design("wide", wide, (("y", ir.Var("a", 9)),))
+    problem = synthesis.SynthesisProblem(design, (("y", ir.Var("a", 9)),), ())
+    with pytest.raises(LimitExceeded) as info:
+        synthesis.solve_brute_force(problem)
+    assert (info.value.which, info.value.value, info.value.limit) == ("input bits", 17, 16)
+
+
+def test_loop_forms_want_symbols_at_their_width():
+    with pytest.raises(WidthMismatch):
+        compile_exprs([ir.Var("x", 3)], [("x", 4)], form="table")
+    assert compile_exprs([ir.Var("x", 3)], [("x", 4)])(7) == (7,)
+
+
+def bits_high_to_low(value, bits):
+    """`value` rebuilt from one-bit Extracts, by Concat, at bits in the order given:
+    the first ends up most significant."""
+    rebuilt = ir.Extract(bits[0], bits[0], value)
+    for b in bits[1:]:
+        rebuilt = ir.Concat(rebuilt, ir.Extract(b, b, value))
+    return rebuilt
+
+
+def statements(*exprs):
+    """How many statements the evaluate form of `exprs` over an 8-bit x runs:
+    its locals are its one parameter and one per statement."""
+    return compile_exprs(exprs, [("x", 8)]).__code__.co_nlocals - 1
+
+
+def test_a_value_rebuilt_bit_by_bit_folds_to_one_slice():
+    x = ir.Var("x", 8)
+    assert statements(bits_high_to_low(x, range(7, -1, -1))) == 0
+    assert statements(bits_high_to_low(x, range(5, 1, -1))) == 1  # x >> 2 & 0xf
+    sum_ = ir.Add(x, ir.Const(8, 1))
+    assert statements(bits_high_to_low(sum_, range(7, -1, -1))) == 1
+    # Reversed or non-adjacent bits do not fold: a statement per bit and per Concat.
+    assert statements(bits_high_to_low(x, range(8))) == 15
+    assert statements(bits_high_to_low(x, (6, 4))) == 3
+    for value in (0, 1, 0x5A, 0xFF):
+        assert eval_concrete(bits_high_to_low(x, range(8)), {"x": value}) == int(
+            f"{value:08b}"[::-1], 2
+        )
+
+
+def reference_table(exprs, inputs, holes, index):
+    """Each expression's values on every row, by `eval_concrete`, at hole index `index`."""
+    hole_env = row_env(holes, index)
+    rows = [
+        [eval_concrete(e, row_env(inputs, row), hole_env) for e in exprs]
+        for row in range(1 << sum(w for _, w in inputs))
+    ]
+    return tuple(map(list, zip(*rows)))
+
+
+def reference_scan(exprs, inputs, holes, want, indices):
+    """What the scan form returns, by `reference_table`."""
+    row = None
+    for index in indices:
+        table = reference_table(exprs, inputs, holes, index)
+        mismatches = [
+            r for r in range(len(want[0])) if any(t[r] != w[r] for t, w in zip(table, want))
+        ]
+        if not mismatches:
+            return index, None
+        row = mismatches[0]
+    return None, row
+
+
+@st.composite
+def loop_cases(draw):
+    """Random expressions with one or two holes over at most 8 input bits,
+    with rebuilt, reversed and non-adjacent slices of an input, a hole and a
+    random value among them."""
+    pool = dict(VAR_POOL)
+    hole_names = draw(st.sampled_from([("v1",), ("v2",), ("v4",), ("v1", "v2"), ("v2", "v1")]))
+    free = [n for n in ("v1", "v2", "v4", "v7") if n not in hole_names]
+    input_names = draw(st.permutations(free))[: draw(st.integers(1, len(free)))]
+    while sum(pool[n] for n in input_names) > 8:
+        input_names = input_names[:-1]
+    inputs = tuple((n, pool[n]) for n in input_names)
+    holes = tuple((n, pool[n]) for n in hole_names)
+    rng = random.Random(f"loops/{draw(st.integers(0, 2**64 - 1))}")
+    bindings = {n: ir.Hole(n, w) for n, w in holes}
+    bindings.update(
+        (n, ir.Const(w, rng.getrandbits(w)))
+        for n, w in VAR_POOL
+        if n not in bindings and n not in input_names
+    )
+    exprs = [
+        ir.substitute(rand_expr(rng, rng.randint(1, 8), rng.randint(2, 4)), bindings)
+        for _ in range(3)
+    ]
+    for value in (ir.Var(*inputs[0]), ir.Hole(*holes[-1]), exprs[0]):
+        top = value.width - 1
+        exprs.append(bits_high_to_low(value, range(top, -1, -1)))
+        exprs.append(bits_high_to_low(value, range(top + 1)))
+        exprs.append(bits_high_to_low(value, range(top, -1, -2)))
+    return exprs, inputs, holes, draw(st.integers(0, 15)), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop_cases())
+def test_loop_forms_agree_with_eval_concrete(case):
+    exprs, inputs, holes, target, spoil = case
+    space = 1 << sum(w for _, w in holes)
+    table = compile_exprs(exprs, inputs, holes, form="table")
+    for index in range(space):
+        assert table(index) == reference_table(exprs, inputs, holes, index)
+    # The want table of one assignment, and on `spoil` with one row changed
+    # so that no assignment may match.
+    want = reference_table(exprs, inputs, holes, target % space)
+    if spoil:
+        want[0][-1] ^= 1
+    scan = compile_exprs(exprs, inputs, holes, form="scan")
+    for indices in (range(space), [target % space], [space - 1, 0]):
+        assert scan(want, indices) == reference_scan(exprs, inputs, holes, want, indices)

@@ -66,6 +66,18 @@ def test_solver_processes_start_through_one_popen_call():
     assert sorted(read) == ["PIPE", "Popen"]
 
 
+def test_one_code_generator():
+    # `semantics.compile_exprs` writes every evaluator and row loop; a second
+    # `exec` would be a second generator beside it.
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "exec"
+    ]
+    assert found == ["semantics.py"]
+
+
 def test_no_unused_imports():
     # A name imported but never read is dead weight; `from __future__`
     # imports change the compiler, not the namespace.
