@@ -20,7 +20,10 @@ assertions, the next check-sat and get-value print what a fresh process
 would for the same declarations and assertions. `synthesis` relies on
 this to send each CEGIS example to its synth process once. Learnt clauses
 are deliberately not kept from one check-sat to the next: they would
-change the search, and so the models.
+change the search, and so the models. An `Interpreter` made `in_place`
+searches the formula itself, which makes the same decisions without the
+copy's memory; `synthesis` answers a one-shot query so, and answers a
+script again with copies if it goes on to extend its formula.
 
 Internals: terms are bit-blasted to CNF through an AND/XOR gate layer with
 structural hashing and constant folding, then decided by a small CDCL SAT
@@ -34,11 +37,22 @@ lowering of a term) needs its own benchmark change that regenerates
 `golden.json`; a change that only makes each step cheaper must keep every
 decision.
 
-`main` pauses Python's cyclic garbage collector while it runs. Reading,
-blasting and search allocate millions of small tuples and lists, so the
-collector would keep starting full collections that walk the whole growing
-clause database, to find nothing: the solver builds no reference cycles,
-and reference counting alone frees every state that a `(reset)` drops.
+`answer`, through which `main` runs and `synthesis` answers a script in
+its own process, pauses Python's cyclic garbage collector, and restores
+it as it found it. Reading, blasting and search allocate millions of
+small tuples and lists, so the collector would keep starting full
+collections that walk the whole growing clause database, to find
+nothing: the solver builds no reference cycles, and reference counting
+alone frees every state that a `(reset)` drops, or that an interpreter
+leaves when its caller drops it.
+
+An `Interpreter` may have a deadline, a `time.monotonic()` time, which
+`synthesis` sets QUERY_TIMEOUT_S ahead for an in-process script, where
+there is no process to kill. Blasting reads the clock before each new
+term and search at every DEADLINE_CONFLICTS-th conflict; past the
+deadline the command is dropped, `unknown` is printed, and the rest of the
+script is not run. Reading the clock changes no decision. `main` sets no
+deadline, and neither the command line nor the environment can set one.
 
 Commands: set-option, set-logic, declare-const and zero-arity declare-fun
 of a (_ BitVec w) sort, zero-arity define-fun of a (_ BitVec w) sort,
@@ -75,31 +89,47 @@ from the left) and whether bitvector operands share a width.
   hex digits, four bits each, and (_ bvN w) for N < 2^w.
 Every index, width and N is a numeral (`numeral`), decimal digits only. A
 declared sort, a (_ bvN w) literal, a concatenation and an extension are
-at most MAX_WIDTH bits wide. A malformed command or term, as any other
-input error, prints `(error ...)`.
+at most MAX_WIDTH bits wide, and a bvmul, whose shift-and-add blast makes
+about 2 * width^2 gates, at most MAX_MUL_WIDTH: on a 2-vCPU host a script
+asserting `(= (bvmul x y) x)` runs in 0.3-0.5 s at 128 bits, and took 8.9 s
+at 512. A malformed command or term, as any other input error, prints
+`(error ...)`.
 
 `tokenize` and `read_form` are the package's one s-expression reader: the
 interpreter reads scripts with them, and `synthesis.parse_model` reads the
 get-value answer of any solver with them.
 
 Only the standard library is used, and importing this module stays cheap,
-because a solver process may still be started per query: once per script
-that `synthesis.run_solver` sends outside a CEGIS run, and again after
-every `(error ...)`. `synthesis` starts it with `python -S`, which skips
-the `site` import.
+because `synthesis` starts one process for each synth session of a CEGIS
+run that uses it, again after an `(error ...)` reply ends one, and for
+each script that its `run_solver` is given with a config. It starts them
+with `python -S`, which skips the `site` import. A one-shot query, as
+each verify query is, runs in the caller's process instead (`answer`), so
+it starts nothing.
 """
 
 import gc
 import heapq
 import re
 import sys
+import time
 
 MAX_WIDTH = 1 << 16  # bits; checked before a bitvector is allocated
 MAX_DIGITS = 19729  # decimal digits of 2^MAX_WIDTH - 1; no MAX_WIDTH-bit value needs more
+MAX_MUL_WIDTH = 128  # bits of a bvmul, which blasts about 2 * width^2 gates
+DEADLINE_CONFLICTS = 256  # a search reads the clock at every this many conflicts
 
 
 class SmtInputError(Exception):
     pass
+
+
+class DeadlinePassed(Exception):
+    """The interpreter's deadline passed while it blasted or searched."""
+
+
+class SearchedInPlace(Exception):
+    """A command would extend or search again a formula already searched in place."""
 
 
 def _check_width(width, what):
@@ -429,11 +459,14 @@ class SatSolver:
                     return var
         return None
 
-    def solve(self):
+    def solve(self, deadline=float("inf")):
         """A model (the value of every variable, by index), or None when unsat.
 
         Search changes the solver (see `clone`), so it runs once per
-        solver: `Interpreter` searches a clone for each check-sat.
+        solver: `Interpreter` searches a clone for each check-sat. At every
+        DEADLINE_CONFLICTS-th conflict it raises DeadlinePassed once
+        `time.monotonic()` has reached `deadline`; reading the clock
+        changes no decision.
         """
         if not self.ok:
             return None
@@ -444,6 +477,8 @@ class SatSolver:
             confl = self.propagate()
             if confl is not None:
                 self.conflicts += 1
+                if not self.conflicts % DEADLINE_CONFLICTS and time.monotonic() >= deadline:
+                    raise DeadlinePassed
                 if not self.trail_lim:
                     return None
                 conflicts += 1
@@ -562,6 +597,8 @@ class Blaster:
 
     def bv_mul(self, a, b):
         width = len(a)
+        if width > MAX_MUL_WIDTH:
+            raise SmtInputError(f"bvmul width {width} is not in 1..{MAX_MUL_WIDTH}")
         acc = self.bv_const(0, width)
         for i, bit in enumerate(b):
             partial = [-TRUE] * i + [self.lit_and(bit, a[j]) for j in range(width - i)]
@@ -717,9 +754,29 @@ _OPS = {
 # Script interpretation
 
 
+_EXTENDS = frozenset(("declare-const", "declare-fun", "assert", "check-sat"))  # see `in_place`
+
+
 class Interpreter:
-    def __init__(self, out):
+    """Runs commands, printing each response to `out`.
+
+    `deadline` is a `time.monotonic()` time. Once it has passed, blasting
+    stops at the next term and search at the next DEADLINE_CONFLICTS-th
+    conflict, the command is dropped, `unknown` is printed, and `expired`
+    is set; `command` then acts as on `exit`.
+
+    With `in_place`, check-sat searches the blasted formula itself, not a
+    copy, for a script that only reads the model after its search. A later
+    declaration, assertion or check-sat raises SearchedInPlace before it
+    runs, since the searched formula is not what a fresh process would
+    hold; the caller then answers the script again without `in_place`.
+    """
+
+    def __init__(self, out, deadline=float("inf"), in_place=False):
         self.out = out
+        self.deadline = deadline
+        self.in_place = in_place
+        self.expired = False
         self.reset()
 
     def reset(self):
@@ -737,18 +794,24 @@ class Interpreter:
         self.out.flush()
 
     def command(self, form):
-        """Run one command; False once it is `exit`."""
+        """Run one command; False once it is `exit` or the deadline has passed."""
         try:
             return self._command(form)
         except RecursionError:
             # `term`, and the repr of a form in an error message, recurse
             # once per nesting level.
             raise SmtInputError("term nested too deeply") from None
+        except DeadlinePassed:
+            self.expired = True
+            print("unknown", file=self.out)
+            return False
 
     def _command(self, form):
         if not isinstance(form, tuple) or not form:
             raise SmtInputError(f"bad command {form!r}")
         head = form[0]
+        if self.searched is self.blaster.sat and head in _EXTENDS:
+            raise SearchedInPlace
         if head in ("set-option", "set-logic", "set-info"):
             pass
         elif head == "echo":
@@ -767,12 +830,13 @@ class Interpreter:
                 raise SmtInputError(f"assert takes a Boolean term, not {form[1]!r}")
             self.blaster.sat.add_clause([lit])
         elif head == "check-sat":
-            # The blasted formula itself is never searched, so every answer
-            # is the one a fresh process would give for these assertions.
-            # The last search's copy goes before the next one is made.
+            # Unless `in_place`, the blasted formula itself is never
+            # searched, so every answer is the one a fresh process would
+            # give for these assertions. The last search's copy goes before
+            # the next one is made.
             self.searched = None
-            self.searched = self.blaster.sat.clone()
-            self.last_model = self.searched.solve()
+            self.searched = self.blaster.sat if self.in_place else self.blaster.sat.clone()
+            self.last_model = self.searched.solve(self.deadline)
             print("sat" if self.last_model is not None else "unsat", file=self.out)
         elif head == "get-value":
             self.get_value(form)
@@ -866,6 +930,8 @@ class Interpreter:
 
     def _term(self, term):
         """Blast `term`, checked against `_OPS`; `term_cache` holds `true` and `false`."""
+        if time.monotonic() >= self.deadline:
+            raise DeadlinePassed
         bl = self.blaster
         if term.__class__ is str or term and term[0] == "_":
             read = literal(term)
@@ -930,13 +996,13 @@ class Interpreter:
         return blast(bl, *values, *indices)
 
 
-def serve(lines, out):
-    """Run a stream of commands, each top-level form as soon as it is complete.
+def serve(lines, interp):
+    """Run a stream of commands through `interp`, each top-level form as soon as it is complete.
 
     `lines` is any iterable of text lines, such as a pipe; every response is
     flushed at once, so a client may wait for it before writing on.
     """
-    interp = Interpreter(out)
+    out = interp.out
     tokens = []  # of the form still open at the end of the last line
     depth = 0  # its open brackets
     pending = ""  # lines from one with an unterminated literal on
@@ -970,23 +1036,39 @@ def serve(lines, out):
         read_form(tokens, 0)
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+def answer(interp, run):
+    """Call `run()`, which feeds commands to `interp`, with the cyclic
+    collector paused, and restored as found (see the module docstring);
+    returns the exit code, 0, or 1 after an input error, which prints
+    `(error "...")` to `interp.out`.
+
+    `main` answers its input this way, and `synthesis` a one-shot script
+    in its own process, by serving the script's lines as `main` serves
+    stdin: `interp` then prints what a fresh process would print for the
+    same lines, unless a term is nested so deeply that the caller's own
+    frames decide whether it reaches Python's recursion limit.
+    """
     collecting = gc.isenabled()
-    gc.disable()  # see the module docstring
+    gc.disable()
     try:
-        if argv:
-            with open(argv[0], "r", encoding="utf-8") as fh:
-                Interpreter(sys.stdout).run(parse_forms(tokenize(fh.read())))
-        else:
-            serve(sys.stdin, sys.stdout)
+        run()
     except SmtInputError as exc:
-        print(f'(error "{exc}")')
+        print(f'(error "{exc}")', file=interp.out)
         return 1
     finally:
         if collecting:
             gc.enable()
     return 0
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    interp = Interpreter(sys.stdout)
+    if not argv:
+        return answer(interp, lambda: serve(sys.stdin, interp))
+    with open(argv[0], "r", encoding="utf-8") as fh:
+        text = fh.read()
+    return answer(interp, lambda: interp.run(parse_forms(tokenize(text))))
 
 
 if __name__ == "__main__":

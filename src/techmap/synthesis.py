@@ -17,18 +17,25 @@ one pass, and a node that more than one parent reads
 and read by its name, so a query grows with the number of distinct nodes,
 not with the number of paths to them. A CEGIS run lowers each example once.
 Every query is one whole QF_BV script, so any SMT-LIB v2 solver works.
-There is one transport: a `_Solver` starts each solver process with one
-`subprocess.Popen` call and talks to it only through `_exchange`. A solver
-gets a fresh process per script, with the script on stdin, except the
-bundled `minismt` (`BUNDLED_SOLVER`), which is live: `solve_cegis` keeps
-two of its processes for the whole run, each started with `python -S` at
-its first query: one answers the synth queries and one the verify queries.
+A solver is reached in one of two ways. A session that keeps its formula
+between queries lives in a child process: a `_Solver` starts each of its
+processes with one `subprocess.Popen` call and talks to it only through
+`_exchange`. A stateless query to the bundled `minismt` (`BUNDLED_SOLVER`)
+is answered in this process instead, by a fresh `minismt.Interpreter`
+that searches the formula in place (`query` hands it to `run_solver` as
+IN_PROCESS). So with the bundled solver, `solve_cegis` starts one
+process, the synth session, which is live: started with `python -S` at
+the run's first synth query, it answers every synth query of the run.
 Each synth script is the last one with the new example's definitions and
-assertions added, so the synth process is sent only those and the script's
-closing commands; the verify process gets `(reset)` and the whole script.
-Since `minismt`'s check-sat does not depend on an earlier one, the replies
-are the bytes a fresh process would print for each whole script. A query unanswered after
-QUERY_TIMEOUT_S kills its solver and raises SolverUnknown.
+assertions added, so the process is sent only those and the script's
+closing commands. Since `minismt`'s check-sat does not depend on an
+earlier one, the replies are the bytes a fresh process would print for
+each whole script. Every verify query, and so `emit.check_equivalence`
+in solver mode, is answered in-process. A script given to `run_solver`
+with a config gets a process of its own, with the script on stdin, the
+bundled solver too. A query unanswered after QUERY_TIMEOUT_S raises
+SolverUnknown: a process is killed, and an in-process answer stops at
+that deadline, which `minismt` checks while it blasts and searches.
 Every question goes through `query`, the one place a solver's answer is
 read: unsat gives None, sat gives the model, read with `minismt`'s
 s-expression reader, and unknown or anything else raises.
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
 import re
 import subprocess
@@ -188,8 +196,9 @@ class SolverConfig:
         cvc5:  SolverConfig("cvc5", ("--lang", "smt2"))
         bundled fallback: BUNDLED_SOLVER
     A config equal to BUNDLED_SOLVER is live instead: one process answers
-    a sequence of scripts (see `_Solver`), two per CEGIS run, and any
-    process of it imports this copy of `techmap`.
+    a sequence of scripts (see `_Solver`), one per CEGIS run, and it
+    imports this copy of `techmap`; `query` answers a one-shot script to
+    it in this process (see `run_solver`).
     """
 
     path: str
@@ -294,19 +303,65 @@ def _script(table, unknowns, lines):
 
 
 QUERY_TIMEOUT_S = 600.0  # wall-clock bound on the answer to one query
+IN_PROCESS = object()  # the bundled solver, run in this process (see `run_solver`)
 
 
 def run_solver(solver, script):
     """Send one script; returns the solver's stdout text.
 
-    `solver` is an open `_Solver`, or a SolverConfig, which gets a
-    `_Solver` for this script alone. A solver that has not answered within
-    QUERY_TIMEOUT_S is killed, and SolverUnknown raised.
+    `solver` is an open `_Solver`; a SolverConfig, BUNDLED_SOLVER too,
+    which gets a `_Solver`, and so a process, for this script alone; or
+    IN_PROCESS, which the bundled solver answers in this process
+    (`_answer`). A process that has not answered within QUERY_TIMEOUT_S is
+    killed, an in-process answer stops at that deadline, and either way
+    SolverUnknown is raised.
     """
+    if solver is IN_PROCESS:
+        return _answer(script)
     if isinstance(solver, _Solver):
         return solver.ask(script)
     with _Solver(solver) as one:
         return one.ask(script)
+
+
+def _answer(script):
+    """What a fresh bundled-solver process prints for `script`, from a fresh
+    `minismt.Interpreter` in this process, with the deadline QUERY_TIMEOUT_S
+    from now.
+
+    The check-sat of a query searches its formula in place, since a query
+    only reads the model after it, which keeps a copy of the formula out
+    of this process's memory. A script that goes on to extend the formula
+    is answered again from the start with copies.
+
+    One difference remains: this process's frames share Python's recursion
+    limit with the interpreter's, so a term nested close to the depth a
+    fresh process can read (about 490 levels) may get `(error "term nested
+    too deeply")` a few levels sooner here.
+    """
+    deadline = time.monotonic() + QUERY_TIMEOUT_S
+    for in_place in (True, False):
+        out = io.StringIO()
+        interp = minismt.Interpreter(out, deadline, in_place)
+        try:
+            code = minismt.answer(interp, lambda: minismt.serve(io.StringIO(script), interp))
+        except minismt.SearchedInPlace:
+            continue  # the script extends its formula after a search
+        break
+    if interp.expired:
+        raise SolverUnknown(_NO_ANSWER % QUERY_TIMEOUT_S)
+    return _reply(out.getvalue(), code, "")
+
+
+_NO_ANSWER = "solver gave no answer within %g s"
+
+
+def _reply(out, code, err):
+    """`out`, unless it is blank: a solver that has read its script to the
+    end prints at least its status, or an error."""
+    if not out.strip():
+        raise SolverProtocolError(f"solver produced no output (exit {code})", err)
+    return out
 
 
 def _spawn(config):
@@ -330,15 +385,17 @@ _REPLY_END = b"techmap-reply-end\n"
 
 
 class _Solver:
-    """One config's solver processes, each started by a query that finds none running.
+    """A session: one config's solver processes, each started by a query that
+    finds none running.
 
-    A config equal to BUNDLED_SOLVER is live: its process answers a
+    A session always runs its solver in a child process, the bundled one
+    too. A config equal to BUNDLED_SOLVER is live: its process answers a
     sequence of scripts. A script's head is its text before
     `(check-sat)\n`. When the head last sent to the process is a prefix of
     the new script's head, only the rest of the script is written:
     `minismt` never changes its formula by searching it, so the process
     then holds what a fresh one would after reading the new head.
-    Otherwise a running process first gets `(reset)` and the whole script.
+    Otherwise the process is closed, and a new one gets the whole script.
     Every script is followed by `_ECHO_END`, and the reply is every line
     before the echoed line, or before end of file when the process exits,
     as `minismt` does after printing `(error ...)`. Any other solver gets
@@ -363,32 +420,28 @@ class _Solver:
 
     def ask(self, script):
         head = script.partition("(check-sat)\n")[0]
-        if self.proc is not None and self.proc.poll() is not None:
+        if self.proc is not None and (
+            self.proc.poll() is not None or not head.startswith(self.head)
+        ):
             self.close()
         if self.proc is None:
             self.proc = _spawn(self.config)
             sent = script
-        elif head.startswith(self.head):
-            sent = script[len(self.head):]
         else:
-            sent = "(reset)\n" + script
+            sent = script[len(self.head):]
         self.head = head
         proc = self.proc
         exchanged = _exchange(proc, sent.encode(), self.live)
         if exchanged is None:
             self.close(kill=True)
-            raise SolverUnknown(f"solver gave no answer within {QUERY_TIMEOUT_S:g} s")
+            raise SolverUnknown(_NO_ANSWER % QUERY_TIMEOUT_S)
         out, err, answered = exchanged
         if not answered:
             self.close()
-        if not out.strip():
-            # Had it answered, a fresh process would have read its script to
-            # the end and exited 0.
-            raise SolverProtocolError(
-                f"solver produced no output (exit {0 if answered else proc.returncode})",
-                err.decode(errors="replace"),
-            )
-        return out.decode(errors="replace")
+        # Had it answered, a fresh process would have read its script to the
+        # end and exited 0.
+        code = 0 if answered else proc.returncode
+        return _reply(out.decode(errors="replace"), code, err.decode(errors="replace"))
 
     def close(self, kill=False):
         """End the process, if one is running, and wait for it."""
@@ -457,9 +510,11 @@ def query(solver, script, symbols):
     answer, as in `parse_model`; a script without get-value has no symbols
     and gets an empty model on sat. The first non-blank line of the reply
     is the status: unknown raises SolverUnknown, anything other than
-    sat/unsat/unknown raises SolverProtocolError.
+    sat/unsat/unknown raises SolverProtocolError. A config equal to
+    BUNDLED_SOLVER is answered in this process: such a one-shot script
+    holds no state worth a process.
     """
-    out = run_solver(solver, script)
+    out = run_solver(IN_PROCESS if solver == BUNDLED_SOLVER else solver, script)
     status = next((line.strip() for line in out.splitlines() if line.strip()), "")
     if status == "unsat":
         return None
@@ -570,9 +625,10 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
     Alternates a SYNTH query (find holes matching the collected example
     envs) with a VERIFY query (find an input refuting the candidate).
     An unsat SYNTH answer is definitive infeasibility, because examples
-    only ever constrain the hole space. With the bundled solver, the
-    run's synth queries go to one process and its verify queries to
-    another; both are closed on return and killed when the run raises.
+    only ever constrain the hole space. The run's synth queries go to one
+    `_Solver` session, closed on return and killed when the run raises;
+    each verify query is asked on its own, in-process with the bundled
+    solver (see `query`).
     """
     started = time.perf_counter()
     table = symbol_table(problem)
@@ -583,10 +639,10 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
         wall_ms = (time.perf_counter() - started) * 1000.0
         return Solution(dict(assignment), "cegis", SolveStats(iterations, calls, wall_ms))
 
-    with _Solver(solver) as synth, _Solver(solver) as verify:
+    with _Solver(solver) as synth:
         if not problem.holes:
             calls += 1
-            if solver_counterexample(problem, {}, verify) is not None:
+            if solver_counterexample(problem, {}, solver) is not None:
                 raise TemplateInfeasible("sketch (with no holes) differs from the design")
             return finish({}, 0)
 
@@ -604,7 +660,7 @@ def solve_cegis(problem, solver, max_iters=64, seed=0, init_examples=4):
             assignment = {name: model.get(name, 0) for name, _ in problem.holes}
 
             calls += 1
-            cex = solver_counterexample(problem, assignment, verify)
+            cex = solver_counterexample(problem, assignment, solver)
             if cex is None:
                 return finish(assignment, iteration)
             if cex in examples:

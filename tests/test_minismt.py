@@ -12,11 +12,14 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from techmap import ir, minismt, semantics, synthesis
+from techmap.errors import SolverProtocolError
 from techmap.minismt import (
+    DEADLINE_CONFLICTS,
+    MAX_MUL_WIDTH,
     MAX_WIDTH,
     Interpreter,
     SmtInputError,
@@ -368,7 +371,7 @@ def test_quoted_bracket_symbol_is_an_atom(name):
 
 def serve_script(script):
     out = io.StringIO()
-    serve(io.StringIO(script), out)
+    serve(io.StringIO(script), Interpreter(out))
     return out.getvalue()
 
 
@@ -470,6 +473,26 @@ def test_assert_after_sat_meets_level_zero_not_the_last_model(script, reply):
     assert run_script(script) == reply
 
 
+def test_in_place_search_answers_as_a_copy_does_until_the_formula_is_extended():
+    query = (
+        "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"
+        "(assert (= (bvmul a b) #b011100))\n(assert (bvult a b))\n"
+        "(check-sat)\n(get-value (a b))\n(get-info :all-statistics)\n"
+    )
+    out = io.StringIO()
+    interp = Interpreter(out, in_place=True)
+    interp.run(parse_forms(tokenize(query)))
+    assert interp.searched is interp.blaster.sat
+    assert out.getvalue() == run_script(query)
+    for more in ("(assert (= a #b000010))", "(declare-const c (_ BitVec 1))", "(check-sat)"):
+        with pytest.raises(minismt.SearchedInPlace):
+            interp.command(parse_forms(tokenize(more))[0])
+    assert out.getvalue() == run_script(query)
+    interp.command(("reset",))
+    interp.run(parse_forms(tokenize(query)))
+    assert out.getvalue() == run_script(query) * 2
+
+
 def test_get_info_all_statistics_counts_since_reset():
     script = (
         "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"
@@ -543,6 +566,32 @@ def test_check_sat_answers_as_a_fresh_interpreter_would(lines):
             query.append(f"(get-value ({' '.join(symbols)}))")
             interp.command(parse_forms(tokenize(query[-1]))[0])
         assert out.getvalue()[start:] == run_script("\n".join(sent + query) + "\n")
+
+
+def _fresh_process_reply(script):
+    result = subprocess.run(
+        [sys.executable, "-m", "techmap.minismt"],
+        input=script.encode(), capture_output=True, timeout=60,
+    )
+    return result.stdout.decode()
+
+
+def _assert_in_process_reply_is_a_fresh_process_reply(script):
+    # `run_solver` refuses a blank reply, as it does a blank process's.
+    fresh = _fresh_process_reply(script)
+    if fresh.strip():
+        assert synthesis.run_solver(synthesis.IN_PROCESS, script) == fresh
+    else:
+        with pytest.raises(SolverProtocolError, match=r"no output \(exit 0\)"):
+            synthesis.run_solver(synthesis.IN_PROCESS, script)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command_streams())
+def test_in_process_replies_are_fresh_process_replies(lines):
+    symbols = [line.split()[1] for line in lines if line.startswith("(declare-const")]
+    ask = [f"(get-value ({' '.join(symbols)}))"] if symbols else []
+    _assert_in_process_reply_is_a_fresh_process_reply("\n".join(lines + ask) + "\n")
 
 
 # Pieces of minismt's grammar, with malformed ones mixed in: numerals,
@@ -625,6 +674,57 @@ def test_malformed_input_is_an_input_error(commands):
         assert [line for line in lines if line.startswith("(error")] == lines[-1:]
     else:
         assert code == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_COMMANDS, min_size=1, max_size=8))
+@example(["(check-sat)", "(assert (= x"])  # stdin is a stream: sat, then the error
+@example(["(check-sat)", '(echo "a)', "(check-sat)"])
+def test_in_process_replies_to_malformed_input_are_fresh_process_replies(commands):
+    declared = ["(declare-const x (_ BitVec 4))", "(declare-const y (_ BitVec 1))"]
+    _assert_in_process_reply_is_a_fresh_process_reply("\n".join(declared + commands) + "\n")
+
+
+# Six pigeons in five holes: unsat, after a few hundred conflicts.
+_PIGEONS = [f"p{k}" for k in range(6)]
+_PIGEONHOLE = "".join(
+    [f"(declare-const {p} (_ BitVec 3))\n(assert (bvult {p} #b101))\n" for p in _PIGEONS]
+    + [f"(assert (not (= {p} {q})))\n" for k, p in enumerate(_PIGEONS) for q in _PIGEONS[k + 1:]]
+)
+
+
+def test_a_search_past_its_deadline_answers_unknown():
+    # The same search until its first clock reading, which is the last.
+    out = io.StringIO()
+    interp = Interpreter(out)
+    interp.run(parse_forms(tokenize(_PIGEONHOLE + "(check-sat)\n")))
+    assert out.getvalue() == "unsat\n"
+    assert interp.searched.conflicts > DEADLINE_CONFLICTS
+    out = io.StringIO()
+    late = Interpreter(out)
+    late.run(parse_forms(tokenize(_PIGEONHOLE)))
+    late.deadline = 0.0  # already passed
+    late.run(parse_forms(tokenize("(check-sat)\n(get-value (p0))\n")))
+    assert out.getvalue() == "unknown\n"
+    assert late.expired and late.searched.conflicts == DEADLINE_CONFLICTS
+
+
+def test_blasting_past_the_deadline_answers_unknown_and_stops():
+    out = io.StringIO()
+    interp = Interpreter(out, deadline=0.0)
+    script = '(echo "before")\n(declare-const x (_ BitVec 2))\n(assert (= x #b10))\n(check-sat)\n'
+    interp.run(parse_forms(tokenize(script)))
+    assert out.getvalue() == "before\nunknown\n"
+    assert interp.expired and interp.searched is None
+
+
+def test_bvmul_at_its_width_cap_is_accepted():
+    w = MAX_MUL_WIDTH
+    ok = f"(declare-const x (_ BitVec {w}))\n(assert (= (bvmul x (_ bv1 {w})) x))\n(check-sat)\n"
+    assert run_script(ok) == "sat\n"
+    wide = ok.replace(f"BitVec {w}", f"BitVec {w + 1}").replace(f"bv1 {w}", f"bv1 {w + 1}")
+    with pytest.raises(SmtInputError, match=f"bvmul width {w + 1} is not in 1..{w}"):
+        run_script(wide)
 
 
 def _lut4_synth_script(lib):

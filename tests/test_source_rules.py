@@ -35,6 +35,23 @@ def test_only_synthesis_starts_processes():
     assert importers == ["synthesis.py"]
 
 
+def test_only_synthesis_runs_the_bundled_solver_in_process():
+    # Outside `minismt` itself, `synthesis._answer` is the one place that
+    # answers a script with a `minismt.Interpreter` instead of a process.
+    callers = sorted(
+        path.name
+        for path in SOURCES
+        if path.name != "minismt.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "Interpreter")
+            or (isinstance(node.func, ast.Name) and node.func.id == "Interpreter")
+        )
+    )
+    assert callers == ["synthesis.py"]
+
+
 def test_only_the_module_codec_library_and_cli_import_json():
     # `ir` holds the one JSON codec for modules, `library` reads manifests
     # and descriptors, and `cli` writes report.json.

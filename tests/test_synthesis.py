@@ -3,11 +3,12 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
 
-from techmap import cli, emit, ir, synthesis, templates
+from techmap import cli, emit, ir, minismt, synthesis, templates
 from techmap.library import data_path
 from techmap.semantics import eval_design, eval_many, row_env
 from techmap.errors import (
@@ -38,6 +39,7 @@ from techmap.templates import TemplateKind, instantiate
 
 from util import (
     MINISMT,
+    MINISMT_PROCESS,
     adder4_design,
     and2_design,
     func2_design,
@@ -475,7 +477,8 @@ def test_solutions_are_reverified_exhaustively(lib, solver_config):
 
 
 # ---------------------------------------------------------------------------
-# The bundled solver as one live process per CEGIS run
+# The bundled solver: one live process per CEGIS run, for its synth session,
+# and every other script answered in-process
 
 
 @pytest.fixture
@@ -513,18 +516,18 @@ def test_live_solver_matches_one_shot_queries(monkeypatch, lib, started, build):
 
     monkeypatch.setattr(synthesis, "run_solver", recording)
     live = solve_cegis(problem, BUNDLED_SOLVER)
-    assert len(started) == 2
+    assert len(started) == 1  # the synth session; verify queries start none
     assert live.stats.solver_calls == len(replies) > 2
 
     # The same run with a fresh process per query.
     monkeypatch.setattr(
-        synthesis, "run_solver", lambda solver, script: one_shot(BUNDLED_SOLVER, script)
+        synthesis, "run_solver", lambda solver, script: one_shot(MINISMT_PROCESS, script)
     )
     fresh = solve_cegis(problem, BUNDLED_SOLVER)
-    assert len(started) == 2 + len(replies)
+    assert len(started) == 1 + len(replies)
     assert fresh.assignment == live.assignment
     assert fresh.stats.solver_calls == live.stats.solver_calls
-    assert [one_shot(BUNDLED_SOLVER, script) for script, _ in replies] == [
+    assert [one_shot(MINISMT_PROCESS, script) for script, _ in replies] == [
         reply for _, reply in replies
     ]
 
@@ -566,7 +569,7 @@ def test_each_example_is_written_to_the_synth_child_once(monkeypatch, tmp_path, 
     assert len(asserts) == examples * len(problem.design.outputs)
     assert "(reset)" not in text
     assert text.count("(check-sat)") == solution.stats.iterations
-    assert len(started) == 2
+    assert len(started) == 1
 
 
 def _assert_all_reaped(procs):
@@ -622,7 +625,7 @@ def test_live_solver_killed_between_queries_is_replaced(monkeypatch, lib, starte
 
     monkeypatch.setattr(synthesis, "run_solver", kill_after_first)
     got = solve_cegis(problem, BUNDLED_SOLVER)
-    assert len(started) == 3
+    assert len(started) == 2  # the killed synth child and its replacement
     assert got.assignment == want.assignment
     assert got.stats.solver_calls == want.stats.solver_calls
     _assert_all_reaped(started)
@@ -679,3 +682,74 @@ def test_solver_past_the_query_bound_is_killed(monkeypatch, capsys, tmp_path, st
     assert "solver error: solver gave no answer within 0.5 s" in capsys.readouterr().err
     assert len(started) == 1
     _assert_all_reaped(started)
+
+
+def test_bundled_one_shot_queries_start_no_process(lib, started):
+    problem, sketch = pinned_problem(and2_design(), lib)
+    netlist = emit.print_verilog(emit.resolve(sketch, solve_brute_force(problem)))
+    script = "(declare-const a (_ BitVec 3))\n(assert (bvult #b011 a))\n(check-sat)\n"
+    model = synthesis.query(BUNDLED_SOLVER, script + "(get-value (a))\n", {"a": ("a", 3)})
+    assert model == {"a": 4}
+    report = emit.check_equivalence(and2_design(), netlist, lib, "solver", BUNDLED_SOLVER)
+    assert report.equivalent
+    solution = solve_cegis(SynthesisProblem(problem.design, problem.design.outputs, ()), MINISMT)
+    assert solution.stats.solver_calls == 1
+    assert started == []
+    # A script given to `run_solver` with the config still gets a process.
+    assert synthesis.run_solver(BUNDLED_SOLVER, script) == "sat\n"
+    assert len(started) == 1
+
+
+def test_in_process_queries_search_their_formula_in_place(monkeypatch, started):
+    clones = []
+    clone = minismt.SatSolver.clone
+    monkeypatch.setattr(minismt.SatSolver, "clone", lambda sat: clones.append(1) or clone(sat))
+    query = "(declare-const a (_ BitVec 3))\n(assert (bvult #b011 a))\n(check-sat)\n(get-value (a))\n"
+    assert synthesis.run_solver(synthesis.IN_PROCESS, query) == "sat\n((a #b100))\n"
+    assert clones == []
+    # A script that extends its formula after a search is answered again with copies.
+    extended = query + "(assert (not (= a #b100)))\n(check-sat)\n(get-value (a))\n"
+    reply = synthesis.run_solver(synthesis.IN_PROCESS, extended)
+    assert len(clones) == 2
+    assert reply == synthesis.run_solver(MINISMT_PROCESS, extended)
+
+
+def test_bundled_blank_reply_is_a_protocol_error_in_process(started):
+    # As from a fresh process that reads the script and prints nothing.
+    with pytest.raises(SolverProtocolError, match=r"solver produced no output \(exit 0\)"):
+        synthesis.run_solver(synthesis.IN_PROCESS, "(set-logic QF_BV)\n")
+    with pytest.raises(SolverProtocolError, match=r"solver produced no output \(exit 0\)"):
+        synthesis.run_solver(MINISMT_PROCESS, "(set-logic QF_BV)\n")
+    assert len(started) == 1
+
+
+def test_in_process_query_past_the_bound_is_unknown(monkeypatch, capsys, tmp_path, started):
+    # No process to kill: the in-process deadline ends the verify query.
+    monkeypatch.setattr(synthesis, "QUERY_TIMEOUT_S", 0)
+    designs = data_path("designs")
+    netlist = tmp_path / "and2_mapped.v"
+    assert cli.main([
+        "map", "--design", str(designs / "and2.v"), "--template", "lut_single",
+        "--pin-mode", "pinned", "-o", str(netlist),
+    ]) == 0
+    code = cli.main([
+        "verify", "--design", str(designs / "and2.v"), "--netlist", str(netlist),
+        "--mode", "solver", "--solver", sys.executable,
+        "--solver-arg=-m", "--solver-arg=techmap.minismt",
+    ])
+    assert code == 2
+    assert "solver error: solver gave no answer within 0 s" in capsys.readouterr().err
+    assert started == []
+
+
+def test_bvmul_past_its_width_cap_is_answered_at_once(started):
+    # 90 bytes that took 8.9 s to blast before bvmul had a width cap.
+    script = (
+        "(declare-const x (_ BitVec 512))(declare-const y (_ BitVec 512))"
+        "(assert (= (bvmul x y) x))"
+    )
+    begun = time.perf_counter()
+    reply = synthesis.run_solver(synthesis.IN_PROCESS, script)
+    assert time.perf_counter() - begun < 1.0
+    assert reply == f'(error "bvmul width 512 is not in 1..{synthesis.minismt.MAX_MUL_WIDTH}")\n'
+    assert started == []

@@ -1,9 +1,15 @@
 """Shared builders for the test suite: designs, random expressions, solver."""
 
+import sys
+
 from techmap import ir, synthesis
 from techmap.library import Library
 
 MINISMT = synthesis.BUNDLED_SOLVER
+# The bundled solver's module in a fresh process for each script, which
+# reads the script to end of file: `-B` changes nothing it prints, but
+# makes a config other than BUNDLED_SOLVER, which is kept live instead.
+MINISMT_PROCESS = synthesis.SolverConfig(sys.executable, ("-B", "-m", "techmap.minismt"))
 
 
 def probe_solver(config):
