@@ -13,7 +13,8 @@ primitive: a primitive is a Design with parameters. `design_to_dict` and
 
 Width rules, and next to them `OPERATORS`, the one table of what each node
 class is called in JSON and how the pretty printer, the SMT-LIB lowering
-and the Python evaluator compiler spell it:
+and the Python evaluator compiler spell it, the last both on integers and
+on bit planes:
   Var/Const/Hole      carry their width; every width is in 1..MAX_WIDTH
   Not/Neg             width of the operand
   ReduceAnd/Or/Xor    1
@@ -284,6 +285,7 @@ class Operator:
     pretty: str | None = None  # over the operands' text, then the indices
     smt: str | None = None  # over terms, see `semantics.lower_to_smt`
     python: str | None = None  # over named texts, see `semantics._operation`
+    planes: str | None = None  # a `semantics` bit-plane helper, see `compile_exprs`
     operands: tuple = field(init=False)
     indices: tuple = field(init=False)
 
@@ -296,27 +298,27 @@ class Operator:
 OPERATORS = {
     cls: Operator(cls, *texts)
     for cls, texts in {
-        # class: (JSON name, pretty, SMT-LIB and Python templates)
+        # class: (JSON name, pretty, SMT-LIB and Python templates, plane helper)
         Var: ("var", "%s:%s"),
         Const: ("const",),
         Hole: ("hole", "?%s:%s"),
-        Not: ("not", "~(%s)", "(bvnot %s)", "%(a)s ^ %(mask)s"),
-        Neg: ("neg", "-(%s)", "(bvneg %s)", "-%(a)s & %(mask)s"),
-        ReduceAnd: ("redand", "&(%s)", "(bvand %s %s)"),
-        ReduceOr: ("redor", "|(%s)", "(bvor %s %s)", "1 if %(a)s else 0"),
-        ReduceXor: ("redxor", "^(%s)", "(bvxor %s %s)", "(%(a)s).bit_count() & 1"),
-        And: ("and", "(%s & %s)", "(bvand %s %s)", "%(a)s & %(b)s"),
-        Or: ("or", "(%s | %s)", "(bvor %s %s)", "%(a)s | %(b)s"),
-        Xor: ("xor", "(%s ^ %s)", "(bvxor %s %s)", "%(a)s ^ %(b)s"),
-        Add: ("add", "(%s + %s)", "(bvadd %s %s)", "(%(a)s + %(b)s) & %(mask)s"),
-        Sub: ("sub", "(%s - %s)", "(bvsub %s %s)", "(%(a)s - %(b)s) & %(mask)s"),
-        Mul: ("mul", "(%s * %s)", "(bvmul %s %s)", "%(a)s * %(b)s & %(mask)s"),
-        Shl: ("shl", "(%s << %s)", "(bvshl %s %s)", "%(a)s << %(b)s & %(mask)s if %(b)s < %(width)s else 0"),
+        Not: ("not", "~(%s)", "(bvnot %s)", "%(a)s ^ %(mask)s", "plane_not"),
+        Neg: ("neg", "-(%s)", "(bvneg %s)", "-%(a)s & %(mask)s", "plane_neg"),
+        ReduceAnd: ("redand", "&(%s)", "(bvand %s %s)", None, "plane_redand"),
+        ReduceOr: ("redor", "|(%s)", "(bvor %s %s)", "1 if %(a)s else 0", "plane_redor"),
+        ReduceXor: ("redxor", "^(%s)", "(bvxor %s %s)", "(%(a)s).bit_count() & 1", "plane_redxor"),
+        And: ("and", "(%s & %s)", "(bvand %s %s)", "%(a)s & %(b)s", "plane_and"),
+        Or: ("or", "(%s | %s)", "(bvor %s %s)", "%(a)s | %(b)s", "plane_or"),
+        Xor: ("xor", "(%s ^ %s)", "(bvxor %s %s)", "%(a)s ^ %(b)s", "plane_xor"),
+        Add: ("add", "(%s + %s)", "(bvadd %s %s)", "(%(a)s + %(b)s) & %(mask)s", "plane_add"),
+        Sub: ("sub", "(%s - %s)", "(bvsub %s %s)", "(%(a)s - %(b)s) & %(mask)s", "plane_sub"),
+        Mul: ("mul", "(%s * %s)", "(bvmul %s %s)", "%(a)s * %(b)s & %(mask)s", "plane_mul"),
+        Shl: ("shl", "(%s << %s)", "(bvshl %s %s)", "%(a)s << %(b)s & %(mask)s if %(b)s < %(width)s else 0", "plane_shl"),
         # In Python the operands are in range, so big shifts give 0.
-        LShr: ("lshr", "(%s >> %s)", "(bvlshr %s %s)", "%(a)s >> %(b)s"),
-        Eq: ("eq", "(%s == %s)", "(ite (= %s %s) #b1 #b0)", "1 if %(a)s == %(b)s else 0"),
-        Ult: ("ult", "(%s < %s)", "(ite (bvult %s %s) #b1 #b0)", "1 if %(a)s < %(b)s else 0"),
-        Mux: ("mux", "(%s ? %s : %s)", "(ite (= %s #b1) %s %s)", "%(a)s if %(cond)s else %(b)s"),
+        LShr: ("lshr", "(%s >> %s)", "(bvlshr %s %s)", "%(a)s >> %(b)s", "plane_lshr"),
+        Eq: ("eq", "(%s == %s)", "(ite (= %s %s) #b1 #b0)", "1 if %(a)s == %(b)s else 0", "plane_eq"),
+        Ult: ("ult", "(%s < %s)", "(ite (bvult %s %s) #b1 #b0)", "1 if %(a)s < %(b)s else 0", "plane_ult"),
+        Mux: ("mux", "(%s ? %s : %s)", "(ite (= %s #b1) %s %s)", "%(a)s if %(cond)s else %(b)s", "plane_mux"),
         Extract: ("extract", "%s[%s:%s]"),
         Concat: ("concat", "{%s, %s}", "(concat %s %s)"),
         ZeroExt: ("zext", "zext(%s, %s)"),
@@ -400,21 +402,24 @@ def free_symbols(expr):
     )
 
 
-def substitute(expr, bindings):
+def substitute(expr, bindings, holes=None):
     """Replace Vars by expressions: `bindings` maps a Var name to its replacement.
 
-    Only Vars are replaced; Holes, and Vars absent from `bindings`, stay in
-    place. DAG sharing is preserved: a node reached through several paths is
-    rewritten once, and a node is rebuilt only when one of its operands
-    changed.
+    Only Vars are replaced, and Holes when `holes` maps a Hole name to its
+    replacement; a Hole whose name only `bindings` holds, and a symbol bound
+    by neither, stays in place. DAG sharing is preserved: a node reached
+    through several paths is rewritten once, and a node is rebuilt only when
+    one of its operands changed.
     """
-    for name, replacement in bindings.items():
+    tables = {Var: bindings, Hole: holes or {}}
+    for name, replacement in (*bindings.items(), *tables[Hole].items()):
         if not isinstance(replacement, BitVecExpr):
             raise TypeError(f"binding for '{name}' is not a BitVecExpr")
     memo = {}  # id(node) -> its rewrite
     for node in postorder((expr,)):
-        if isinstance(node, Var) and node.name in bindings:
-            new = bindings[node.name]
+        table = tables.get(type(node))
+        if table and node.name in table:
+            new = table[node.name]
             if new.width != node.width:
                 raise WidthMismatch(f"binding for '{node.name}'", node.width, new.width)
         else:

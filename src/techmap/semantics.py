@@ -18,15 +18,20 @@ another is read as one slice of it, and the parts get no statement.
 
 The exhaustive loops are written by the same generator, from the same
 statements. Its table form records every row's outputs; its scan form
-walks hole assignments and, for each, rows, both in ascending order, until
-a row disagrees with a table. Brute-force enumeration, the exhaustive
-counterexample search, exhaustive equivalence checking and `truth_table`
-all run inside that generated code, up to the same `EXHAUSTIVE_INPUT_BITS`
-input bits. The loops decode rows and hole assignments from their index by
+compares against such a table, and tries a block of `PLANE_LANES` hole
+assignments per row step: a node that reads a hole is a list of bit planes,
+one int per bit, each bit of a plane (a lane) standing for one assignment of
+the block. That is bitslicing (Biham, FSE 1997), with hole assignments as
+the lanes. Rows are walked in ascending order until every lane has
+disagreed with the table, so the scan answers as walking one assignment at
+a time would. Brute-force enumeration, the exhaustive counterexample
+search, exhaustive equivalence checking and `truth_table` all run inside
+that generated code, up to the same `EXHAUSTIVE_INPUT_BITS` input bits; of
+these, only enumeration reads a hole in a loop, so the others compute ints
+alone. The loops decode rows and hole assignments from their index by
 shift and mask, so the values they make need no range check; a value from
 a caller is checked where it comes in: each call of the evaluate form
-checks its arguments, and `hole_index` checks a caller's hole assignment
-once, before the scan walks a row.
+checks its arguments, and `hole_index` checks a caller's hole assignment.
 """
 
 from __future__ import annotations
@@ -44,9 +49,14 @@ from .errors import (
 )
 from .minismt import decimal_text
 
-# The generated loops walk rows one at a time, and the table form holds a
-# list of every row's value per output, so 2^16 rows is the ceiling.
+# The generated loops walk rows one at a time (the scan form a block of hole
+# indices per row), and the table form holds a list of every row's value per
+# output, so 2^16 rows is the ceiling.
 EXHAUSTIVE_INPUT_BITS = 16
+
+# The most hole indices the scan form tries at once, one per bit of each
+# plane; a power of two (see `compile_exprs`).
+PLANE_LANES = 1 << 13
 
 
 def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
@@ -62,11 +72,11 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
       not fit the width of a Var or Hole node that reads it.
     - "table" takes a hole index and returns, per expression, the list of
       its values on every row.
-    - "scan" takes `want`, a table as the table form returns one, and an
-      iterable of hole indices. It tries them in order, and walks each one's rows in
-      ascending order until one mismatches `want`; it returns
-      (index, None) for the first index that matches on every row, else
-      (None, the lowest mismatching row of the last index tried).
+    - "scan" takes `want`, a table as the table form returns one, and a
+      `range` of hole indices, of step 1. It returns (index, None) for the
+      lowest index in the range that matches `want` on every row, else
+      (None, the lowest mismatching row of the range's last index), and
+      (None, None) for an empty range.
 
     The loop forms decode rows and hole indices as `row_env` does, the
     first symbol in the least-significant bits, by shift and mask, so the
@@ -74,8 +84,32 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
     space. They walk at most EXHAUSTIVE_INPUT_BITS input bits, else
     compiling raises TooManyInputBits, and they want each Var and Hole node
     as wide as its symbol, else compiling raises WidthMismatch. A statement
-    that reads no row runs once per hole index, and one that reads neither
-    rows nor holes once per call.
+    that reads no row runs once per hole index (in the scan form, per block
+    of them), and one that reads neither rows nor holes once per call.
+
+    The scan form walks its range in blocks of hole indices that start at a
+    multiple of the lane count, PLANE_LANES or, for a smaller hole space,
+    the space. In a block, each node that reads a hole is a list of bit
+    planes, one Python int per bit, least significant first; bit k of a
+    plane, lane k, holds the node's value at index base + k. The hole
+    bits below the lane bits are fixed patterns, made once per compile, and
+    those above are 0 or all-ones for the whole block. Such a node is one
+    statement that calls its `ir.OPERATORS` plane helper (`plane_add` and
+    the rest: bitwise operators bit by bit, add, sub and neg by a rippled
+    carry, mul by shift and add, a shift by an int as a list slice and by
+    planes as one mux stage per amount bit, Eq, Ult and Mux as gate chains),
+    or slices lists for Extract, Concat and the extensions. A node that
+    reads no hole stays an int, and one that feeds a plane helper is lifted
+    to planes by a statement at its own level; a shift amount or a Mux
+    condition is read as an int. Per row, each output is compared with
+    `want` in every lane, and the lanes that disagree leave the block's
+    mask of live lanes; the block ends when no lane is live, or with its
+    lowest live lane, once every row is walked. On the benchmark's pinned
+    LUT4 tables, whose INIT lies past 18,400, 2^12 to 2^14 lanes cost the
+    same, 0.37-0.39 ms a table with compiling; a table in the first block
+    goes from 0.30 to 0.34 ms and a uniformly drawn one from 0.49 to
+    0.43 ms from 2^12 to 2^14 lanes, so 2^13 is within 0.03 ms of the best
+    on each (2-vCPU host, Python 3.11).
 
     The code has one statement per operator node, so shared nodes are
     computed once per call or row, and every node is computed, both Mux
@@ -90,6 +124,7 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
         raise ValueError(f"form must be 'evaluate', 'table' or 'scan', not {form!r}")
     exprs = tuple(exprs)
     loop = form != "evaluate"
+    scan = form == "scan"
     signature = []
     params = {}  # (is hole, name) -> (parameter identifier, bit offset, width)
     bits = {}  # is hole -> total width of those symbols
@@ -102,14 +137,17 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
             bits[is_hole] += width
     if loop and bits[False] > EXHAUSTIVE_INPUT_BITS:
         raise TooManyInputBits(bits[False], EXHAUSTIVE_INPUT_BITS)
-    namespace = {}
+    lanes = min(PLANE_LANES, 1 << bits[True])
+    namespace = dict(_PLANE_HELPERS, F=(1 << lanes) - 1, L=_lane_patterns(lanes)) if scan else {}
     checks = {}  # (parameter, width) -> range check line
     # Statements by level: 0 reads neither rows nor holes, 1 holes only, 2 rows.
     lines = ([], [], [])
-    # id(node) -> (level, base text, base width, lo): the node is base[lo +: width],
-    # the base being below 2^(base width).
+    # id(node) -> (level, base text, base width, lo, planes): the node is
+    # base[lo +: width], the base being below 2^(base width), and a list of
+    # bit planes when `planes` is true, else an int.
     slices = {}
     made = {}  # (base text, lo, width) -> identifier of that slice
+    lifted = {}  # (int text, width) -> identifier of those planes
 
     def define(level, value):
         name = f"v{sum(map(len, lines))}"
@@ -118,17 +156,27 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
 
     def read(node):
         """The text of `node`'s value; a slice gets a statement the first time."""
-        level, base, bound, lo = slices[id(node)]
+        level, base, bound, lo, planes = slices[id(node)]
         width = node.width
-        if lo == 0 and width >= bound:
+        if lo == 0 and (width == bound if planes else width >= bound):
             return base
         key = (base, lo, width)
         if key not in made:
-            value = f"{base} >> {lo:#x}" if lo else base
-            if lo + width < bound:
-                value += f" & {(1 << width) - 1:#x}"
+            if planes:
+                value = f"{base}[{lo:#x}:{lo + width:#x}]"
+            else:
+                value = f"{base} >> {lo:#x}" if lo else base
+                if lo + width < bound:
+                    value += f" & {(1 << width) - 1:#x}"
             made[key] = define(level, value)
         return made[key]
+
+    def lift(node):
+        """The planes of an int node, a statement at its level the first time."""
+        key = (read(node), node.width)
+        if key not in lifted:
+            lifted[key] = define(slices[id(node)][0], f"plane_lift({key[0]}, {key[1]:#x}, F)")
+        return lifted[key]
 
     for node in ir.postorder(exprs):
         t = type(node)
@@ -142,19 +190,19 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
                 if node.width != width:
                     raise WidthMismatch(f"{t.__name__} '{node.name}'", width, node.width)
                 level, index = (1, "h") if is_hole else (2, "r")
-                slices[id(node)] = (level, index, bits[is_hole], offset)
+                slices[id(node)] = (level, index, bits[is_hole], offset, is_hole and scan)
                 continue
             if (arg, node.width) not in checks:
                 fail = f"_e{len(checks)}"
                 namespace[fail] = _range_error("hole " if is_hole else "", node.name, node.width)
                 top = (1 << node.width) - 1
                 checks[arg, node.width] = f"if not 0 <= {arg} <= {top:#x}: {fail}({arg})"
-            slices[id(node)] = (2, arg, node.width, 0)
+            slices[id(node)] = (2, arg, node.width, 0, False)
         elif t is ir.Const:
-            slices[id(node)] = (0, hex(node.value), node.width, 0)
+            slices[id(node)] = (0, hex(node.value), node.width, 0, False)
         elif t is ir.Extract:
-            level, base, bound, lo = slices[id(node.a)]
-            slices[id(node)] = (level, base, bound, lo + node.lo)
+            level, base, bound, lo, planes = slices[id(node.a)]
+            slices[id(node)] = (level, base, bound, lo + node.lo, planes)
         else:
             kids = ir._children(node)
             if t is ir.Concat:
@@ -162,12 +210,22 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
                 if high[:3] == low[:3] and high[3] == low[3] + node.lo.width:
                     slices[id(node)] = low
                     continue
-            operands = [read(k) for k in kids]
             level = max(slices[id(k)][0] for k in kids)
+            if any(slices[id(k)][4] for k in kids):
+                # A shift amount or a Mux condition may stay an int.
+                keep = 0 if t is ir.Mux else 1 if issubclass(t, ir._Shift) else None
+                operands = [
+                    read(k) if i == keep or slices[id(k)][4] else lift(k)
+                    for i, k in enumerate(kids)
+                ]
+                value = define(level, _plane_operation(node, operands))
+                slices[id(node)] = (level, value, node.width, 0, True)
+                continue
+            operands = [read(k) for k in kids]
             value = _operation(node, operands)
             if value != operands[0]:  # else an extension that keeps the value
                 value = define(level, value)
-            slices[id(node)] = (level, value, node.width, 0)
+            slices[id(node)] = (level, value, node.width, 0, False)
     results = [read(e) for e in exprs]
     fixed, per_hole, per_row = lines
     rows = 1 << bits[False]
@@ -184,13 +242,27 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
         code += _block(1, [f"return ({columns})"])
     else:
         columns = "".join(f"w{k}, " for k in range(len(results)))
-        mismatch = " or ".join(f"{x} != w{k}[r]" for k, x in enumerate(results))
+        # Per row, an int output that mismatches ends the block; planes
+        # clear the lanes that mismatch.
+        ints, planes = [], []
+        for k, (e, x) in enumerate(zip(exprs, results)):
+            if slices[id(e)][4]:
+                planes.append(f"plane_differ({x}, w{k}[r], F)")
+            else:
+                ints.append(f"{x} != w{k}[r]")
+        test = [f"if {' or '.join(ints)}:", "    break"] if ints else []
+        if planes:
+            test += [f"alive &= ~({' | '.join(planes)})", "if not alive:", "    break"]
+        if bits[True]:
+            lane_bits = lanes.bit_length() - 1
+            high = f"plane_lift(base >> {lane_bits:#x}, {bits[True] - lane_bits:#x}, F)"
+            per_hole.insert(0, f"h = L + {high}" if lane_bits < bits[True] else "h = L")
         code = ["def scan(want, indices):"]
-        code += _block(1, [f"({columns}) = want", *fixed, "r = None", "for h in indices:"])
+        code += _block(1, [f"({columns}) = want", *fixed, "r = None"])
+        code += _block(1, [f"for base, alive in plane_blocks(indices, {lanes:#x}):"])
         code += _block(2, [*per_hole, f"for r in range({rows:#x}):"])
-        test = [f"if {mismatch}:", "    break"] if results else []
         code += _block(3, per_row + test or ["pass"])
-        code += _block(2, ["else:", "    return h, None"])
+        code += _block(2, ["else:", "    return base + (alive & -alive).bit_length() - 1, None"])
         code += _block(1, ["return None, r"])
     exec(compile("\n".join(code) + "\n", "<compiled expression>", "exec"), namespace)
     return namespace[form]
@@ -228,6 +300,191 @@ def _operation(node, operands):
         return f"{a} << {node.lo.width:#x} | {operands[1]}"
     row = ir.OPERATORS[t]
     return row.python % dict(zip(row.operands, operands), mask=hex(mask), width=hex(node.width))
+
+
+def _plane_operation(node, operands):
+    """Python expression text for an operator node over bit planes: its
+    `planes` helper called on its operands' text and F, or else list slicing
+    spelled here."""
+    t = type(node)
+    if t is ir.Concat:
+        return f"{operands[1]} + {operands[0]}"
+    if t is ir.ZeroExt or t is ir.SignExt:
+        a = operands[0]
+        top = "[0]" if t is ir.ZeroExt else f"{a}[-1:]"
+        return f"{a} + {top} * {node.width - node.a.width:#x}"
+    return f"{ir.OPERATORS[t].planes}({''.join(x + ', ' for x in operands)}F)"
+
+
+# The bit-plane helpers of the scan form. A value is a list of planes, one
+# int per bit, least significant first; lane k of each plane holds the
+# value's bit at one hole index. `full` has every lane set. Each helper
+# returns a new list and reads its operands' planes in one loop.
+
+
+def plane_lift(value, width, full):
+    """An int as `width` planes, the same in every lane."""
+    return [full if value >> i & 1 else 0 for i in range(width)]
+
+
+def plane_differ(a, value, full):
+    """The lanes in which `a` is not the int `value`."""
+    differ = 0
+    for x in a:
+        differ |= x ^ full if value & 1 else x
+        value >>= 1
+    return differ
+
+
+def plane_not(a, full):
+    return [x ^ full for x in a]
+
+
+def plane_neg(a, full):
+    return plane_sub([0] * len(a), a, full)
+
+
+def plane_redand(a, full):
+    out = full
+    for x in a:
+        out &= x
+    return [out]
+
+
+def plane_redor(a, full):
+    out = 0
+    for x in a:
+        out |= x
+    return [out]
+
+
+def plane_redxor(a, full):
+    out = 0
+    for x in a:
+        out ^= x
+    return [out]
+
+
+def plane_and(a, b, full):
+    return [x & y for x, y in zip(a, b)]
+
+
+def plane_or(a, b, full):
+    return [x | y for x, y in zip(a, b)]
+
+
+def plane_xor(a, b, full):
+    return [x ^ y for x, y in zip(a, b)]
+
+
+def plane_add(a, b, full, carry=0):
+    """a + b + carry, the carry rippling up from the lowest plane."""
+    out = []
+    for x, y in zip(a, b):
+        half = x ^ y
+        out.append(half ^ carry)
+        carry = x & y | half & carry
+    return out
+
+
+def plane_sub(a, b, full):
+    return plane_add(a, [y ^ full for y in b], full, full)
+
+
+def plane_mul(a, b, full):
+    """Shift and add: each set plane of `b` adds `a`, shifted by its bit."""
+    width = len(a)
+    out = [0] * width
+    for i, y in enumerate(b):
+        if y:
+            out[i:] = plane_add(out[i:], [x & y for x in a[: width - i]], full)
+    return out
+
+
+def _plane_shift(a, amount, full, left):
+    width = len(a)
+    if isinstance(amount, int):  # the same amount in every lane: a list slice
+        n = min(amount, width)
+        return [0] * n + a[: width - n] if left else a[n:] + [0] * n
+    stages = (width - 1).bit_length()  # amount bits that move by less than the width
+    out = a
+    for j, s in enumerate(amount[:stages]):
+        n = 1 << j
+        moved = [0] * n + out[: width - n] if left else out[n:] + [0] * n
+        out = [x ^ (x ^ y) & s for x, y in zip(out, moved)]
+    over = 0
+    for s in amount[stages:]:
+        over |= s
+    return [x & ~over for x in out] if over else out
+
+
+def plane_shl(a, b, full):
+    return _plane_shift(a, b, full, True)
+
+
+def plane_lshr(a, b, full):
+    return _plane_shift(a, b, full, False)
+
+
+def plane_eq(a, b, full):
+    differ = 0
+    for x, y in zip(a, b):
+        differ |= x ^ y
+    return [differ ^ full]
+
+
+def plane_ult(a, b, full):
+    """a < b, decided by the highest plane in which they differ."""
+    less = 0
+    for x, y in zip(a, b):
+        less = (x ^ full) & y | (x ^ y ^ full) & less
+    return [less]
+
+
+def plane_mux(cond, a, b, full):
+    if isinstance(cond, int):
+        return a if cond else b
+    (c,) = cond
+    return [y ^ (x ^ y) & c for x, y in zip(a, b)]
+
+
+def _lane_patterns(lanes):
+    """The planes of the lane number, one per bit below `lanes` (a power of two)."""
+    patterns = []
+    step = 1
+    while step < lanes:
+        pattern, period = ((1 << step) - 1) << step, 2 * step
+        while period < lanes:
+            pattern |= pattern << period
+            period *= 2
+        patterns.append(pattern)
+        step *= 2
+    return patterns
+
+
+def plane_blocks(indices, lanes):
+    """(base, lanes to try) for each aligned block of `lanes` hole indices
+    that the range `indices` meets, in ascending order; lane k stands for
+    index base + k. A scan that walks past the last block gets one more
+    item, the range's last index alone, unless that block tried no other:
+    its rows showed where the last lane of the block failed, and the scan
+    answers with the last index's own lowest mismatching row."""
+    start, stop = indices.start, indices.stop
+    if start >= stop:
+        return
+    for base in range(start - start % lanes, stop, lanes):
+        end = min(stop - base, lanes)
+        tried = (1 << end) - (1 << max(start - base, 0))
+        yield base, tried
+    if tried != 1 << end - 1:
+        yield base, 1 << end - 1
+
+
+_PLANE_HELPERS = {
+    name: globals()[name]
+    for name in ["plane_lift", "plane_differ", "plane_blocks"]
+    + [row.planes for row in ir.OPERATORS.values() if row.planes]
+}
 
 
 _CACHE_SIZE = 64

@@ -6,9 +6,12 @@ Enumeration is the trustworthy oracle for small hole spaces; CEGIS asks an
 external SMT-LIB solver and scales to spaces enumeration cannot touch.
 Enumeration and the exhaustive re-check of a solution compile the design
 once into a table of every row's outputs, and the sketch once into a scan
-against that table (`semantics.compile_exprs`); the scan's generated code
-walks hole assignments and, for each, rows, both in ascending order, so
-the first match and the first counterexample are the lowest ones.
+against that table (`semantics.compile_exprs`). For enumeration, the
+scan's generated code tries a block of hole assignments per row step, as
+bit planes, and walks rows in ascending order, so the first match is the
+lowest assignment; the re-check puts the candidate's values into the
+sketch as constants, so its scan walks rows alone, and its counterexample
+is the lowest mismatching row.
 A query lowers the design and the sketch, unchanged, under a symbol
 binding: the synth query binds each example's inputs to literals, the
 verify query binds the holes to the candidate's. Each binding is lowered in
@@ -160,7 +163,10 @@ def solve_brute_force(problem):
     if space > BRUTE_HOLE_SPACE:
         raise LimitExceeded("hole space", space, BRUTE_HOLE_SPACE)
     try:
-        design, sketch = _compile(problem)
+        design = _design_table(problem)
+        sketch = semantics.compile_exprs(
+            [e for _, e in problem.sketch_exprs], problem.inputs, problem.holes, form="scan"
+        )
     except TooManyInputBits as exc:
         raise LimitExceeded("input bits", exc.total, exc.limit) from None
     index, _ = sketch(design(0), range(space))
@@ -171,14 +177,9 @@ def solve_brute_force(problem):
     return Solution(assignment, "brute", SolveStats(index + 1, 0, wall_ms))
 
 
-def _compile(problem):
-    """The design's table form and the sketch's scan form, from `semantics.compile_exprs`."""
-    design = [e for _, e in problem.design.outputs]
-    sketch = [e for _, e in problem.sketch_exprs]
-    return (
-        semantics.compile_exprs(design, problem.inputs, form="table"),
-        semantics.compile_exprs(sketch, problem.inputs, problem.holes, form="scan"),
-    )
+def _design_table(problem):
+    """The design's table form, from `semantics.compile_exprs`."""
+    return semantics.compile_exprs([e for _, e in problem.design.outputs], problem.inputs, form="table")
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +691,12 @@ def exhaustive_counterexample(problem, assignment):
 
     More than `semantics.EXHAUSTIVE_INPUT_BITS` input bits raise
     TooManyInputBits. The assignment's values are checked once, before any
-    row, by `semantics.hole_index`.
+    row, by `semantics.hole_index`, and then go into the sketch as
+    constants, so the scan walks one hole-free index.
     """
-    design, sketch = _compile(problem)
-    index = semantics.hole_index(problem.holes, assignment)
-    _, row = sketch(design(0), (index,))
+    design = _design_table(problem)
+    semantics.hole_index(problem.holes, assignment)
+    values = {name: ir.Const(width, assignment[name]) for name, width in problem.holes}
+    sketch = [ir.substitute(e, {}, values) for _, e in problem.sketch_exprs]
+    _, row = semantics.compile_exprs(sketch, problem.inputs, form="scan")(design(0), range(1))
     return None if row is None else semantics.row_env(problem.inputs, row)

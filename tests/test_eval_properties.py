@@ -166,16 +166,16 @@ def test_scan_returns_lowest_row():
     decoded = compile_exprs([ir.Var("p", 1), ir.Var("q", 3)], inputs, form="table")(0)
     assert list(zip(*decoded)) == [tuple(row_env(inputs, row).values()) for row in range(16)]
     got = compile_exprs([lut_bit(ir.Const(16, got_table), inputs)], inputs, form="scan")
-    assert got(want, [0]) == (None, 3)
+    assert got(want, range(1)) == (None, 3)
     same = compile_exprs([lut_bit(ir.Const(16, want_table), inputs)], inputs, form="scan")
-    assert same(want, [0]) == (0, None)
+    assert same(want, range(1)) == (0, None)
 
     # The same sketch with its table as a hole: the first matching index is
     # the table, and a wrong table's counterexample is its lowest
     # mismatching row.
     holed = compile_exprs([lut_bit(ir.Hole("T", 16), inputs)], inputs, [("T", 16)], form="scan")
     assert holed(want, range(1 << 16)) == (want_table, None)
-    assert holed(want, [got_table]) == (None, 3)
+    assert holed(want, range(got_table, got_table + 1)) == (None, 3)
     design = ir.Design("t", inputs, (("y", lut_bit(ir.Const(16, want_table), inputs)),))
     sketch = (("y", lut_bit(ir.Hole("T", 16), inputs)),)
     problem = synthesis.SynthesisProblem(design, sketch, (("T", 16),))
@@ -188,6 +188,69 @@ def test_scan_returns_lowest_row():
         synthesis.exhaustive_counterexample(problem, {"T": -1})
     with pytest.raises(HolePresent):
         synthesis.exhaustive_counterexample(problem, {})
+
+
+def scan_both(exprs, inputs, holes, want, indices):
+    """The scan form's answer, after checking it against `reference_scan`."""
+    got = compile_exprs(exprs, inputs, holes, form="scan")(want, indices)
+    assert got == reference_scan(exprs, inputs, holes, want, indices)
+    return got
+
+
+def test_scan_blocks_find_the_lowest_match(monkeypatch):
+    monkeypatch.setattr(semantics, "PLANE_LANES", 4)
+    inputs = (("x", 2),)
+    want = compile_exprs([lut_bit(ir.Const(4, 0b0110), inputs)], inputs, form="table")(0)
+    # Bits 0 and 1 of T are not read, so the four lanes of block 6 all match
+    # and lane 0 wins; T's bits 2 to 5 are above the lane bits.
+    sketch = [lut_bit(ir.Extract(5, 2, ir.Hole("T", 6)), inputs)]
+    holes = (("T", 6),)
+    assert scan_both(sketch, inputs, holes, want, range(64)) == (24, None)
+    assert scan_both(sketch, inputs, holes, want, range(26, 64)) == (26, None)
+    # Index 63 (table 0b1111) fails at row 0; 28 to 62 fail at rows 0 to 3.
+    assert scan_both(sketch, inputs, holes, want, range(28, 64)) == (None, 0)
+    # A range that stops inside a block, an empty one, and a hole space
+    # smaller than a block.
+    assert scan_both(sketch, inputs, holes, want, range(17, 26)) == (24, None)
+    assert scan_both(sketch, inputs, holes, want, range(24, 24)) == (None, None)
+    monkeypatch.setattr(semantics, "PLANE_LANES", 128)
+    assert scan_both(sketch, inputs, holes, want, range(64)) == (24, None)
+
+
+def test_scan_reports_the_last_index_lowest_row(monkeypatch):
+    # No index below 7 is table 0b1001. The block of 4 to 6 walks rows up to
+    # 2, where index 5 fails, but the last index, 6, fails at row 0.
+    monkeypatch.setattr(semantics, "PLANE_LANES", 4)
+    inputs = (("x", 2),)
+    want = compile_exprs([lut_bit(ir.Const(4, 0b1001), inputs)], inputs, form="table")(0)
+    sketch = [lut_bit(ir.Hole("T", 4), inputs)]
+    assert scan_both(sketch, inputs, (("T", 4),), want, range(7)) == (None, 0)
+    assert scan_both(sketch, inputs, (("T", 4),), want, range(6)) == (None, 2)
+    assert scan_both(sketch, inputs, (("T", 4),), want, range(7, 16)) == (9, None)
+
+
+def test_scan_planes_of_two_holes_in_either_order(monkeypatch):
+    monkeypatch.setattr(semantics, "PLANE_LANES", 8)
+    inputs = (("x", 3),)
+    a, b, x = ir.Hole("A", 2), ir.Hole("B", 3), ir.Var("x", 3)
+    want = compile_exprs([ir.Add(ir.Mul(x, ir.Const(3, 3)), ir.Const(3, 5))], inputs, form="table")(0)
+    sketch = [ir.Add(ir.Mul(x, ir.ZeroExt(a, 3)), b)]
+    # A = 3 and B = 5: index 3 + 5 * 4 with A first, 5 + 3 * 8 with B first.
+    assert scan_both(sketch, inputs, (("A", 2), ("B", 3)), want, range(32)) == (23, None)
+    assert scan_both(sketch, inputs, (("B", 3), ("A", 2)), want, range(32)) == (29, None)
+
+
+def test_scan_sees_a_mismatch_in_the_high_bit_alone(monkeypatch):
+    # y is T[2x+1:2x]; the wrong tables agree with 0b0110 in every low bit.
+    monkeypatch.setattr(semantics, "PLANE_LANES", 2)
+    inputs = (("x", 1),)
+    index = ir.Concat(ir.Var("x", 1), ir.Const(1, 0))
+    y = ir.Extract(1, 0, ir.LShr(ir.Hole("T", 4), index))
+    want = ([0b10, 0b01],)
+    holes = (("T", 4),)
+    assert scan_both([y], inputs, holes, want, range(0b0100, 0b0101)) == (None, 0)
+    assert scan_both([y], inputs, holes, want, range(0b1110, 0b1111)) == (None, 1)
+    assert scan_both([y], inputs, holes, want, range(16)) == (0b0110, None)
 
 
 def test_loop_forms_input_bit_limit():
@@ -294,13 +357,28 @@ def loop_cases(draw):
         exprs.append(bits_high_to_low(value, range(top, -1, -1)))
         exprs.append(bits_high_to_low(value, range(top + 1)))
         exprs.append(bits_high_to_low(value, range(top, -1, -2)))
-    return exprs, inputs, holes, draw(st.integers(0, 15)), draw(st.booleans())
+    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2)))
+    return exprs, inputs, holes, draw(st.integers(0, 15)), draw(st.booleans()), cuts
 
 
 @settings(max_examples=40, deadline=None)
 @given(loop_cases())
 def test_loop_forms_agree_with_eval_concrete(case):
-    exprs, inputs, holes, target, spoil = case
+    check_loop_forms(*case)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 8])
+@settings(max_examples=40, deadline=None)
+@given(case=loop_cases())
+def test_loop_forms_agree_across_plane_blocks(lanes, case):
+    # Blocks of 1, 2 and 8 lanes put the hole spaces of 2 to 16 indices
+    # across several blocks, or within a part of one.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "PLANE_LANES", lanes)
+        check_loop_forms(*case)
+
+
+def check_loop_forms(exprs, inputs, holes, target, spoil, cuts):
     space = 1 << sum(w for _, w in holes)
     table = compile_exprs(exprs, inputs, holes, form="table")
     for index in range(space):
@@ -311,5 +389,8 @@ def test_loop_forms_agree_with_eval_concrete(case):
     if spoil:
         want[0][-1] ^= 1
     scan = compile_exprs(exprs, inputs, holes, form="scan")
-    for indices in (range(space), [target % space], [space - 1, 0]):
+    # Whole, one index, and ranges that start and end inside the space.
+    index = target % space
+    start, stop = (cut % (space + 1) for cut in cuts)
+    for indices in (range(space), range(index, index + 1), range(start, stop), range(index, space)):
         assert scan(want, indices) == reference_scan(exprs, inputs, holes, want, indices)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from techmap import cli, emit, ir, minismt, synthesis, templates
+from techmap import cli, emit, ir, minismt, semantics, synthesis, templates
 from techmap.library import data_path
 from techmap.semantics import eval_design, eval_many, row_env
 from techmap.errors import (
@@ -99,6 +100,25 @@ def test_brute_returns_lowest_satisfying_index(lib):
     solution = solve_brute_force(problem)
     assert solution.assignment == row_env(problem.holes, good[0])
     assert solution.stats.iterations == good[0] + 1
+
+
+def test_pinned_lut4_enumeration_matches_direct_enumeration(lib):
+    # Tables like the benchmark's 0x48xx ones, whose INIT lies past the
+    # first block of lanes. Direct enumeration asks the table form for one
+    # INIT value at a time.
+    rng = random.Random(22)
+    for table in (0x4800 | rng.getrandbits(8) for _ in range(16)):
+        problem, _ = pinned_problem(table4_design(table), only(lib, "LUT4"))
+        sketch = semantics.compile_exprs(
+            [e for _, e in problem.sketch_exprs], problem.inputs, problem.holes, form="table"
+        )
+        want = semantics.compile_exprs(
+            [e for _, e in problem.design.outputs], problem.inputs, form="table"
+        )(0)
+        direct = next(i for i in range(problem.hole_space) if sketch(i) == want)
+        solution = solve_brute_force(problem)
+        assert solution.assignment == row_env(problem.holes, direct)
+        assert solution.stats.iterations == direct + 1
 
 
 def test_brute_is_deterministic(lib):
