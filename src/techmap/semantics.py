@@ -106,9 +106,9 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
     mask of live lanes; the block ends when no lane is live, or with its
     lowest live lane, once every row is walked. On the benchmark's pinned
     LUT4 tables, whose INIT lies past 18,400, 2^12 to 2^14 lanes cost the
-    same, 0.37-0.39 ms a table with compiling; a table in the first block
-    goes from 0.30 to 0.34 ms and a uniformly drawn one from 0.49 to
-    0.43 ms from 2^12 to 2^14 lanes, so 2^13 is within 0.03 ms of the best
+    same, 0.36-0.40 ms a table with compiling; a table in the first block
+    goes from 0.29 to 0.35 ms and a uniformly drawn one from 0.51 to
+    0.41 ms from 2^12 to 2^14 lanes, so 2^13 is within 0.04 ms of the best
     on each (2-vCPU host, Python 3.11).
 
     The code has one statement per operator node, so shared nodes are

@@ -104,6 +104,11 @@ def test_substitute_holes_under_extract():
     expr = ir.Extract(2, 0, ir.Concat(ir.Var("x", 2), ir.Hole("h", 2)))
     got = ir.substitute(expr, {"x": ir.Const(2, 1), "h": ir.Const(2, 3)})
     assert got == ir.Extract(2, 0, ir.Concat(ir.Const(2, 1), ir.Hole("h", 2)))
+    # The holes table replaces Holes, by name and width, and no Var.
+    got = ir.substitute(expr, {}, {"h": ir.Const(2, 3), "x": ir.Const(2, 0)})
+    assert got == ir.Extract(2, 0, ir.Concat(ir.Var("x", 2), ir.Const(2, 3)))
+    with pytest.raises(WidthMismatch):
+        ir.substitute(expr, {}, {"h": ir.Const(3, 0)})
 
 
 def test_substitute_checks_binding_width():
