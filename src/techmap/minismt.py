@@ -13,17 +13,15 @@ them. An input error prints `(error "...")` and exits 1, after the commands
 read before it have run. Given a file argument, the whole file is read and
 parsed first.
 
-check-sat searches a copy of the blasted formula (`SatSolver.clone`), so
-its answer and model depend only on the declarations and assertions made
-since the last reset, never on an earlier check-sat: after more
-assertions, the next check-sat and get-value print what a fresh process
-would for the same declarations and assertions. `synthesis` relies on
-this to send each CEGIS example to its synth process once. Learnt clauses
-are deliberately not kept from one check-sat to the next: they would
-change the search, and so the models. An `Interpreter` made `in_place`
-searches the formula itself, which makes the same decisions without the
-copy's memory; `synthesis` answers a one-shot query so, and answers a
-script again with copies if it goes on to extend its formula.
+check-sat searches the blasted formula itself, and the next command that
+extends or searches it first rewinds it (`SatSolver.rewind`) to what it
+was before the search. So an answer and its model depend only on the
+declarations and assertions made since the last reset, never on an
+earlier check-sat: after more assertions, the next check-sat and get-value
+print what a fresh process would for the same declarations and
+assertions. `synthesis` relies on this to send each CEGIS example to its
+synth process once. Learnt clauses are deliberately dropped at the
+rewind: kept, they would change the search, and so the models.
 
 Internals: terms are bit-blasted to CNF through an AND/XOR gate layer with
 structural hashing and constant folding, then decided by a small CDCL SAT
@@ -113,6 +111,7 @@ import heapq
 import re
 import sys
 import time
+from itertools import chain
 
 MAX_WIDTH = 1 << 16  # bits; checked before a bitvector is allocated
 MAX_DIGITS = 19729  # decimal digits of 2^MAX_WIDTH - 1; no MAX_WIDTH-bit value needs more
@@ -126,10 +125,6 @@ class SmtInputError(Exception):
 
 class DeadlinePassed(Exception):
     """The interpreter's deadline passed while it blasted or searched."""
-
-
-class SearchedInPlace(Exception):
-    """A command would extend or search again a formula already searched in place."""
 
 
 def _check_width(width, what):
@@ -206,39 +201,51 @@ class SatSolver:
     def __init__(self):
         self.nvars = 0
         self.clauses = []
+        self.ok = True
+        self._forget_search(1)
+
+    def _forget_search(self, size):
+        """No watches, trail, heap or counts, and `size` slots of every
+        per-variable list at its value before any search."""
         self.watches = {}
-        self.assign = [0]
-        self.level = [0]
-        self.reason = [None]
-        self.activity = [0.0]
-        self.phase = [False]
-        self.queued = [False]  # the variable has a live entry on `heap`
+        self.assign = [0] * size
+        self.level = [0] * size
+        self.reason = [None] * size
+        self.activity = [0.0] * size
+        self.phase = [False] * size
+        self.queued = [False] * size  # the variable has a live entry on `heap`
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
         self.act_inc = 1.0
         self.heap = []
-        self.ok = True
         self.decisions = 0
         self.conflicts = 0
         self.propagations = 0  # literals implied by unit propagation
 
-    def clone(self):
-        """A copy to search: nothing a search changes is shared with this solver.
+    def mark(self):
+        """Taken before a search, what `rewind` needs to put this formula
+        back: the clause count, the length of the trail, all at level 0,
+        and every clause's literals, flat."""
+        return len(self.clauses), len(self.trail), [*chain.from_iterable(self.clauses)]
 
-        Search reorders clause literals and watch lists, appends learnt
-        clauses, and moves the trail, the assignment, activities and phases.
-        """
-        other = SatSolver.__new__(SatSolver)
-        other.__dict__.update(self.__dict__)
-        other.clauses = [clause[:] for clause in self.clauses]
-        other.watches = {lit: watching[:] for lit, watching in self.watches.items()}
-        for name in (
-            "assign", "level", "reason", "activity", "phase", "queued", "trail", "trail_lim",
-            "heap",
-        ):
-            setattr(other, name, getattr(self, name)[:])
-        return other
+    def rewind(self, mark):
+        """Put back the formula `mark` was taken of, in the state a solver
+        that has never searched holds for it. Search reorders clause
+        literals and watch lists, appends learnt clauses, and moves the
+        trail, the assignment, activities and phases; the clauses are
+        attached again in order, and the saved units enqueued again."""
+        count, units, flat = mark
+        clauses, units = self.clauses[:count], self.trail[:units]
+        self.clauses = []
+        self._forget_search(self.nvars + 1)
+        end = 0
+        for clause in clauses:
+            start, end = end, end + len(clause)
+            clause[:] = flat[start:end]
+            self._attach(clause)
+        for lit in units:
+            self.enqueue(lit, None)
 
     def new_var(self):
         self.nvars += 1
@@ -462,11 +469,11 @@ class SatSolver:
     def solve(self, deadline=float("inf")):
         """A model (the value of every variable, by index), or None when unsat.
 
-        Search changes the solver (see `clone`), so it runs once per
-        solver: `Interpreter` searches a clone for each check-sat. At every
-        DEADLINE_CONFLICTS-th conflict it raises DeadlinePassed once
-        `time.monotonic()` has reached `deadline`; reading the clock
-        changes no decision.
+        Search changes the solver (see `rewind`), so `Interpreter` takes a
+        `mark` before each check-sat and rewinds to it before the formula is
+        extended or searched again. At every DEADLINE_CONFLICTS-th conflict
+        it raises DeadlinePassed once `time.monotonic()` has reached
+        `deadline`; reading the clock changes no decision.
         """
         if not self.ok:
             return None
@@ -754,7 +761,16 @@ _OPS = {
 # Script interpretation
 
 
-_EXTENDS = frozenset(("declare-const", "declare-fun", "assert", "check-sat"))  # see `in_place`
+_EXTENDS = frozenset(("declare-const", "declare-fun", "assert", "check-sat"))  # rewind first
+
+
+def _statistics(sat):
+    """The get-info :all-statistics line of `sat` as it is now."""
+    return (
+        f"(:decisions {sat.decisions} :conflicts {sat.conflicts}"
+        f" :propagations {sat.propagations} :vars {sat.nvars}"
+        f" :clauses {len(sat.clauses)})"
+    )
 
 
 class Interpreter:
@@ -765,17 +781,15 @@ class Interpreter:
     conflict, the command is dropped, `unknown` is printed, and `expired`
     is set; `command` then acts as on `exit`.
 
-    With `in_place`, check-sat searches the blasted formula itself, not a
-    copy, for a script that only reads the model after its search. A later
-    declaration, assertion or check-sat raises SearchedInPlace before it
-    runs, since the searched formula is not what a fresh process would
-    hold; the caller then answers the script again without `in_place`.
+    check-sat searches the blasted formula itself, after taking its `mark`.
+    Before the next declaration, assertion or check-sat, the formula is
+    rewound to that mark, so from then on the interpreter holds what a
+    fresh one would after the same commands.
     """
 
-    def __init__(self, out, deadline=float("inf"), in_place=False):
+    def __init__(self, out, deadline=float("inf")):
         self.out = out
         self.deadline = deadline
-        self.in_place = in_place
         self.expired = False
         self.reset()
 
@@ -785,7 +799,8 @@ class Interpreter:
         self.definitions = {}  # name -> (width, body term), blasted when first read
         self.term_cache = {"true": TRUE, "false": -TRUE}  # term -> its blasted value
         self.last_model = None
-        self.searched = None  # the SatSolver the last check-sat searched
+        self.mark = None  # taken by the last check-sat; None once rewound to
+        self.statistics = None  # the get-info line of the last check-sat's search
 
     def run(self, forms):
         for form in forms:
@@ -810,8 +825,9 @@ class Interpreter:
         if not isinstance(form, tuple) or not form:
             raise SmtInputError(f"bad command {form!r}")
         head = form[0]
-        if self.searched is self.blaster.sat and head in _EXTENDS:
-            raise SearchedInPlace
+        if self.mark is not None and head in _EXTENDS:
+            self.blaster.sat.rewind(self.mark)
+            self.mark = None
         if head in ("set-option", "set-logic", "set-info"):
             pass
         elif head == "echo":
@@ -830,26 +846,19 @@ class Interpreter:
                 raise SmtInputError(f"assert takes a Boolean term, not {form[1]!r}")
             self.blaster.sat.add_clause([lit])
         elif head == "check-sat":
-            # Unless `in_place`, the blasted formula itself is never
-            # searched, so every answer is the one a fresh process would
-            # give for these assertions. The last search's copy goes before
-            # the next one is made.
-            self.searched = None
-            self.searched = self.blaster.sat if self.in_place else self.blaster.sat.clone()
-            self.last_model = self.searched.solve(self.deadline)
+            # The formula was rewound above if an earlier search changed
+            # it, so the answer is the one a fresh process would give.
+            sat = self.blaster.sat
+            self.mark = sat.mark()
+            self.last_model = sat.solve(self.deadline)
+            self.statistics = _statistics(sat)
             print("sat" if self.last_model is not None else "unsat", file=self.out)
         elif head == "get-value":
             self.get_value(form)
         elif head == "get-info":
             if form[1:] != (":all-statistics",):
                 raise SmtInputError("get-info supports only :all-statistics")
-            sat = self.blaster.sat if self.searched is None else self.searched
-            print(
-                f"(:decisions {sat.decisions} :conflicts {sat.conflicts}"
-                f" :propagations {sat.propagations} :vars {sat.nvars}"
-                f" :clauses {len(sat.clauses)})",
-                file=self.out,
-            )
+            print(self.statistics or _statistics(self.blaster.sat), file=self.out)
         elif head == "reset":
             self.reset()
         elif head == "exit":

@@ -72,11 +72,10 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
       not fit the width of a Var or Hole node that reads it.
     - "table" takes a hole index and returns, per expression, the list of
       its values on every row.
-    - "scan" takes `want`, a table as the table form returns one, and a
-      `range` of hole indices, of step 1. It returns (index, None) for the
-      lowest index in the range that matches `want` on every row, else
-      (None, the lowest mismatching row of the range's last index), and
-      (None, None) for an empty range.
+    - "scan" takes `want`, a table as the table form returns one, and
+      scans the whole hole space. It returns (index, None) for the lowest
+      hole index that matches `want` on every row, else (None, row); with
+      no holes, `row` is the lowest row that mismatches.
 
     The loop forms decode rows and hole indices as `row_env` does, the
     first symbol in the least-significant bits, by shift and mask, so the
@@ -87,18 +86,18 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
     that reads no row runs once per hole index (in the scan form, per block
     of them), and one that reads neither rows nor holes once per call.
 
-    The scan form walks its range in blocks of hole indices that start at a
-    multiple of the lane count, PLANE_LANES or, for a smaller hole space,
-    the space. In a block, each node that reads a hole is a list of bit
-    planes, one Python int per bit, least significant first; bit k of a
-    plane, lane k, holds the node's value at index base + k. The hole
-    bits below the lane bits are fixed patterns, made once per compile, and
-    those above are 0 or all-ones for the whole block. Such a node is one
-    statement that calls its `ir.OPERATORS` plane helper (`plane_add` and
-    the rest: bitwise operators bit by bit, add, sub and neg by a rippled
-    carry, mul by shift and add, a shift by an int as a list slice and by
-    planes as one mux stage per amount bit, Eq, Ult and Mux as gate chains),
-    or slices lists for Extract, Concat and the extensions. A node that
+    The scan form walks the hole space in blocks of PLANE_LANES hole
+    indices or, for a smaller space, in one block of the whole space. In a
+    block, each node that reads a hole is a list of bit planes, one Python
+    int per bit, least significant first; bit k of a plane, lane k, holds
+    the node's value at index base + k. The hole bits below the lane bits
+    are fixed patterns, made once per compile, and those above are 0 or
+    all-ones for the whole block. Such a node is one statement that calls
+    its `ir.OPERATORS` plane helper (`plane_add` and the rest: bitwise
+    operators bit by bit, add, sub and neg by a rippled carry, mul by shift
+    and add, a shift by an int as a list slice and by planes as one mux
+    stage per amount bit, Eq, Ult and Mux as gate chains), or slices lists
+    for Extract, Concat and the extensions. A node that
     reads no hole stays an int, and one that feeds a plane helper is lifted
     to planes by a statement at its own level; a shift amount or a Mux
     condition is read as an int. Per row, each output is compared with
@@ -257,10 +256,10 @@ def compile_exprs(exprs, inputs, holes=(), form="evaluate"):
             lane_bits = lanes.bit_length() - 1
             high = f"plane_lift(base >> {lane_bits:#x}, {bits[True] - lane_bits:#x}, F)"
             per_hole.insert(0, f"h = L + {high}" if lane_bits < bits[True] else "h = L")
-        code = ["def scan(want, indices):"]
-        code += _block(1, [f"({columns}) = want", *fixed, "r = None"])
-        code += _block(1, [f"for base, alive in plane_blocks(indices, {lanes:#x}):"])
-        code += _block(2, [*per_hole, f"for r in range({rows:#x}):"])
+        code = ["def scan(want):"]
+        code += _block(1, [f"({columns}) = want", *fixed])
+        code += _block(1, [f"for base in range(0, {1 << bits[True]:#x}, {lanes:#x}):"])
+        code += _block(2, ["alive = F", *per_hole, f"for r in range({rows:#x}):"])
         code += _block(3, per_row + test or ["pass"])
         code += _block(2, ["else:", "    return base + (alive & -alive).bit_length() - 1, None"])
         code += _block(1, ["return None, r"])
@@ -462,27 +461,9 @@ def _lane_patterns(lanes):
     return patterns
 
 
-def plane_blocks(indices, lanes):
-    """(base, lanes to try) for each aligned block of `lanes` hole indices
-    that the range `indices` meets, in ascending order; lane k stands for
-    index base + k. A scan that walks past the last block gets one more
-    item, the range's last index alone, unless that block tried no other:
-    its rows showed where the last lane of the block failed, and the scan
-    answers with the last index's own lowest mismatching row."""
-    start, stop = indices.start, indices.stop
-    if start >= stop:
-        return
-    for base in range(start - start % lanes, stop, lanes):
-        end = min(stop - base, lanes)
-        tried = (1 << end) - (1 << max(start - base, 0))
-        yield base, tried
-    if tried != 1 << end - 1:
-        yield base, 1 << end - 1
-
-
 _PLANE_HELPERS = {
     name: globals()[name]
-    for name in ["plane_lift", "plane_differ", "plane_blocks"]
+    for name in ["plane_lift", "plane_differ"]
     + [row.planes for row in ir.OPERATORS.values() if row.planes]
 }
 

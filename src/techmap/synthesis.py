@@ -25,18 +25,18 @@ between queries lives in a child process: a `_Solver` starts each of its
 processes with one `subprocess.Popen` call and talks to it only through
 `_exchange`. A stateless query to the bundled `minismt` (`BUNDLED_SOLVER`)
 is answered in this process instead, by a fresh `minismt.Interpreter`
-that searches the formula in place (`query` hands it to `run_solver` as
-IN_PROCESS). So with the bundled solver, `solve_cegis` starts one
-process, the synth session, which is live: started with `python -S` at
-the run's first synth query, it answers every synth query of the run.
-Each synth script is the last one with the new example's definitions and
-assertions added, so the process is sent only those and the script's
-closing commands. Since `minismt`'s check-sat does not depend on an
-earlier one, the replies are the bytes a fresh process would print for
-each whole script. Every verify query, and so `emit.check_equivalence`
-in solver mode, is answered in-process. A script given to `run_solver`
-with a config gets a process of its own, with the script on stdin, the
-bundled solver too. A query unanswered after QUERY_TIMEOUT_S raises
+(`query` hands it to `run_solver` as IN_PROCESS). So with the bundled
+solver, `solve_cegis` starts one process, the synth session, which is
+live: started with `python -S` at the run's first synth query, it answers
+every synth query of the run. Each synth script is the last one with the
+new example's definitions and assertions added, so the process is sent
+only those and the script's closing commands. Since `minismt`'s
+check-sat does not depend on an earlier one (it rewinds a searched
+formula before extending it), the replies are the bytes a fresh process
+would print for each whole script. Every verify query, and so
+`emit.check_equivalence` in solver mode, is answered in-process. A script
+given to `run_solver` with a config gets a process of its own, with the
+script on stdin, the bundled solver too. A query unanswered after QUERY_TIMEOUT_S raises
 SolverUnknown: a process is killed, and an in-process answer stops at
 that deadline, which `minismt` checks while it blasts and searches.
 Every question goes through `query`, the one place a solver's answer is
@@ -169,7 +169,7 @@ def solve_brute_force(problem):
         )
     except TooManyInputBits as exc:
         raise LimitExceeded("input bits", exc.total, exc.limit) from None
-    index, _ = sketch(design(0), range(space))
+    index, _ = sketch(design(0))
     if index is None:
         raise Infeasible(f"no assignment among {space} implements '{problem.design.name}'")
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -330,25 +330,14 @@ def _answer(script):
     `minismt.Interpreter` in this process, with the deadline QUERY_TIMEOUT_S
     from now.
 
-    The check-sat of a query searches its formula in place, since a query
-    only reads the model after it, which keeps a copy of the formula out
-    of this process's memory. A script that goes on to extend the formula
-    is answered again from the start with copies.
-
     One difference remains: this process's frames share Python's recursion
     limit with the interpreter's, so a term nested close to the depth a
     fresh process can read (about 490 levels) may get `(error "term nested
     too deeply")` a few levels sooner here.
     """
-    deadline = time.monotonic() + QUERY_TIMEOUT_S
-    for in_place in (True, False):
-        out = io.StringIO()
-        interp = minismt.Interpreter(out, deadline, in_place)
-        try:
-            code = minismt.answer(interp, lambda: minismt.serve(io.StringIO(script), interp))
-        except minismt.SearchedInPlace:
-            continue  # the script extends its formula after a search
-        break
+    out = io.StringIO()
+    interp = minismt.Interpreter(out, time.monotonic() + QUERY_TIMEOUT_S)
+    code = minismt.answer(interp, lambda: minismt.serve(io.StringIO(script), interp))
     if interp.expired:
         raise SolverUnknown(_NO_ANSWER % QUERY_TIMEOUT_S)
     return _reply(out.getvalue(), code, "")
@@ -394,8 +383,8 @@ class _Solver:
     sequence of scripts. A script's head is its text before
     `(check-sat)\n`. When the head last sent to the process is a prefix of
     the new script's head, only the rest of the script is written:
-    `minismt` never changes its formula by searching it, so the process
-    then holds what a fresh one would after reading the new head.
+    `minismt` rewinds a searched formula before extending it, so the
+    process then holds what a fresh one would after reading the new head.
     Otherwise the process is closed, and a new one gets the whole script.
     Every script is followed by `_ECHO_END`, and the reply is every line
     before the echoed line, or before end of file when the process exits,
@@ -696,7 +685,9 @@ def exhaustive_counterexample(problem, assignment):
     """
     design = _design_table(problem)
     semantics.hole_index(problem.holes, assignment)
-    values = {name: ir.Const(width, assignment[name]) for name, width in problem.holes}
-    sketch = [ir.substitute(e, {}, values) for _, e in problem.sketch_exprs]
-    _, row = semantics.compile_exprs(sketch, problem.inputs, form="scan")(design(0), range(1))
+    sketch = [e for _, e in problem.sketch_exprs]
+    if problem.holes:  # else `substitute` would rewrite nothing
+        values = {name: ir.Const(width, assignment[name]) for name, width in problem.holes}
+        sketch = [ir.substitute(e, {}, values) for e in sketch]
+    _, row = semantics.compile_exprs(sketch, problem.inputs, form="scan")(design(0))
     return None if row is None else semantics.row_env(problem.inputs, row)

@@ -156,7 +156,7 @@ def lut_bit(table, inputs):
     return ir.Extract(0, 0, ir.LShr(table, index))
 
 
-def test_scan_returns_lowest_row():
+def test_scan_returns_lowest_row(monkeypatch):
     inputs = (("p", 1), ("q", 3))
     want_table = 0b1011_0110_0101_1001
     bad_rows = (3, 7, 12)
@@ -166,16 +166,15 @@ def test_scan_returns_lowest_row():
     decoded = compile_exprs([ir.Var("p", 1), ir.Var("q", 3)], inputs, form="table")(0)
     assert list(zip(*decoded)) == [tuple(row_env(inputs, row).values()) for row in range(16)]
     got = compile_exprs([lut_bit(ir.Const(16, got_table), inputs)], inputs, form="scan")
-    assert got(want, range(1)) == (None, 3)
+    assert got(want) == (None, 3)
     same = compile_exprs([lut_bit(ir.Const(16, want_table), inputs)], inputs, form="scan")
-    assert same(want, range(1)) == (0, None)
+    assert same(want) == (0, None)
 
     # The same sketch with its table as a hole: the first matching index is
-    # the table, and a wrong table's counterexample is its lowest
-    # mismatching row.
+    # the table, and, with the wrong table filled in, the counterexample is
+    # its lowest mismatching row.
     holed = compile_exprs([lut_bit(ir.Hole("T", 16), inputs)], inputs, [("T", 16)], form="scan")
-    assert holed(want, range(1 << 16)) == (want_table, None)
-    assert holed(want, range(got_table, got_table + 1)) == (None, 3)
+    assert holed(want) == (want_table, None)
     design = ir.Design("t", inputs, (("y", lut_bit(ir.Const(16, want_table), inputs)),))
     sketch = (("y", lut_bit(ir.Hole("T", 16), inputs)),)
     problem = synthesis.SynthesisProblem(design, sketch, (("T", 16),))
@@ -188,13 +187,28 @@ def test_scan_returns_lowest_row():
         synthesis.exhaustive_counterexample(problem, {"T": -1})
     with pytest.raises(HolePresent):
         synthesis.exhaustive_counterexample(problem, {})
+    # A problem without holes is scanned as it is, with nothing substituted.
+    filled = (("y", lut_bit(ir.Const(16, got_table), inputs)),)
+    monkeypatch.setattr(ir, "substitute", None)
+    assert synthesis.exhaustive_counterexample(
+        synthesis.SynthesisProblem(design, filled, ()), {}
+    ) == {"p": 1, "q": 1}
 
 
-def scan_both(exprs, inputs, holes, want, indices):
+def scan_both(exprs, inputs, holes, want):
     """The scan form's answer, after checking it against `reference_scan`."""
-    got = compile_exprs(exprs, inputs, holes, form="scan")(want, indices)
-    assert got == reference_scan(exprs, inputs, holes, want, indices)
+    got = compile_exprs(exprs, inputs, holes, form="scan")(want)
+    assert_scan_answer(got, reference_scan(exprs, inputs, holes, want), holes)
     return got
+
+
+def assert_scan_answer(got, reference, holes):
+    """The index is the reference's; the row is too for a scan with no
+    holes, and for one with holes only says whether any index matched."""
+    if holes:
+        assert got[0] == reference[0] and (got[1] is None) == (reference[1] is None)
+    else:
+        assert got == reference
 
 
 def test_scan_blocks_find_the_lowest_match(monkeypatch):
@@ -205,28 +219,10 @@ def test_scan_blocks_find_the_lowest_match(monkeypatch):
     # and lane 0 wins; T's bits 2 to 5 are above the lane bits.
     sketch = [lut_bit(ir.Extract(5, 2, ir.Hole("T", 6)), inputs)]
     holes = (("T", 6),)
-    assert scan_both(sketch, inputs, holes, want, range(64)) == (24, None)
-    assert scan_both(sketch, inputs, holes, want, range(26, 64)) == (26, None)
-    # Index 63 (table 0b1111) fails at row 0; 28 to 62 fail at rows 0 to 3.
-    assert scan_both(sketch, inputs, holes, want, range(28, 64)) == (None, 0)
-    # A range that stops inside a block, an empty one, and a hole space
-    # smaller than a block.
-    assert scan_both(sketch, inputs, holes, want, range(17, 26)) == (24, None)
-    assert scan_both(sketch, inputs, holes, want, range(24, 24)) == (None, None)
+    assert scan_both(sketch, inputs, holes, want) == (24, None)
+    # A hole space smaller than a block.
     monkeypatch.setattr(semantics, "PLANE_LANES", 128)
-    assert scan_both(sketch, inputs, holes, want, range(64)) == (24, None)
-
-
-def test_scan_reports_the_last_index_lowest_row(monkeypatch):
-    # No index below 7 is table 0b1001. The block of 4 to 6 walks rows up to
-    # 2, where index 5 fails, but the last index, 6, fails at row 0.
-    monkeypatch.setattr(semantics, "PLANE_LANES", 4)
-    inputs = (("x", 2),)
-    want = compile_exprs([lut_bit(ir.Const(4, 0b1001), inputs)], inputs, form="table")(0)
-    sketch = [lut_bit(ir.Hole("T", 4), inputs)]
-    assert scan_both(sketch, inputs, (("T", 4),), want, range(7)) == (None, 0)
-    assert scan_both(sketch, inputs, (("T", 4),), want, range(6)) == (None, 2)
-    assert scan_both(sketch, inputs, (("T", 4),), want, range(7, 16)) == (9, None)
+    assert scan_both(sketch, inputs, holes, want) == (24, None)
 
 
 def test_scan_planes_of_two_holes_in_either_order(monkeypatch):
@@ -236,21 +232,21 @@ def test_scan_planes_of_two_holes_in_either_order(monkeypatch):
     want = compile_exprs([ir.Add(ir.Mul(x, ir.Const(3, 3)), ir.Const(3, 5))], inputs, form="table")(0)
     sketch = [ir.Add(ir.Mul(x, ir.ZeroExt(a, 3)), b)]
     # A = 3 and B = 5: index 3 + 5 * 4 with A first, 5 + 3 * 8 with B first.
-    assert scan_both(sketch, inputs, (("A", 2), ("B", 3)), want, range(32)) == (23, None)
-    assert scan_both(sketch, inputs, (("B", 3), ("A", 2)), want, range(32)) == (29, None)
+    assert scan_both(sketch, inputs, (("A", 2), ("B", 3)), want) == (23, None)
+    assert scan_both(sketch, inputs, (("B", 3), ("A", 2)), want) == (29, None)
 
 
 def test_scan_sees_a_mismatch_in_the_high_bit_alone(monkeypatch):
-    # y is T[2x+1:2x]; the wrong tables agree with 0b0110 in every low bit.
+    # y is T[2x+1:2x]. Table 0b0100, found before 0b0110, differs from it
+    # only in row 0's high bit, and 0b0110, found before 0b1110, differs
+    # from that only in row 1's high bit.
     monkeypatch.setattr(semantics, "PLANE_LANES", 2)
     inputs = (("x", 1),)
     index = ir.Concat(ir.Var("x", 1), ir.Const(1, 0))
     y = ir.Extract(1, 0, ir.LShr(ir.Hole("T", 4), index))
-    want = ([0b10, 0b01],)
     holes = (("T", 4),)
-    assert scan_both([y], inputs, holes, want, range(0b0100, 0b0101)) == (None, 0)
-    assert scan_both([y], inputs, holes, want, range(0b1110, 0b1111)) == (None, 1)
-    assert scan_both([y], inputs, holes, want, range(16)) == (0b0110, None)
+    assert scan_both([y], inputs, holes, ([0b10, 0b01],)) == (0b0110, None)
+    assert scan_both([y], inputs, holes, ([0b10, 0b11],)) == (0b1110, None)
 
 
 def test_loop_forms_input_bit_limit():
@@ -314,10 +310,10 @@ def reference_table(exprs, inputs, holes, index):
     return tuple(map(list, zip(*rows)))
 
 
-def reference_scan(exprs, inputs, holes, want, indices):
-    """What the scan form returns, by `reference_table`."""
-    row = None
-    for index in indices:
+def reference_scan(exprs, inputs, holes, want):
+    """What the scan form returns, by `reference_table`, with the last
+    index's lowest mismatching row when no index matches."""
+    for index in range(1 << sum(w for _, w in holes)):
         table = reference_table(exprs, inputs, holes, index)
         mismatches = [
             r for r in range(len(want[0])) if any(t[r] != w[r] for t, w in zip(table, want))
@@ -357,8 +353,7 @@ def loop_cases(draw):
         exprs.append(bits_high_to_low(value, range(top, -1, -1)))
         exprs.append(bits_high_to_low(value, range(top + 1)))
         exprs.append(bits_high_to_low(value, range(top, -1, -2)))
-    cuts = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2)))
-    return exprs, inputs, holes, draw(st.integers(0, 15)), draw(st.booleans()), cuts
+    return exprs, inputs, holes, draw(st.integers(0, 15)), draw(st.booleans())
 
 
 @settings(max_examples=40, deadline=None)
@@ -378,7 +373,7 @@ def test_loop_forms_agree_across_plane_blocks(lanes, case):
         check_loop_forms(*case)
 
 
-def check_loop_forms(exprs, inputs, holes, target, spoil, cuts):
+def check_loop_forms(exprs, inputs, holes, target, spoil):
     space = 1 << sum(w for _, w in holes)
     table = compile_exprs(exprs, inputs, holes, form="table")
     for index in range(space):
@@ -388,9 +383,12 @@ def check_loop_forms(exprs, inputs, holes, target, spoil, cuts):
     want = reference_table(exprs, inputs, holes, target % space)
     if spoil:
         want[0][-1] ^= 1
-    scan = compile_exprs(exprs, inputs, holes, form="scan")
-    # Whole, one index, and ranges that start and end inside the space.
-    index = target % space
-    start, stop = (cut % (space + 1) for cut in cuts)
-    for indices in (range(space), range(index, index + 1), range(start, stop), range(index, space)):
-        assert scan(want, indices) == reference_scan(exprs, inputs, holes, want, indices)
+    got = compile_exprs(exprs, inputs, holes, form="scan")(want)
+    assert_scan_answer(got, reference_scan(exprs, inputs, holes, want), holes)
+    # With the holes filled in, as `synthesis.exhaustive_counterexample`
+    # does, the row is the lowest that mismatches.
+    for index in (target % space, (target + 1) % space):
+        values = {n: ir.Const(w, v) for (n, w), v in zip(holes, row_env(holes, index).values())}
+        filled = [ir.substitute(e, {}, values) for e in exprs]
+        got = compile_exprs(filled, inputs, form="scan")(want)
+        assert got == reference_scan(filled, inputs, (), want)

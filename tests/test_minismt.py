@@ -201,7 +201,7 @@ def test_shared_script_blasts_to_the_same_cnf(seed, count):
         interp.command(("check-sat",))
         if out.getvalue() == "sat\n":
             interp.command(("get-value", tuple(table)))
-        after = (interp.searched.nvars, repr(interp.searched.clauses))
+        after = (interp.blaster.sat.nvars, repr(interp.blaster.sat.clauses))
         states.append((before, after, out.getvalue()))
     assert states[0] == states[1]
 
@@ -473,26 +473,6 @@ def test_assert_after_sat_meets_level_zero_not_the_last_model(script, reply):
     assert run_script(script) == reply
 
 
-def test_in_place_search_answers_as_a_copy_does_until_the_formula_is_extended():
-    query = (
-        "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"
-        "(assert (= (bvmul a b) #b011100))\n(assert (bvult a b))\n"
-        "(check-sat)\n(get-value (a b))\n(get-info :all-statistics)\n"
-    )
-    out = io.StringIO()
-    interp = Interpreter(out, in_place=True)
-    interp.run(parse_forms(tokenize(query)))
-    assert interp.searched is interp.blaster.sat
-    assert out.getvalue() == run_script(query)
-    for more in ("(assert (= a #b000010))", "(declare-const c (_ BitVec 1))", "(check-sat)"):
-        with pytest.raises(minismt.SearchedInPlace):
-            interp.command(parse_forms(tokenize(more))[0])
-    assert out.getvalue() == run_script(query)
-    interp.command(("reset",))
-    interp.run(parse_forms(tokenize(query)))
-    assert out.getvalue() == run_script(query) * 2
-
-
 def test_get_info_all_statistics_counts_since_reset():
     script = (
         "(declare-const a (_ BitVec 6))\n(declare-const b (_ BitVec 6))\n"
@@ -693,20 +673,55 @@ _PIGEONHOLE = "".join(
 )
 
 
+# 143 = 11 * 13: sat, after a few conflicts.
+_BVMUL = (
+    "(declare-const a (_ BitVec 8))\n(declare-const b (_ BitVec 8))\n"
+    "(assert (= (bvmul a b) #x8f))\n(assert (bvult #x01 a))\n(assert (bvult a b))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "formula, more, reply",
+    [(_BVMUL, "(assert (= a #x0b))", "sat\n"), (_PIGEONHOLE, "(assert (= p0 p1))", "unsat\n")],
+    ids=["sat", "unsat"],
+)
+def test_a_searched_formula_is_rewound_to_a_fresh_solvers_state(formula, more, reply):
+    out = io.StringIO()
+    interp = Interpreter(out)
+    interp.run(parse_forms(tokenize(formula + "(check-sat)\n(get-info :all-statistics)\n")))
+    searched = interp.blaster.sat
+    assert out.getvalue().startswith(reply)
+    # The search moved the trail past the units it started from (learnt
+    # units at level 0, for the unsat case) and learnt clauses.
+    clauses, units, _ = interp.mark
+    assert len(searched.trail) > units and len(searched.clauses) > clauses
+    interp.command(parse_forms(tokenize(more))[0])
+    assert interp.mark is None and interp.blaster.sat is searched
+    fresh = Interpreter(io.StringIO())
+    fresh.run(parse_forms(tokenize(formula + more)))
+    assert vars(searched).keys() == vars(fresh.blaster.sat).keys()
+    for name, value in vars(fresh.blaster.sat).items():
+        assert vars(searched)[name] == value, name
+    # get-info still reports the last search, not the rewound formula.
+    interp.command(("get-info", ":all-statistics"))
+    statistics = out.getvalue().splitlines()[1]
+    assert statistics.startswith("(:decisions") and out.getvalue().splitlines()[2] == statistics
+
+
 def test_a_search_past_its_deadline_answers_unknown():
     # The same search until its first clock reading, which is the last.
     out = io.StringIO()
     interp = Interpreter(out)
     interp.run(parse_forms(tokenize(_PIGEONHOLE + "(check-sat)\n")))
     assert out.getvalue() == "unsat\n"
-    assert interp.searched.conflicts > DEADLINE_CONFLICTS
+    assert interp.blaster.sat.conflicts > DEADLINE_CONFLICTS
     out = io.StringIO()
     late = Interpreter(out)
     late.run(parse_forms(tokenize(_PIGEONHOLE)))
     late.deadline = 0.0  # already passed
     late.run(parse_forms(tokenize("(check-sat)\n(get-value (p0))\n")))
     assert out.getvalue() == "unknown\n"
-    assert late.expired and late.searched.conflicts == DEADLINE_CONFLICTS
+    assert late.expired and late.blaster.sat.conflicts == DEADLINE_CONFLICTS
 
 
 def test_blasting_past_the_deadline_answers_unknown_and_stops():
@@ -715,7 +730,7 @@ def test_blasting_past_the_deadline_answers_unknown_and_stops():
     script = '(echo "before")\n(declare-const x (_ BitVec 2))\n(assert (= x #b10))\n(check-sat)\n'
     interp.run(parse_forms(tokenize(script)))
     assert out.getvalue() == "before\nunknown\n"
-    assert interp.expired and interp.searched is None
+    assert interp.expired and interp.mark is None
 
 
 def test_bvmul_at_its_width_cap_is_accepted():
@@ -790,7 +805,7 @@ def test_search_is_pinned(lib, build, reply, clauses, digest):
     out = io.StringIO()
     interp = Interpreter(out)
     interp.run(parse_forms(tokenize(build(lib))))
-    sat = interp.searched
+    sat = interp.blaster.sat
     assert out.getvalue() == reply
     assert len(sat.clauses) == clauses
     assert hashlib.sha256(repr(sat.clauses).encode()).hexdigest() == digest

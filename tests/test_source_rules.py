@@ -52,6 +52,39 @@ def test_only_synthesis_runs_the_bundled_solver_in_process():
     assert callers == ["synthesis.py"]
 
 
+def test_one_search_path():
+    # Every check-sat searches the interpreter's own formula and rewinds it
+    # before extending it: `minismt.Interpreter` is the one caller of
+    # `.solve(`, and nothing copies a SatSolver, by a method, the `copy` or
+    # `pickle` module, or through `__dict__` or `__new__`.
+    solvers = []
+    copies = []
+    for path in SOURCES:
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "solve"
+                ):
+                    solvers.append(f"{path.name}:{getattr(top, 'name', None)}")
+                if (
+                    (isinstance(node, ast.Import) and any(
+                        a.name in ("copy", "pickle") for a in node.names
+                    ))
+                    or (isinstance(node, ast.ImportFrom) and node.module in ("copy", "pickle"))
+                    or (isinstance(node, ast.Attribute) and node.attr in (
+                        "__dict__", "__new__", "__copy__", "__deepcopy__", "clone"
+                    ))
+                    or (isinstance(node, ast.FunctionDef) and node.name in (
+                        "__copy__", "__deepcopy__", "__reduce__", "clone"
+                    ))
+                ):
+                    copies.append(f"{path.name}:{node.lineno}")
+    assert solvers == ["minismt.py:Interpreter"]
+    assert copies == []
+
+
 def test_only_the_module_codec_library_and_cli_import_json():
     # `ir` holds the one JSON codec for modules, `library` reads manifests
     # and descriptors, and `cli` writes report.json.
